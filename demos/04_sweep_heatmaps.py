@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end sweep: trainability shift across sizes, CSV plus heatmaps.
 
-A reduced grid keeps this demo fast (about a minute). The full-size
+A reduced grid keeps this demo fast (about a second). The full-size
 configuration used by the acceptance suite is `default_sweep_config()`;
 the same artifacts can also be produced with the CLI:
 

@@ -9,9 +9,16 @@ so parallel and serial evaluation orders agree bit for bit.
 ``param_shift_gradient`` evaluates the shift rule literally: the angle of
 each symbol occurrence is shifted by +-pi/2 and the expectation values
 are differenced. ``grad_variance`` computes the same values through a
-forward/backward sweep over cached statevectors, which is algebraically
-identical for Pauli rotations and is regression-tested against the
-literal rule.
+forward/backward (adjoint) sweep over cached statevectors (Jones &
+Gacon, arXiv:2009.02823), which is algebraically identical for Pauli
+rotations and is regression-tested against the literal rule.
+
+The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
+of state each, so a block's buffers stay in a per-core L2 cache. Its
+backward pass un-applies each gate once from a stacked [state; costate]
+buffer, and each run of CX/SWAP/X gates is one composed gather. Rows
+never mix and gathers are exact, so the results are the same bits at any
+block size as in an unblocked one-gate-at-a-time sweep.
 """
 
 from __future__ import annotations
@@ -25,10 +32,27 @@ import numpy as np
 
 from .circuit import ROTATION_KINDS, Affine, Circuit, Const, Gate, GateKind
 from .rng import GOLDEN, angles_from_u64, mix64_array
-from .sim import MAX_QUBITS, apply_kind, apply_pauli, state_expect_z, zero_states
+from .sim import (
+    MAX_QUBITS,
+    PERMUTATION_KINDS,
+    apply_kind,
+    apply_pauli,
+    permutation_sources,
+    state_expect_z,
+    zero_states,
+)
 from .transpiler import FromLogical, TranspiledCircuit
 
 _PAULI_OF = {GateKind.RX: "X", GateKind.RY: "Y", GateKind.RZ: "Z"}
+
+# Least bytes of state per row block of the adjoint sweep (a smaller batch
+# is one block). A block holds under twice this, so the stacked
+# [state; costate] buffer stays within a 2 MiB per-core L2. On a 2-vCPU
+# Xeon with 2 MiB L2 per core, the six n = 12, B = 200 GradVar calls of
+# perfbench's gradvar_n12 took ~10 s with 0.5-1 MiB blocks (~15 s
+# unblocked), ~11 s with 2 MiB blocks or with 256 KiB blocks (more Python
+# dispatch) and ~12.5 s with 4 MiB blocks.
+_BLOCK_BYTES = 1 << 19
 
 
 @unique
@@ -174,40 +198,89 @@ def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: i
     return grad
 
 
+def _sweep_steps(circuit: Circuit) -> list[Gate | tuple[np.ndarray, np.ndarray]]:
+    """The circuit's gates as sweep steps: each maximal run of CX/SWAP/X
+    becomes its (forward, backward) index maps; every other gate stays."""
+    steps: list[Gate | tuple[np.ndarray, np.ndarray]] = []
+    run: list[Gate] = []
+    for g in circuit.gates:
+        if g.kind in PERMUTATION_KINDS:
+            run.append(g)
+            continue
+        if run:
+            steps.append(permutation_sources(circuit.num_qubits, run))
+            run = []
+        steps.append(g)
+    if run:
+        steps.append(permutation_sources(circuit.num_qubits, run))
+    return steps
+
+
+def _stacked(angle):
+    """Per-sample angles for a [state; costate] buffer: the block twice."""
+    return np.concatenate((angle, angle)) if isinstance(angle, np.ndarray) else angle
+
+
+def _sweep_block(steps: list, n: int, thetas: np.ndarray, cost_qubit: int, grads: np.ndarray) -> None:
+    """Forward/backward sweep of one row block; adds its gradients into ``grads``.
+
+    The forward pass caches the final state psi. The backward pass
+    un-applies each step from the stacked buffer [psi; lambda], lambda
+    starting as Z_cost psi, and reads off each occurrence's shift-rule
+    value as Im<lambda|Pauli|psi> before un-applying its gate.
+    """
+    rows = thetas.shape[0]
+    angles: list[np.ndarray | float | None] = []
+    for step in steps:
+        if isinstance(step, tuple) or step.param is None:
+            angles.append(None)
+        elif isinstance(step.param, Affine):
+            angles.append(step.param.coeff * thetas[:, step.param.symbol] + step.param.offset)
+        else:
+            angles.append(step.param.angle)
+
+    psi = zero_states(rows, n)
+    for step, angle in zip(steps, angles):
+        if isinstance(step, tuple):
+            psi = psi[:, step[0]]
+        else:
+            psi = apply_kind(psi, n, step.kind, step.qubits, angle)
+    buf = np.concatenate((psi, apply_pauli(psi, n, "Z", cost_qubit)))
+
+    for step, angle in zip(reversed(steps), reversed(angles)):
+        if isinstance(step, tuple):
+            buf = buf[:, step[1]]
+            continue
+        if isinstance(step.param, Affine):
+            psi, lam = buf[:rows], buf[rows:]
+            contrib = np.einsum(
+                "bi,bi->b", np.conj(lam), apply_pauli(psi, n, _PAULI_OF[step.kind], step.qubits[0])
+            ).imag
+            grads[:, step.param.symbol] += step.param.coeff * contrib
+        buf = apply_kind(buf, n, step.kind, step.qubits, _stacked(angle), inverse=True)
+
+
 def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) -> np.ndarray:
     """Shift-rule gradients for a batch of parameter vectors, shape (B, P).
 
-    One forward pass caches the final state; the backward pass un-applies
-    each gate from both the state and the Z-projected costate, reading off
-    each occurrence's shift-rule value as Im<costate|Pauli|state>.
+    The batch is split into near-equal row blocks of at least
+    ``_BLOCK_BYTES`` of state each (the whole batch if it is smaller),
+    swept one block at a time.
     """
     n = circuit.num_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
+    steps = _sweep_steps(circuit)
     batch = thetas.shape[0]
-    angles: list[np.ndarray | float | None] = []
-    for g in circuit.gates:
-        if g.kind not in ROTATION_KINDS:
-            angles.append(None)
-        elif isinstance(g.param, Affine):
-            angles.append(g.param.coeff * thetas[:, g.param.symbol] + g.param.offset)
-        else:
-            angles.append(g.param.angle)
-
-    psi = zero_states(batch, n)
-    for g, angle in zip(circuit.gates, angles):
-        psi = apply_kind(psi, n, g.kind, g.qubits, angle)
-    lam = apply_pauli(psi, n, "Z", cost_qubit)
-
+    # At least two rows per block: numpy multiplies a lone complex element
+    # in place without the fused multiply-add of its vector loop, so a
+    # one-row block at n = 1 would round differently from a larger one.
+    rows = max(2, _BLOCK_BYTES // ((1 << n) * 16))
+    blocks = max(1, batch // rows)
+    bounds = [batch * i // blocks for i in range(blocks + 1)]
     grads = np.zeros((batch, circuit.num_symbols))
-    for g, angle in zip(reversed(circuit.gates), reversed(angles)):
-        if isinstance(g.param, Affine):
-            contrib = np.einsum(
-                "bi,bi->b", np.conj(lam), apply_pauli(psi, n, _PAULI_OF[g.kind], g.qubits[0])
-            ).imag
-            grads[:, g.param.symbol] += g.param.coeff * contrib
-        psi = apply_kind(psi, n, g.kind, g.qubits, angle, inverse=True)
-        lam = apply_kind(lam, n, g.kind, g.qubits, angle, inverse=True)
+    for start, stop in zip(bounds, bounds[1:]):
+        _sweep_block(steps, n, thetas[start:stop], cost_qubit, grads[start:stop])
     return grads
 
 

@@ -15,6 +15,7 @@ import math
 import os
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -186,26 +187,51 @@ def run_cell(config: SweepConfig, backend: BackendModel, kind: str, n: int, reps
 
 def _worker_count(num_cells: int) -> int:
     env = os.environ.get("VQCLAB_THREADS")
-    cap = int(env) if env else min(8, os.cpu_count() or 1)
-    return max(1, min(cap, num_cells))
+    if not env:
+        return max(1, min(8, os.cpu_count() or 1, num_cells))
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"VQCLAB_THREADS must be a positive integer, got {env!r}")
+    return min(cap, num_cells)
 
 
 def _checkpoint_key(config: SweepConfig, record: SweepRecord) -> tuple:
-    return (record.ansatz, record.n, record.reps, record.seed, config.samples, config.mode, config.backend)
+    run = (config.samples, config.mode, config.backend, config.meta_seeds)
+    return (record.ansatz, record.n, record.reps, record.seed, *run)
+
+
+def _drop_torn_tail(path: Path) -> None:
+    """Cut an unterminated last line (a crash mid-write) off the checkpoint
+    stream, so it is neither parsed nor glued to the next record."""
+    data = path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return
+    keep = data.rfind(b"\n") + 1
+    warnings.warn(
+        f"{path}: dropping an unterminated last line ({len(data) - keep} bytes) left by an interrupted write",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    with open(path, "r+b") as f:
+        f.truncate(keep)
 
 
 def _load_checkpoints(config: SweepConfig) -> dict[tuple, SweepRecord]:
     loaded: dict[tuple, SweepRecord] = {}
-    path = config.out_jsonl
-    if not path or not Path(path).exists():
-        return loaded
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    path = Path(config.out_jsonl)
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        payload = json.loads(line)
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}:{lineno}: malformed checkpoint line: {e}") from e
         if payload.get("samples") != config.samples or payload.get("mode") != config.mode:
             continue
-        if payload.get("backend") != config.backend:
+        if payload.get("backend") != config.backend or payload.get("meta_seeds", 1) != config.meta_seeds:
             continue
         record = SweepRecord(**payload["record"])
         if record.error is None:
@@ -220,9 +246,14 @@ def run_sweep(
     progress: Callable[[SweepRecord, int, int], None] | None = None,
 ) -> list[SweepRecord]:
     """Run every cell of the sweep and return records in canonical order."""
-    backend = resolve_backend(config.backend)
     cells = enumerate_cells(config)
-    done: dict[tuple, SweepRecord] = _load_checkpoints(config) if resume else {}
+    workers = _worker_count(len(cells))
+    backend = resolve_backend(config.backend)
+    done: dict[tuple, SweepRecord] = {}
+    if config.out_jsonl and Path(config.out_jsonl).exists():
+        _drop_torn_tail(Path(config.out_jsonl))
+        if resume:
+            done = _load_checkpoints(config)
 
     lock = threading.Lock()
     results: dict[int, SweepRecord] = {}
@@ -240,6 +271,7 @@ def run_sweep(
                     "samples": config.samples,
                     "mode": config.mode,
                     "backend": config.backend,
+                    "meta_seeds": config.meta_seeds,
                 }
                 jsonl.write(json.dumps(payload, sort_keys=True) + "\n")
                 jsonl.flush()
@@ -256,7 +288,6 @@ def run_sweep(
         finish(index, run_cell(config, backend, kind, n, reps, seed), fresh=True)
 
     try:
-        workers = _worker_count(len(cells))
         if workers == 1:
             for cell in cells:
                 work(cell)

@@ -3,16 +3,25 @@
 Convention: qubit 0 is the least-significant bit of the amplitude index.
 All kernels operate on batches of states shaped (B, 2**n) so that many
 parameter samples evolve through the same circuit in one vectorized pass;
-``simulate`` wraps the batch of one.
+``simulate`` wraps the batch of one. Rows never mix, and a kernel gives a
+row the same bits whatever batch it sits in, as long as the operand has
+more than one element (numpy multiplies a lone complex element in place
+without the fused multiply-add of its vector loop). That lets the
+gradient engine cut a batch into cache-sized row blocks and stack state
+and costate into one buffer.
+
+CX, SWAP and X only permute basis indices. ``permutation_sources``
+composes a run of them into one index map, so the run costs one gather.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Const, GateKind
+from .circuit import Circuit, Const, Gate, GateKind
 
 MAX_QUBITS = 24
 
@@ -45,11 +54,37 @@ def _flip_sources(n: int, q: int) -> np.ndarray:
     return src
 
 
+_PERMUTATION_SOURCES = {GateKind.CX: _cx_sources, GateKind.SWAP: _swap_sources, GateKind.X: _flip_sources}
+PERMUTATION_KINDS = frozenset(_PERMUTATION_SOURCES)
+
+
+def permutation_sources(n: int, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps (forward, backward) of a run of CX/SWAP/X gates.
+
+    ``states[:, forward]`` equals applying the gates in order and
+    ``states[:, backward]`` un-applies the run; both are exact.
+    """
+    forward = np.arange(1 << n)
+    for g in gates:
+        forward = forward[_PERMUTATION_SOURCES[g.kind](n, *g.qubits)]
+    backward = np.empty_like(forward)
+    backward[forward] = np.arange(1 << n)
+    return forward, backward
+
+
 @lru_cache(maxsize=None)
 def _z_signs(n: int, q: int) -> np.ndarray:
     signs = 1.0 - 2.0 * ((np.arange(1 << n) >> q) & 1)
     signs.setflags(write=False)
     return signs
+
+
+@lru_cache(maxsize=None)
+def _y_phases(n: int, q: int) -> np.ndarray:
+    # Y|0> = i|1>, Y|1> = -i|0>: amplitude landing on bit=1 gains +i
+    phases = np.where((np.arange(1 << n) >> q) & 1, 1j, -1j)
+    phases.setflags(write=False)
+    return phases
 
 
 def _as_column(x) -> object:
@@ -81,12 +116,9 @@ def apply_kind(
     otherwise. Rotations and permutation gates mutate in place where
     possible; callers must treat the input buffer as consumed.
     """
-    if kind is GateKind.CX:
-        return states[:, _cx_sources(n, qubits[0], qubits[1])]
-    if kind is GateKind.SWAP:
-        return states[:, _swap_sources(n, qubits[0], qubits[1])]
-    if kind is GateKind.X:
-        return states[:, _flip_sources(n, qubits[0])]
+    sources = _PERMUTATION_SOURCES.get(kind)
+    if sources is not None:
+        return states[:, sources(n, *qubits)]
     q = qubits[0]
     if kind is GateKind.RZ:
         half = np.asarray(angle) / 2.0
@@ -123,9 +155,7 @@ def apply_pauli(states: np.ndarray, n: int, pauli: str, q: int) -> np.ndarray:
     if pauli == "X":
         return flipped
     if pauli == "Y":
-        # Y|0> = i|1>, Y|1> = -i|0>: amplitude landing on bit=1 gains +i
-        factors = np.where((np.arange(1 << n) >> q) & 1, 1j, -1j)
-        return flipped * factors
+        return flipped * _y_phases(n, q)
     raise ValueError(f"unknown pauli {pauli!r}")
 
 

@@ -135,3 +135,12 @@ class TestSweepCommand:
     def test_missing_config_fails(self, tmp_path, capsys):
         assert run("sweep", "--config", tmp_path / "nope.json") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_thread_count_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("VQCLAB_THREADS", "abc")
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps({"ansatz": ["ttn"], "qubits": [2], "reps": [1], "backend": "line:2"}))
+        csv_path = tmp_path / "results.csv"
+        assert run("sweep", "--config", config_path, "--out-csv", csv_path) == 1
+        assert "VQCLAB_THREADS" in capsys.readouterr().err
+        assert not csv_path.exists() and not (tmp_path / "results.jsonl").exists()

@@ -130,6 +130,58 @@ class TestRunSweep:
         # resume reused the checkpoint instead of appending a new line
         assert len(jsonl.read_text().splitlines()) == 1
 
+    def test_resume_does_not_reuse_other_meta_seeds(self, tmp_path):
+        jsonl = tmp_path / "cells.jsonl"
+        run_sweep(tiny_config(out_jsonl=str(jsonl), meta_seeds=1))
+        resumed = run_sweep(tiny_config(out_jsonl=str(jsonl), meta_seeds=3), resume=True)
+        fresh = run_sweep(tiny_config(meta_seeds=3))
+        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in fresh]
+        lines = [json.loads(l) for l in jsonl.read_text().splitlines()]
+        assert [l["meta_seeds"] for l in lines] == [1, 3]
+
+    def test_checkpoint_without_meta_seeds_reads_as_one(self, tmp_path):
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(out_jsonl=str(jsonl))
+        first = run_sweep(cfg)
+        payload = json.loads(jsonl.read_text())
+        del payload["meta_seeds"]
+        jsonl.write_text(json.dumps(payload) + "\n")
+        assert run_sweep(cfg, resume=True) == first
+        assert len(jsonl.read_text().splitlines()) == 1
+
+    def test_resume_skips_torn_last_line(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VQCLAB_THREADS", "1")  # checkpoint lines in cell order
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(qubits=[2, 3], backend="line:3", out_jsonl=str(jsonl))
+        first = run_sweep(cfg)
+        complete = jsonl.read_text().splitlines(keepends=True)
+        # a crash while writing the second record leaves half a line behind
+        jsonl.write_text(complete[0] + complete[1][: len(complete[1]) // 2])
+        with pytest.warns(RuntimeWarning, match="unterminated last line"):
+            resumed = run_sweep(cfg, resume=True)
+        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
+        assert resumed[0] == first[0]  # reused, not recomputed
+        lines = [json.loads(l) for l in jsonl.read_text().splitlines()]  # every line parses again
+        assert len(lines) == 2
+        assert run_sweep(cfg, resume=True) == resumed
+
+    def test_resume_rejects_malformed_complete_line(self, tmp_path):
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(out_jsonl=str(jsonl))
+        run_sweep(cfg)
+        jsonl.write_text("{not json\n" + jsonl.read_text())
+        with pytest.raises(ValueError, match="cells.jsonl:1"):
+            run_sweep(cfg, resume=True)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_thread_count_fails_before_any_cell(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("VQCLAB_THREADS", value)
+        jsonl = tmp_path / "cells.jsonl"
+        seen = []
+        with pytest.raises(ValueError, match="VQCLAB_THREADS"):
+            run_sweep(tiny_config(out_jsonl=str(jsonl)), progress=lambda *a: seen.append(a))
+        assert seen == [] and not jsonl.exists()
+
     def test_meta_seeds_average(self):
         cfg = tiny_config(meta_seeds=3, samples=40)
         r = run_sweep(cfg)[0]
