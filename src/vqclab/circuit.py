@@ -194,6 +194,19 @@ def bind(circuit: Circuit, theta: Sequence[float]) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(gates), 0)
 
 
+def free_all_angles(circuit: Circuit) -> Circuit:
+    """Give every rotation gate its own fresh symbol (coeff +1, offset 0)."""
+    gates: list[Gate] = []
+    count = 0
+    for g in circuit.gates:
+        if g.kind in ROTATION_KINDS:
+            gates.append(replace(g, param=Affine(count, 1, 0.0)))
+            count += 1
+        else:
+            gates.append(g)
+    return Circuit(circuit.num_qubits, tuple(gates), count)
+
+
 # ---------------------------------------------------------------------------
 # Text serialization
 

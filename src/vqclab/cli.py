@@ -16,49 +16,19 @@ from pathlib import Path
 
 from .ansatz import build_ansatz
 from .backend import resolve_backend
-from .circuit import Affine, Circuit, Const, Gate, ROTATION_KINDS, bind, load_circuit, save_circuit
-from .grad import ReparamMode, free_all_angles, grad_variance
+from .circuit import Circuit, bind, free_all_angles, load_circuit, save_circuit
+from .grad import ReparamMode, grad_variance
 from .harness import SweepConfig, emit_csv, emit_heatmap_svg, run_sweep
 from .sim import expect_z
-from .transpiler import FromLogical, TranspileOptions, overhead, transpile
-
-
-def _write_provenance(t, path: str) -> None:
-    payload = {}
-    for p, origin in enumerate(t.provenance):
-        if isinstance(origin, FromLogical):
-            payload[str(p)] = {
-                "kind": "logical",
-                "sym": origin.symbol,
-                "coeff": origin.coeff,
-                "offset": origin.offset,
-            }
-        else:
-            payload[str(p)] = {"kind": "const", "value": origin.value}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _load_provenance(path: str) -> dict[int, Const | Affine]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    exprs: dict[int, Const | Affine] = {}
-    for key, origin in payload.items():
-        if origin["kind"] == "logical":
-            exprs[int(key)] = Affine(origin["sym"], origin["coeff"], origin["offset"])
-        else:
-            exprs[int(key)] = Const(origin["value"])
-    return exprs
-
-
-def _rebind_symbol_derived(circuit: Circuit, exprs: dict[int, Const | Affine]) -> Circuit:
-    gates: list[Gate] = []
-    for g in circuit.gates:
-        if g.kind in ROTATION_KINDS and isinstance(g.param, Affine):
-            expr = exprs[g.param.symbol]
-        else:
-            expr = g.param
-        gates.append(Gate(g.kind, g.qubits, expr))
-    symbols = {g.param.symbol for g in gates if isinstance(g.param, Affine)}
-    return Circuit(circuit.num_qubits, tuple(gates), max(symbols) + 1 if symbols else 0)
+from .transpiler import (
+    FromLogical,
+    TranspileOptions,
+    load_provenance,
+    overhead,
+    rebind_symbol_derived,
+    save_provenance,
+    transpile,
+)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -76,14 +46,13 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
     t = transpile(circuit, backend, options)
     save_circuit(t.physical, args.out)
     if args.provenance:
-        _write_provenance(t, args.provenance)
-    report = overhead(circuit, t, args.reps) if args.reps else None
-    before, after = t.metrics_before, t.metrics_after
+        save_provenance(t.provenance, args.provenance)
+    report = overhead(circuit, t, args.reps or 0)
+    after = t.metrics_after
     print(f"wrote {args.out}: {after.g1q} 1q + {after.g2q} 2q gates, depth {after.dag_depth}, "
           f"{after.num_symbols} physical parameters")
-    print(f"deltas: g1q {after.g1q - before.g1q:+d}, g2q {after.g2q - before.g2q:+d}, "
-          f"depth {after.dag_depth - before.dag_depth:+d}")
-    if report:
+    print(f"deltas: g1q {report.delta_g1q:+d}, g2q {report.delta_g2q:+d}, depth {report.delta_depth_dag:+d}")
+    if args.reps:
         print(f"depth vs repetitions: {report.delta_depth_paper:+d}")
     print(f"final layout: {list(t.final_layout)}")
     return 0
@@ -100,13 +69,22 @@ def _cmd_expect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _symbol_derived(circuit: Circuit, provenance_path: str) -> Circuit:
+    """The physical circuit over the logical symbols its provenance file names."""
+    provenance = load_provenance(provenance_path)
+    num_logical = 1 + max((o.symbol for o in provenance if isinstance(o, FromLogical)), default=-1)
+    return rebind_symbol_derived(circuit, provenance, num_logical)
+
+
 def _cmd_gradvar(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.inp)
     mode = ReparamMode(args.mode)
     if mode is ReparamMode.ALL_ANGLES:
         circuit = free_all_angles(circuit)
-    elif args.provenance:
-        circuit = _rebind_symbol_derived(circuit, _load_provenance(args.provenance))
+    elif not args.provenance:
+        raise ValueError("--mode symbol-derived needs --provenance, the origin map written by transpile")
+    else:
+        circuit = _symbol_derived(circuit, args.provenance)
     stats = grad_variance(circuit, args.samples, args.seed, args.cost_qubit)
     payload = asdict(stats)
     payload["stderr"] = stats.stderr

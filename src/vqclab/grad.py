@@ -24,13 +24,13 @@ block size as in an unblocked one-gate-at-a-time sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import ROTATION_KINDS, Affine, Circuit, Const, Gate, GateKind
+from .circuit import ROTATION_KINDS, Affine, Circuit, Gate, GateKind, free_all_angles
 from .rng import GOLDEN, angles_from_u64, mix64_array
 from .sim import (
     MAX_QUBITS,
@@ -41,7 +41,7 @@ from .sim import (
     state_expect_z,
     zero_states,
 )
-from .transpiler import FromLogical, TranspiledCircuit
+from .transpiler import TranspiledCircuit, rebind_symbol_derived
 
 _PAULI_OF = {GateKind.RX: "X", GateKind.RY: "Y", GateKind.RZ: "Z"}
 
@@ -86,19 +86,6 @@ class GradStats:
         return self.grad_var * math.sqrt(2.0 / (self.samples - 1))
 
 
-def free_all_angles(circuit: Circuit) -> Circuit:
-    """Give every rotation gate its own fresh symbol (coeff +1, offset 0)."""
-    gates: list[Gate] = []
-    count = 0
-    for g in circuit.gates:
-        if g.kind in ROTATION_KINDS:
-            gates.append(replace(g, param=Affine(count, 1, 0.0)))
-            count += 1
-        else:
-            gates.append(g)
-    return Circuit(circuit.num_qubits, tuple(gates), count)
-
-
 def reparameterize(t: TranspiledCircuit, mode: ReparamMode) -> Circuit:
     """Choose the trainable parameter space of a transpiled circuit.
 
@@ -109,23 +96,7 @@ def reparameterize(t: TranspiledCircuit, mode: ReparamMode) -> Circuit:
     """
     if mode is ReparamMode.ALL_ANGLES:
         return free_all_angles(t.physical)
-    num_logical = t.metrics_before.num_symbols
-    exprs: list[Const | Affine] = []
-    seen: set[int] = set()
-    for origin in t.provenance:
-        if isinstance(origin, FromLogical):
-            exprs.append(Affine(origin.symbol, origin.coeff, origin.offset))
-            seen.add(origin.symbol)
-        else:
-            exprs.append(Const(origin.value))
-    missing = set(range(num_logical)) - seen
-    if missing:
-        raise ValueError(f"logical symbol(s) {sorted(missing)} did not survive transpilation")
-    gates: list[Gate] = []
-    it = iter(exprs)
-    for g in t.physical.gates:
-        gates.append(replace(g, param=next(it)) if g.kind in ROTATION_KINDS else g)
-    return Circuit(t.physical.num_qubits, tuple(gates), num_logical)
+    return rebind_symbol_derived(t.physical, t.provenance, t.metrics_before.num_symbols)
 
 
 # ---------------------------------------------------------------------------

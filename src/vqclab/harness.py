@@ -1,8 +1,9 @@
 """Experiment orchestration: sweeps over (ansatz, qubits, repetitions).
 
-Each cell builds the logical circuit, measures its gradient variance,
-transpiles it, re-parameterizes, measures again on the physical cost
-qubit, and records structural deltas alongside the trainability shift.
+Each cell builds the logical circuit, transpiles it (so a cell that does
+not fit the backend fails before any gradient work), re-parameterizes,
+measures gradient variance on the logical and the physical cost qubit,
+and records structural deltas alongside the trainability shift.
 Cells run in a thread pool capped by the VQCLAB_THREADS environment
 variable; per-cell seeding makes parallel and serial runs emit identical
 results. Failures are captured per cell and never abort the sweep.
@@ -17,23 +18,17 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .ansatz import build_ansatz
 from .backend import BackendModel, resolve_backend
-from .circuit import Circuit, structural_metrics
+from .circuit import Circuit
 from .grad import GradStats, ReparamMode, grad_variance, reparameterize
-from .transpiler import check_constraints, transpile
+from .transpiler import overhead, transpile
 
 CELL_SEED_STRIDE = 1000003
-
-CSV_HEADER = (
-    "ansatz,n,reps,P_log,P_phys,g1q_log,g1q_phys,g2q_log,g2q_phys,"
-    "depth_log,depth_phys,delta_g1q,delta_g2q,delta_depth_dag,delta_depth_paper,"
-    "gradvar_log,gradvar_phys,delta_gradvar,stderr_log,stderr_phys,seed"
-)
 
 
 @dataclass
@@ -105,6 +100,20 @@ class SweepRecord:
     error: str | None = None
 
 
+# The CSV columns: every SweepRecord field but the two that describe the
+# run rather than the result, each with the type that parses it.
+_CSV_COLUMNS = [
+    (f.name, {"str": str, "int": int, "float": float}[f.type])
+    for f in fields(SweepRecord)
+    if f.name not in ("wall_time", "error")
+]
+CSV_HEADER = ",".join({"p_log": "P_log", "p_phys": "P_phys"}.get(name, name) for name, _ in _CSV_COLUMNS)
+
+# Config fields that decide a cell's result beyond its own (ansatz, n, reps,
+# seed), with the value a checkpoint line that lacks the field stands for.
+_RUN_FIELDS = {"samples": None, "mode": None, "backend": None, "meta_seeds": 1}
+
+
 def _gradvar_with_meta(
     circuit: Circuit, samples: int, seed: int, cost_qubit: int, meta_seeds: int
 ) -> tuple[float, float, GradStats]:
@@ -146,15 +155,13 @@ def run_cell(config: SweepConfig, backend: BackendModel, kind: str, n: int, reps
     start = time.perf_counter()
     try:
         logical = build_ansatz(kind, n, reps)
-        gv_log, se_log, _ = _gradvar_with_meta(logical, config.samples, seed, 0, config.meta_seeds)
         t = transpile(logical, backend)
-        check_constraints(t, backend)
         physical = reparameterize(t, ReparamMode(config.mode))
+        gv_log, se_log, _ = _gradvar_with_meta(logical, config.samples, seed, 0, config.meta_seeds)
         gv_phys, se_phys, _ = _gradvar_with_meta(
             physical, config.samples, seed, t.cost_qubit, config.meta_seeds
         )
-        before = structural_metrics(logical)
-        after = t.metrics_after
+        before, after = t.metrics_before, t.metrics_after
         return SweepRecord(
             ansatz=kind,
             n=n,
@@ -167,10 +174,7 @@ def run_cell(config: SweepConfig, backend: BackendModel, kind: str, n: int, reps
             g2q_phys=after.g2q,
             depth_log=before.dag_depth,
             depth_phys=after.dag_depth,
-            delta_g1q=after.g1q - before.g1q,
-            delta_g2q=after.g2q - before.g2q,
-            delta_depth_dag=after.dag_depth - before.dag_depth,
-            delta_depth_paper=after.dag_depth - reps,
+            **asdict(overhead(logical, t, reps)),
             gradvar_log=gv_log,
             gradvar_phys=gv_phys,
             delta_gradvar=gv_phys - gv_log,
@@ -198,9 +202,9 @@ def _worker_count(num_cells: int) -> int:
     return min(cap, num_cells)
 
 
-def _checkpoint_key(config: SweepConfig, record: SweepRecord) -> tuple:
-    run = (config.samples, config.mode, config.backend, config.meta_seeds)
-    return (record.ansatz, record.n, record.reps, record.seed, *run)
+def _checkpoint_key(record: SweepRecord) -> tuple:
+    """A cell's identity within one run; the run fields are matched on load."""
+    return (record.ansatz, record.n, record.reps, record.seed)
 
 
 def _drop_torn_tail(path: Path) -> None:
@@ -229,13 +233,11 @@ def _load_checkpoints(config: SweepConfig) -> dict[tuple, SweepRecord]:
             payload = json.loads(line)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}:{lineno}: malformed checkpoint line: {e}") from e
-        if payload.get("samples") != config.samples or payload.get("mode") != config.mode:
-            continue
-        if payload.get("backend") != config.backend or payload.get("meta_seeds", 1) != config.meta_seeds:
+        if any(payload.get(name, absent) != getattr(config, name) for name, absent in _RUN_FIELDS.items()):
             continue
         record = SweepRecord(**payload["record"])
         if record.error is None:
-            loaded[_checkpoint_key(config, record)] = record
+            loaded[_checkpoint_key(record)] = record
     return loaded
 
 
@@ -266,13 +268,7 @@ def run_sweep(
             results[index] = record
             completed += 1
             if fresh and jsonl is not None:
-                payload = {
-                    "record": asdict(record),
-                    "samples": config.samples,
-                    "mode": config.mode,
-                    "backend": config.backend,
-                    "meta_seeds": config.meta_seeds,
-                }
+                payload = {"record": asdict(record), **{name: getattr(config, name) for name in _RUN_FIELDS}}
                 jsonl.write(json.dumps(payload, sort_keys=True) + "\n")
                 jsonl.flush()
             if progress is not None:
@@ -280,8 +276,7 @@ def run_sweep(
 
     def work(cell: tuple[int, str, int, int, int]) -> None:
         index, kind, n, reps, seed = cell
-        probe = SweepRecord(ansatz=kind, n=n, reps=reps, seed=seed)
-        cached = done.get(_checkpoint_key(config, probe))
+        cached = done.get(_checkpoint_key(SweepRecord(ansatz=kind, n=n, reps=reps, seed=seed)))
         if cached is not None:
             finish(index, cached, fresh=False)
             return
@@ -318,33 +313,7 @@ def emit_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
     for r in records:
         if r.error is not None:
             continue
-        lines.append(
-            ",".join(
-                [
-                    r.ansatz,
-                    str(r.n),
-                    str(r.reps),
-                    str(r.p_log),
-                    str(r.p_phys),
-                    str(r.g1q_log),
-                    str(r.g1q_phys),
-                    str(r.g2q_log),
-                    str(r.g2q_phys),
-                    str(r.depth_log),
-                    str(r.depth_phys),
-                    str(r.delta_g1q),
-                    str(r.delta_g2q),
-                    str(r.delta_depth_dag),
-                    str(r.delta_depth_paper),
-                    _fmt(r.gradvar_log),
-                    _fmt(r.gradvar_phys),
-                    _fmt(r.delta_gradvar),
-                    _fmt(r.stderr_log),
-                    _fmt(r.stderr_phys),
-                    str(r.seed),
-                ]
-            )
-        )
+        lines.append(",".join((_fmt if parse is float else str)(getattr(r, name)) for name, parse in _CSV_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -353,35 +322,16 @@ def read_csv(path: str | Path) -> list[SweepRecord]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: unexpected CSV header")
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        f = line.split(",")
-        records.append(
-            SweepRecord(
-                ansatz=f[0],
-                n=int(f[1]),
-                reps=int(f[2]),
-                p_log=int(f[3]),
-                p_phys=int(f[4]),
-                g1q_log=int(f[5]),
-                g1q_phys=int(f[6]),
-                g2q_log=int(f[7]),
-                g2q_phys=int(f[8]),
-                depth_log=int(f[9]),
-                depth_phys=int(f[10]),
-                delta_g1q=int(f[11]),
-                delta_g2q=int(f[12]),
-                delta_depth_dag=int(f[13]),
-                delta_depth_paper=int(f[14]),
-                gradvar_log=float(f[15]),
-                gradvar_phys=float(f[16]),
-                delta_gradvar=float(f[17]),
-                stderr_log=float(f[18]),
-                stderr_phys=float(f[19]),
-                seed=int(f[20]),
-            )
-        )
+        values = line.split(",")
+        if len(values) != len(_CSV_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns, got {len(values)}")
+        try:
+            records.append(SweepRecord(**{name: parse(v) for (name, parse), v in zip(_CSV_COLUMNS, values)}))
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     return records
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .circuit import TWO_PI
+
 GOLDEN = 0x9E3779B97F4A7C15
 MASK64 = (1 << 64) - 1
-TWO_PI = 2.0 * np.pi
 
 
 def mix64(x: int) -> int:

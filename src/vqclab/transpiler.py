@@ -6,7 +6,8 @@ non-native single-qubit gate through the RZ/SX template, and a peephole
 cleanup run to fixpoint. Every surviving rotation angle is re-labeled
 with a fresh physical symbol whose origin is recorded, so a physical
 circuit can always be bound back through the logical parameter vector
-and checked for exact semantic equivalence.
+and checked for exact semantic equivalence. The origins travel as the
+JSON file of ``save_provenance``/``load_provenance``.
 
 Physical circuits are emitted over the compact set of qubits the routed
 gates actually touch; ``phys_qubits`` maps each compact index back to
@@ -15,9 +16,11 @@ the true device qubit id.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence, Union
 
 from .backend import BackendModel
@@ -31,7 +34,7 @@ from .circuit import (
     ParamExpr,
     StructuralMetrics,
     bind,
-    normalize_angle,
+    free_all_angles,
     structural_metrics,
 )
 from .rng import SplitMix64
@@ -89,22 +92,62 @@ class TranspiledCircuit:
         return self.compact_index(self.final_layout[0])
 
 
-def choose_layout(circuit: Circuit, backend: BackendModel) -> Layout:
-    """Default layout policy: logical qubit i sits on physical qubit i."""
+def save_provenance(provenance: Sequence[Origin], path: str | Path) -> None:
+    """Write the origins as JSON, keyed by physical symbol id."""
+    payload = {
+        str(p): {"kind": "logical", "sym": o.symbol, "coeff": o.coeff, "offset": o.offset}
+        if isinstance(o, FromLogical)
+        else {"kind": "const", "value": o.value}
+        for p, o in enumerate(provenance)
+    }
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def load_provenance(path: str | Path) -> tuple[Origin, ...]:
+    """Read origins written by ``save_provenance``, in physical symbol order."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        entries = [payload[str(p)] for p in range(len(payload))]
+        return tuple(
+            FromLogical(e["sym"], e["coeff"], e["offset"]) if e["kind"] == "logical" else Synthesized(e["value"])
+            for e in entries
+        )
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path}: malformed provenance map: {e}") from None
+
+
+def rebind_symbol_derived(physical: Circuit, provenance: Sequence[Origin], num_logical: int) -> Circuit:
+    """Bind each physical symbol back to its origin over ``num_logical``
+    logical symbols: logical origins become their affine expression,
+    synthesized ones their constant."""
+    if physical.num_symbols != len(provenance):
+        raise ValueError(f"provenance has {len(provenance)} entries, circuit has {physical.num_symbols} symbols")
+    exprs = [
+        Affine(o.symbol, o.coeff, o.offset) if isinstance(o, FromLogical) else Const(o.value) for o in provenance
+    ]
+    missing = set(range(num_logical)) - {o.symbol for o in provenance if isinstance(o, FromLogical)}
+    if missing:
+        raise ValueError(f"logical symbol(s) {sorted(missing)} did not survive transpilation")
+    gates = [replace(g, param=exprs[g.param.symbol]) if isinstance(g.param, Affine) else g for g in physical.gates]
+    return Circuit(physical.num_qubits, tuple(gates), num_logical)
+
+
+def _check_fits(circuit: Circuit, backend: BackendModel) -> None:
     if circuit.num_qubits > backend.num_physical:
         raise ValueError(
             f"circuit does not fit backend: {circuit.num_qubits} logical qubits > "
             f"{backend.num_physical} physical"
         )
+
+
+def choose_layout(circuit: Circuit, backend: BackendModel) -> Layout:
+    """Default layout policy: logical qubit i sits on physical qubit i."""
+    _check_fits(circuit, backend)
     return tuple(range(circuit.num_qubits))
 
 
 def _random_layout(circuit: Circuit, backend: BackendModel, seed: int) -> Layout:
-    if circuit.num_qubits > backend.num_physical:
-        raise ValueError(
-            f"circuit does not fit backend: {circuit.num_qubits} logical qubits > "
-            f"{backend.num_physical} physical"
-        )
+    _check_fits(circuit, backend)
     perm = list(range(backend.num_physical))
     SplitMix64(seed).shuffle(perm)
     return tuple(perm[: circuit.num_qubits])
@@ -336,21 +379,16 @@ def optimize(circuit: Circuit) -> Circuit:
 # Transpile
 
 
-def _resymbolize(circuit: Circuit) -> tuple[Circuit, tuple[Origin, ...]]:
-    """Give every rotation gate a fresh physical symbol, recording its origin."""
-    gates: list[Gate] = []
-    origins: list[Origin] = []
-    for g in circuit.gates:
-        if g.kind in ROTATION_KINDS:
-            expr = g.param
-            if isinstance(expr, Affine):
-                origins.append(FromLogical(expr.symbol, expr.coeff, expr.offset))
-            else:
-                origins.append(Synthesized(expr.angle))
-            gates.append(replace(g, param=Affine(len(origins) - 1, 1, 0.0)))
-        else:
-            gates.append(g)
-    return Circuit(circuit.num_qubits, tuple(gates), len(origins)), tuple(origins)
+def _resymbolize(circuit: Circuit) -> tuple[Origin, ...]:
+    """Origin of each rotation angle, in the order ``free_all_angles`` numbers
+    the fresh physical symbols."""
+    return tuple(
+        FromLogical(g.param.symbol, g.param.coeff, g.param.offset)
+        if isinstance(g.param, Affine)
+        else Synthesized(g.param.angle)
+        for g in circuit.gates
+        if g.kind in ROTATION_KINDS
+    )
 
 
 def check_constraints(t: TranspiledCircuit, backend: BackendModel) -> None:
@@ -377,7 +415,7 @@ def transpile(
         layout = _random_layout(circuit, backend, options.layout_seed)
     routed, final_layout = route(circuit, backend, layout)
     lowered = optimize(decompose_to_native(routed, backend))
-    full, provenance = _resymbolize(lowered)
+    full, provenance = free_all_angles(lowered), _resymbolize(lowered)
 
     active = sorted({q for g in full.gates for q in g.qubits} | set(layout) | set(final_layout))
     compact = {p: i for i, p in enumerate(active)}
@@ -403,18 +441,7 @@ def bind_through_provenance(t: TranspiledCircuit, theta: Sequence[float]) -> Cir
     Each physical symbol resolves through its origin: logical origins give
     ``coeff * theta[symbol] + offset``, synthesized origins their constant.
     """
-    if len(theta) != t.metrics_before.num_symbols:
-        raise ValueError(
-            f"parameter count mismatch: logical circuit has {t.metrics_before.num_symbols} "
-            f"symbols, got {len(theta)}"
-        )
-    phys_theta = []
-    for origin in t.provenance:
-        if isinstance(origin, FromLogical):
-            phys_theta.append(normalize_angle(origin.coeff * float(theta[origin.symbol]) + origin.offset))
-        else:
-            phys_theta.append(origin.value)
-    return bind(t.physical, phys_theta)
+    return bind(rebind_symbol_derived(t.physical, t.provenance, t.metrics_before.num_symbols), theta)
 
 
 @dataclass(frozen=True)

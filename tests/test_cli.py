@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -9,7 +10,7 @@ from vqclab.cli import main
 from vqclab.grad import ReparamMode, free_all_angles, grad_variance, reparameterize
 from vqclab.harness import read_csv
 from vqclab.sim import expect_z
-from vqclab.transpiler import transpile
+from vqclab.transpiler import TranspileOptions, transpile
 from vqclab.backend import make_line
 
 
@@ -49,6 +50,29 @@ class TestTranspileCommand:
         logical_entries = [e for e in payload.values() if e["kind"] == "logical"]
         assert all(e["coeff"] in (1, -1) for e in logical_entries)
         assert "final layout" in capsys.readouterr().out
+
+    def test_stdout_and_files_pinned(self, tmp_path, capsys):
+        # ttn n=4 L=2 on line:6 under a seeded random layout
+        circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
+        run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "2", "--out", circ)
+        capsys.readouterr()
+        code = run(
+            "transpile", "--in", circ, "--backend", "line:6", "--out", phys,
+            "--provenance", prov, "--reps", "2", "--layout-seed", "3",
+        )
+        assert code == 0
+        assert capsys.readouterr().out.replace(str(phys), "p.txt") == (
+            "wrote p.txt: 56 1q + 39 2q gates, depth 61, 28 physical parameters\n"
+            "deltas: g1q +42, g2q +33, depth +51\n"
+            "depth vs repetitions: +59\n"
+            "final layout: [5, 3, 4, 2]\n"
+        )
+        assert hashlib.sha256(prov.read_bytes()).hexdigest() == (
+            "c3fdb0f9e4695cfd93ef3847d52468a8cf3c1f6613ade829565104ce80422f9c"
+        )
+        assert hashlib.sha256(phys.read_bytes()).hexdigest() == (
+            "2fed5cd6357726c4659919eba730ed1b7a26352b803b7f767eafd3fc15c4a4a9"
+        )
 
     def test_backend_file_reference(self, tmp_path):
         from vqclab.backend import save_backend
@@ -94,9 +118,11 @@ class TestGradvarCommand:
     def test_symbol_derived_with_provenance(self, tmp_path, capsys):
         circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
         run("build", "--ansatz", "real_amplitudes", "--qubits", "2", "--reps", "1", "--out", circ)
-        run("transpile", "--in", circ, "--backend", "line:2", "--out", phys, "--provenance", prov)
+        run("transpile", "--in", circ, "--backend", "line:4", "--out", phys, "--provenance", prov,
+            "--layout-seed", "7")
         capsys.readouterr()
-        t = transpile(load_circuit(circ), make_line(2))
+        t = transpile(load_circuit(circ), make_line(4), TranspileOptions(layout_seed=7))
+        assert t.initial_layout != (0, 1)
         code = run(
             "gradvar", "--in", phys, "--mode", "symbol-derived", "--provenance", prov,
             "--samples", "60", "--seed", "5", "--cost-qubit", t.cost_qubit,
@@ -104,7 +130,34 @@ class TestGradvarCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         expected = grad_variance(reparameterize(t, ReparamMode.SYMBOL_DERIVED), 60, 5, t.cost_qubit)
-        assert payload["grad_var"] == pytest.approx(expected.grad_var)
+        assert payload["grad_var"] == expected.grad_var
+        assert payload["per_param_var"] == list(expected.per_param_var)
+
+    def test_symbol_derived_without_provenance_fails(self, tmp_path, capsys):
+        circ, phys = tmp_path / "c.txt", tmp_path / "p.txt"
+        run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
+        run("transpile", "--in", circ, "--backend", "line:4", "--out", phys)
+        capsys.readouterr()
+        assert run("gradvar", "--in", phys, "--mode", "symbol-derived", "--samples", "20") == 1
+        captured = capsys.readouterr()
+        assert "--provenance" in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "prov_text, message",
+        [('{"0": {"kind": "const"}}', "malformed provenance"), ("[1, 2]", "malformed provenance"),
+         ('{"0": {"kind": "const", "value": 1.0}}', "provenance has 1 entries")],
+        ids=["missing-field", "not-a-map", "wrong-length"],
+    )
+    def test_bad_provenance_fails_cleanly(self, tmp_path, capsys, prov_text, message):
+        circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
+        run("build", "--ansatz", "ttn", "--qubits", "2", "--reps", "1", "--out", circ)
+        run("transpile", "--in", circ, "--backend", "line:2", "--out", phys)
+        prov.write_text(prov_text)
+        capsys.readouterr()
+        assert run("gradvar", "--in", phys, "--mode", "symbol-derived", "--provenance", prov) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from vqclab import harness
+from vqclab.backend import make_line
+from vqclab.grad import grad_variance
 from vqclab.harness import (
     CELL_SEED_STRIDE,
     CSV_HEADER,
@@ -15,6 +18,7 @@ from vqclab.harness import (
     emit_heatmap_svg,
     enumerate_cells,
     read_csv,
+    run_cell,
     run_sweep,
 )
 
@@ -99,6 +103,20 @@ class TestRunSweep:
         assert records[0].error is not None and "does not fit" in records[0].error
         assert records[1].error is None
 
+    def test_unfit_cell_runs_no_gradient(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return grad_variance(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "grad_variance", counting)
+        record = run_cell(tiny_config(), make_line(3), "efficient_su2", 10, 2, 9)
+        assert "does not fit" in record.error
+        assert calls == []
+        assert run_cell(tiny_config(), make_line(3), "ttn", 2, 1, 9).error is None
+        assert len(calls) == 2  # one logical and one physical GradVar
+
     def test_deterministic_across_thread_counts(self, tmp_path, monkeypatch):
         cfg = tiny_config(ansatz=["ttn", "real_amplitudes"], qubits=[2, 3], backend="line:3", samples=30)
         monkeypatch.setenv("VQCLAB_THREADS", "1")
@@ -129,6 +147,18 @@ class TestRunSweep:
         assert resumed == first
         # resume reused the checkpoint instead of appending a new line
         assert len(jsonl.read_text().splitlines()) == 1
+
+    def test_checkpoint_line_keys_pinned(self, tmp_path):
+        jsonl = tmp_path / "cells.jsonl"
+        run_sweep(tiny_config(out_jsonl=str(jsonl)))
+        payload = json.loads(jsonl.read_text())
+        assert sorted(payload) == ["backend", "meta_seeds", "mode", "record", "samples"]
+        assert set(payload["record"]) == {
+            "ansatz", "n", "reps", "p_log", "p_phys", "g1q_log", "g1q_phys", "g2q_log", "g2q_phys",
+            "depth_log", "depth_phys", "delta_g1q", "delta_g2q", "delta_depth_dag", "delta_depth_paper",
+            "gradvar_log", "gradvar_phys", "delta_gradvar", "stderr_log", "stderr_phys", "seed",
+            "wall_time", "error",
+        }
 
     def test_resume_does_not_reuse_other_meta_seeds(self, tmp_path):
         jsonl = tmp_path / "cells.jsonl"
@@ -273,6 +303,17 @@ class TestCsv:
         records.append(SweepRecord(ansatz="ttn", n=8, reps=1, error="boom"))
         emit_csv(records, path)
         assert len(path.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "edit", [lambda row: row + ",7", lambda row: row.rsplit(",", 1)[0]], ids=["long", "short"]
+    )
+    def test_read_rejects_wrong_column_count(self, tmp_path, edit):
+        path = tmp_path / "cols.csv"
+        emit_csv(sample_records()[:2], path)
+        header, first, second = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, edit(second)]) + "\n")
+        with pytest.raises(ValueError, match=r"cols\.csv:3: expected 21 columns"):
+            read_csv(path)
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

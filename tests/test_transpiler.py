@@ -1,11 +1,28 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from vqclab import cli
 from vqclab.ansatz import build_efficient_su2, build_real_amplitudes, build_ttn
-from vqclab.backend import BackendModel, make_heavy_hex, make_line
-from vqclab.circuit import Affine, Circuit, Const, Gate, GateKind
+from vqclab.backend import BackendModel, make_heavy_hex, make_line, save_backend
+from vqclab.circuit import (
+    ROTATION_KINDS,
+    TWO_QUBIT_KINDS,
+    Affine,
+    Circuit,
+    Const,
+    Gate,
+    GateKind,
+    free_all_angles,
+    load_circuit,
+    save_circuit,
+)
+from vqclab.grad import ReparamMode, reparameterize
 from vqclab.sim import simulate
 from vqclab.transpiler import (
     FromLogical,
@@ -15,9 +32,11 @@ from vqclab.transpiler import (
     check_constraints,
     choose_layout,
     decompose_to_native,
+    load_provenance,
     optimize,
     overhead,
     route,
+    save_provenance,
     transpile,
 )
 from vqclab.verify import logical_physical_fidelity
@@ -421,3 +440,79 @@ class TestSemanticEquivalence:
         assert transpile(c, backend).initial_layout == (0, 1, 2)
         seen = {transpile(c, backend, TranspileOptions(layout_seed=s)).initial_layout for s in range(6)}
         assert len(seen) > 1
+
+
+# ---------------------------------------------------------------------------
+# Property tests over random circuits on random connected backends
+
+angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@st.composite
+def random_backends(draw):
+    """A random spanning tree plus extra edges on 2..8 physical qubits."""
+    num_physical = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, num_physical)}
+    qubit = st.integers(0, num_physical - 1)
+    for a, b in draw(st.sets(st.tuples(qubit, qubit), max_size=6)):
+        if a != b:
+            edges.add((a, b))
+    return BackendModel(num_physical, frozenset(edges))
+
+
+@st.composite
+def random_logical_circuits(draw, max_qubits):
+    """Random circuits over the full gate set; each symbol is used once."""
+    n = draw(st.integers(1, max_qubits))
+    gates = []
+    symbols = 0
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from([k for k in GateKind if n > 1 or k not in TWO_QUBIT_KINDS]))
+        if kind in TWO_QUBIT_KINDS:
+            pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            gates.append(Gate(kind, tuple(pair)))
+        elif kind in ROTATION_KINDS:
+            if draw(st.booleans()):
+                param = Affine(symbols, draw(st.sampled_from((1, -1))), draw(angles))
+                symbols += 1
+            else:
+                param = Const(draw(angles))
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), param))
+        else:
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),)))
+    return Circuit(n, tuple(gates), symbols)
+
+
+@st.composite
+def transpile_cases(draw):
+    backend = draw(random_backends())
+    circuit = draw(random_logical_circuits(backend.num_physical))
+    layout_seed = draw(st.none() | st.integers(0, 2**32))
+    theta = draw(st.lists(angles, min_size=circuit.num_symbols, max_size=circuit.num_symbols))
+    return backend, circuit, layout_seed, theta
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(transpile_cases())
+def test_transpile_properties_on_random_backends(case):
+    backend, circuit, layout_seed, theta = case
+    t = transpile(circuit, backend, TranspileOptions(layout_seed=layout_seed))
+    assert logical_physical_fidelity(circuit, t, theta) >= 1 - 1e-10
+    check_constraints(t, backend)
+    assert free_all_angles(t.physical) == t.physical
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        save_provenance(t.provenance, d / "lib.json")
+        assert load_provenance(d / "lib.json") == t.provenance
+        # the same files through the command line, then its symbol-derived rebind
+        save_circuit(circuit, d / "c.txt")
+        save_backend(backend, d / "b.json")
+        argv = ["transpile", "--in", d / "c.txt", "--backend", d / "b.json", "--out", d / "p.txt",
+                "--provenance", d / "cli.json"]
+        if layout_seed is not None:
+            argv += ["--layout-seed", layout_seed]
+        assert cli.main([str(a) for a in argv]) == 0
+        assert (d / "cli.json").read_bytes() == (d / "lib.json").read_bytes()
+        physical = load_circuit(d / "p.txt")
+        assert physical == t.physical
+        assert cli._symbol_derived(physical, str(d / "cli.json")) == reparameterize(t, ReparamMode.SYMBOL_DERIVED)
