@@ -25,7 +25,7 @@ SEED = 7
 def compile_and_report(kind, n, reps, backend, label):
     logical = build_ansatz(kind, n, reps)
     t = transpile(logical, backend)
-    rep = overhead(logical, t, reps)
+    rep = overhead(t, reps)
     before, after = t.metrics_before, t.metrics_after
     print(f"{kind} (n={n}, L={reps}) on {label}")
     print(f"  gates 1q/2q: {before.g1q}/{before.g2q} -> {after.g1q}/{after.g2q} "

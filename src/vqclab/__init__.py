@@ -53,10 +53,7 @@ from .harness import (
 )
 from .sim import expect_z, simulate, state_expect_z
 from .transpiler import (
-    FromLogical,
     OverheadReport,
-    Synthesized,
-    TranspileOptions,
     TranspiledCircuit,
     bind_through_provenance,
     check_constraints,
@@ -80,7 +77,6 @@ __all__ = [
     "BackendModel",
     "Circuit",
     "Const",
-    "FromLogical",
     "Gate",
     "GateKind",
     "GradStats",
@@ -89,8 +85,6 @@ __all__ = [
     "StructuralMetrics",
     "SweepConfig",
     "SweepRecord",
-    "Synthesized",
-    "TranspileOptions",
     "TranspiledCircuit",
     "bind",
     "bind_through_provenance",

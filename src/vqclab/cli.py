@@ -16,19 +16,11 @@ from pathlib import Path
 
 from .ansatz import build_ansatz
 from .backend import resolve_backend
-from .circuit import Circuit, bind, free_all_angles, load_circuit, save_circuit
+from .circuit import Affine, Circuit, bind, free_all_angles, load_circuit, save_circuit
 from .grad import ReparamMode, grad_variance
 from .harness import SweepConfig, emit_csv, emit_heatmap_svg, run_sweep
 from .sim import expect_z
-from .transpiler import (
-    FromLogical,
-    TranspileOptions,
-    load_provenance,
-    overhead,
-    rebind_symbol_derived,
-    save_provenance,
-    transpile,
-)
+from .transpiler import load_provenance, overhead, rebind_symbol_derived, save_provenance, transpile
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -42,12 +34,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_transpile(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.inp)
     backend = resolve_backend(args.backend)
-    options = TranspileOptions(layout_seed=args.layout_seed)
-    t = transpile(circuit, backend, options)
+    t = transpile(circuit, backend, layout_seed=args.layout_seed)
     save_circuit(t.physical, args.out)
     if args.provenance:
         save_provenance(t.provenance, args.provenance)
-    report = overhead(circuit, t, args.reps or 0)
+    report = overhead(t, args.reps or 0)
     after = t.metrics_after
     print(f"wrote {args.out}: {after.g1q} 1q + {after.g2q} 2q gates, depth {after.dag_depth}, "
           f"{after.num_symbols} physical parameters")
@@ -72,7 +63,7 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 def _symbol_derived(circuit: Circuit, provenance_path: str) -> Circuit:
     """The physical circuit over the logical symbols its provenance file names."""
     provenance = load_provenance(provenance_path)
-    num_logical = 1 + max((o.symbol for o in provenance if isinstance(o, FromLogical)), default=-1)
+    num_logical = 1 + max((o.symbol for o in provenance if isinstance(o, Affine)), default=-1)
     return rebind_symbol_derived(circuit, provenance, num_logical)
 
 
@@ -93,17 +84,13 @@ def _cmd_gradvar(args: argparse.Namespace) -> int:
 
 
 def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
+    """The JSON config with the flags that were given merged in, validated once."""
     payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    config = SweepConfig(**payload)
-    if args.out_csv:
-        config.out_csv = args.out_csv
-    if args.out_dir:
-        config.out_dir = args.out_dir
-    if args.meta_seeds:
-        config.meta_seeds = args.meta_seeds
-    if config.out_jsonl is None and config.out_csv:
-        config.out_jsonl = str(Path(config.out_csv).with_suffix(".jsonl"))
-    return config
+    flags = {"out_csv": args.out_csv, "out_dir": args.out_dir, "meta_seeds": args.meta_seeds}
+    payload.update({name: value for name, value in flags.items() if value is not None})
+    if payload.get("out_jsonl") is None and payload.get("out_csv"):
+        payload["out_jsonl"] = str(Path(payload["out_csv"]).with_suffix(".jsonl"))
+    return SweepConfig(**payload)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

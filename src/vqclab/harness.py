@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from .ansatz import build_ansatz
 from .backend import BackendModel, resolve_backend
 from .circuit import Circuit
-from .grad import GradStats, ReparamMode, grad_variance, reparameterize
+from .grad import ReparamMode, grad_variance, reparameterize
 from .transpiler import overhead, transpile
 
 CELL_SEED_STRIDE = 1000003
@@ -116,7 +116,7 @@ _RUN_FIELDS = {"samples": None, "mode": None, "backend": None, "meta_seeds": 1}
 
 def _gradvar_with_meta(
     circuit: Circuit, samples: int, seed: int, cost_qubit: int, meta_seeds: int
-) -> tuple[float, float, GradStats]:
+) -> tuple[float, float]:
     """GradVar and its standard error, averaging over meta seeds when asked.
 
     With one meta seed the stderr falls back to the analytic
@@ -125,14 +125,14 @@ def _gradvar_with_meta(
     """
     stats = grad_variance(circuit, samples, seed, cost_qubit)
     if meta_seeds == 1:
-        return stats.grad_var, stats.stderr, stats
+        return stats.grad_var, stats.stderr
     values = [stats.grad_var]
     values += [
         grad_variance(circuit, samples, seed + r, cost_qubit).grad_var for r in range(1, meta_seeds)
     ]
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(var / len(values)), stats
+    return mean, math.sqrt(var / len(values))
 
 
 def cell_seed(base_seed: int, cell_index: int) -> int:
@@ -157,8 +157,8 @@ def run_cell(config: SweepConfig, backend: BackendModel, kind: str, n: int, reps
         logical = build_ansatz(kind, n, reps)
         t = transpile(logical, backend)
         physical = reparameterize(t, ReparamMode(config.mode))
-        gv_log, se_log, _ = _gradvar_with_meta(logical, config.samples, seed, 0, config.meta_seeds)
-        gv_phys, se_phys, _ = _gradvar_with_meta(
+        gv_log, se_log = _gradvar_with_meta(logical, config.samples, seed, 0, config.meta_seeds)
+        gv_phys, se_phys = _gradvar_with_meta(
             physical, config.samples, seed, t.cost_qubit, config.meta_seeds
         )
         before, after = t.metrics_before, t.metrics_after
@@ -174,7 +174,7 @@ def run_cell(config: SweepConfig, backend: BackendModel, kind: str, n: int, reps
             g2q_phys=after.g2q,
             depth_log=before.dag_depth,
             depth_phys=after.dag_depth,
-            **asdict(overhead(logical, t, reps)),
+            **asdict(overhead(t, reps)),
             gradvar_log=gv_log,
             gradvar_phys=gv_phys,
             delta_gradvar=gv_phys - gv_log,
@@ -248,6 +248,8 @@ def run_sweep(
     progress: Callable[[SweepRecord, int, int], None] | None = None,
 ) -> list[SweepRecord]:
     """Run every cell of the sweep and return records in canonical order."""
+    if resume and not config.out_jsonl:
+        raise ValueError("resume needs out_jsonl, the JSONL checkpoint to resume from")
     cells = enumerate_cells(config)
     workers = _worker_count(len(cells))
     backend = resolve_backend(config.backend)

@@ -21,7 +21,7 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 from .backend import BackendModel
 from .circuit import (
@@ -43,45 +43,21 @@ Layout = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class FromLogical:
-    """Physical angle that carries a logical symbol: coeff * theta[symbol] + offset."""
-
-    symbol: int
-    coeff: int
-    offset: float
-
-
-@dataclass(frozen=True)
-class Synthesized:
-    """Physical angle that is a compile-time constant."""
-
-    value: float
-
-
-Origin = Union[FromLogical, Synthesized]
-
-
-@dataclass(frozen=True)
-class TranspileOptions:
-    """``layout_seed=None`` selects the trivial layout; an integer seed
-    selects a deterministic random injective layout instead."""
-
-    layout_seed: int | None = None
-
-
-@dataclass(frozen=True)
 class TranspiledCircuit:
+    """A compiled circuit and what it came from.
+
+    ``provenance[p]`` is the expression physical symbol ``p`` replaced: an
+    ``Affine`` over a logical symbol, or a ``Const`` the compiler
+    synthesized.
+    """
+
     physical: Circuit
     initial_layout: Layout
     final_layout: Layout
-    provenance: tuple[Origin, ...]
+    provenance: tuple[ParamExpr, ...]
     metrics_before: StructuralMetrics
     metrics_after: StructuralMetrics
     phys_qubits: tuple[int, ...]
-
-    @property
-    def num_logical(self) -> int:
-        return len(self.initial_layout)
 
     def compact_index(self, physical_qubit: int) -> int:
         return self.phys_qubits.index(physical_qubit)
@@ -92,43 +68,41 @@ class TranspiledCircuit:
         return self.compact_index(self.final_layout[0])
 
 
-def save_provenance(provenance: Sequence[Origin], path: str | Path) -> None:
+def save_provenance(provenance: Sequence[ParamExpr], path: str | Path) -> None:
     """Write the origins as JSON, keyed by physical symbol id."""
     payload = {
         str(p): {"kind": "logical", "sym": o.symbol, "coeff": o.coeff, "offset": o.offset}
-        if isinstance(o, FromLogical)
-        else {"kind": "const", "value": o.value}
+        if isinstance(o, Affine)
+        else {"kind": "const", "value": o.angle}
         for p, o in enumerate(provenance)
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def load_provenance(path: str | Path) -> tuple[Origin, ...]:
+def load_provenance(path: str | Path) -> tuple[ParamExpr, ...]:
     """Read origins written by ``save_provenance``, in physical symbol order."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         entries = [payload[str(p)] for p in range(len(payload))]
         return tuple(
-            FromLogical(e["sym"], e["coeff"], e["offset"]) if e["kind"] == "logical" else Synthesized(e["value"])
+            Affine(e["sym"], e["coeff"], e["offset"]) if e["kind"] == "logical" else Const(e["value"])
             for e in entries
         )
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed provenance map: {e}") from None
 
 
-def rebind_symbol_derived(physical: Circuit, provenance: Sequence[Origin], num_logical: int) -> Circuit:
-    """Bind each physical symbol back to its origin over ``num_logical``
-    logical symbols: logical origins become their affine expression,
-    synthesized ones their constant."""
+def rebind_symbol_derived(physical: Circuit, provenance: Sequence[ParamExpr], num_logical: int) -> Circuit:
+    """Substitute each physical symbol's origin over ``num_logical`` logical
+    symbols."""
     if physical.num_symbols != len(provenance):
         raise ValueError(f"provenance has {len(provenance)} entries, circuit has {physical.num_symbols} symbols")
-    exprs = [
-        Affine(o.symbol, o.coeff, o.offset) if isinstance(o, FromLogical) else Const(o.value) for o in provenance
-    ]
-    missing = set(range(num_logical)) - {o.symbol for o in provenance if isinstance(o, FromLogical)}
+    missing = set(range(num_logical)) - {o.symbol for o in provenance if isinstance(o, Affine)}
     if missing:
         raise ValueError(f"logical symbol(s) {sorted(missing)} did not survive transpilation")
-    gates = [replace(g, param=exprs[g.param.symbol]) if isinstance(g.param, Affine) else g for g in physical.gates]
+    gates = [
+        replace(g, param=provenance[g.param.symbol]) if isinstance(g.param, Affine) else g for g in physical.gates
+    ]
     return Circuit(physical.num_qubits, tuple(gates), num_logical)
 
 
@@ -379,18 +353,6 @@ def optimize(circuit: Circuit) -> Circuit:
 # Transpile
 
 
-def _resymbolize(circuit: Circuit) -> tuple[Origin, ...]:
-    """Origin of each rotation angle, in the order ``free_all_angles`` numbers
-    the fresh physical symbols."""
-    return tuple(
-        FromLogical(g.param.symbol, g.param.coeff, g.param.offset)
-        if isinstance(g.param, Affine)
-        else Synthesized(g.param.angle)
-        for g in circuit.gates
-        if g.kind in ROTATION_KINDS
-    )
-
-
 def check_constraints(t: TranspiledCircuit, backend: BackendModel) -> None:
     """Raise unless every gate kind is native and every 2q pair is coupled."""
     for g in t.physical.gates:
@@ -404,18 +366,22 @@ def check_constraints(t: TranspiledCircuit, backend: BackendModel) -> None:
             raise ValueError(f"non-native single-qubit gate {g.kind.value}")
 
 
-def transpile(
-    circuit: Circuit, backend: BackendModel, options: TranspileOptions | None = None
-) -> TranspiledCircuit:
-    """Layout, route, decompose and optimize a logical circuit for a backend."""
-    options = options or TranspileOptions()
-    if options.layout_seed is None:
+def transpile(circuit: Circuit, backend: BackendModel, *, layout_seed: int | None = None) -> TranspiledCircuit:
+    """Layout, route, decompose and optimize a logical circuit for a backend.
+
+    ``layout_seed=None`` selects the trivial layout; an integer seed selects
+    a deterministic random injective layout instead.
+    """
+    if layout_seed is None:
         layout = choose_layout(circuit, backend)
     else:
-        layout = _random_layout(circuit, backend, options.layout_seed)
+        layout = _random_layout(circuit, backend, layout_seed)
     routed, final_layout = route(circuit, backend, layout)
     lowered = optimize(decompose_to_native(routed, backend))
-    full, provenance = free_all_angles(lowered), _resymbolize(lowered)
+    # free_all_angles numbers the rotations in gate order, so the rotation
+    # params in that order are the fresh physical symbols' origins
+    full = free_all_angles(lowered)
+    provenance = tuple(g.param for g in lowered.gates if g.kind in ROTATION_KINDS)
 
     active = sorted({q for g in full.gates for q in g.qubits} | set(layout) | set(final_layout))
     compact = {p: i for i, p in enumerate(active)}
@@ -460,9 +426,8 @@ class OverheadReport:
     delta_depth_paper: int
 
 
-def overhead(logical: Circuit, t: TranspiledCircuit, reps: int) -> OverheadReport:
-    before = structural_metrics(logical)
-    after = t.metrics_after
+def overhead(t: TranspiledCircuit, reps: int) -> OverheadReport:
+    before, after = t.metrics_before, t.metrics_after
     return OverheadReport(
         delta_g1q=after.g1q - before.g1q,
         delta_g2q=after.g2q - before.g2q,

@@ -10,7 +10,7 @@ from vqclab.cli import main
 from vqclab.grad import ReparamMode, free_all_angles, grad_variance, reparameterize
 from vqclab.harness import read_csv
 from vqclab.sim import expect_z
-from vqclab.transpiler import TranspileOptions, transpile
+from vqclab.transpiler import transpile
 from vqclab.backend import make_line
 
 
@@ -121,7 +121,7 @@ class TestGradvarCommand:
         run("transpile", "--in", circ, "--backend", "line:4", "--out", phys, "--provenance", prov,
             "--layout-seed", "7")
         capsys.readouterr()
-        t = transpile(load_circuit(circ), make_line(4), TranspileOptions(layout_seed=7))
+        t = transpile(load_circuit(circ), make_line(4), layout_seed=7)
         assert t.initial_layout != (0, 1)
         code = run(
             "gradvar", "--in", phys, "--mode", "symbol-derived", "--provenance", prov,
@@ -189,11 +189,28 @@ class TestSweepCommand:
         assert run("sweep", "--config", tmp_path / "nope.json") == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_thread_count_fails_cleanly(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("VQCLAB_THREADS", "abc")
+    @staticmethod
+    def one_cell_config(tmp_path):
         config_path = tmp_path / "sweep.json"
         config_path.write_text(json.dumps({"ansatz": ["ttn"], "qubits": [2], "reps": [1], "backend": "line:2"}))
+        return config_path
+
+    def test_bad_thread_count_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("VQCLAB_THREADS", "abc")
         csv_path = tmp_path / "results.csv"
-        assert run("sweep", "--config", config_path, "--out-csv", csv_path) == 1
+        assert run("sweep", "--config", self.one_cell_config(tmp_path), "--out-csv", csv_path) == 1
         assert "VQCLAB_THREADS" in capsys.readouterr().err
         assert not csv_path.exists() and not (tmp_path / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_meta_seeds_fails_cleanly(self, tmp_path, capsys, value):
+        csv_path = tmp_path / "results.csv"
+        argv = ["sweep", "--config", self.one_cell_config(tmp_path), "--out-csv", csv_path, "--meta-seeds", value]
+        assert run(*argv) == 1
+        assert "meta_seeds" in capsys.readouterr().err
+        assert not csv_path.exists() and not (tmp_path / "results.jsonl").exists()
+
+    def test_resume_without_checkpoint_fails(self, tmp_path, capsys):
+        assert run("sweep", "--config", self.one_cell_config(tmp_path), "--resume") == 1
+        assert "out_jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "results.jsonl").exists()

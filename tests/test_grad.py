@@ -19,7 +19,7 @@ from vqclab.grad import (
 )
 from vqclab.rng import GOLDEN, SplitMix64, mix64
 from vqclab.sim import expect_z
-from vqclab.transpiler import FromLogical, Synthesized, TranspiledCircuit, transpile
+from vqclab.transpiler import TranspiledCircuit, transpile
 
 BUILDERS = [build_real_amplitudes, build_efficient_su2, build_ttn]
 
@@ -249,7 +249,7 @@ def make_transpiled_fixture():
         physical=physical,
         initial_layout=(0,),
         final_layout=(0,),
-        provenance=(Synthesized(math.pi), FromLogical(0, 1, math.pi)),
+        provenance=(Const(math.pi), Affine(0, 1, math.pi)),
         metrics_before=structural_metrics(logical),
         metrics_after=structural_metrics(physical),
         phys_qubits=(0,),
@@ -291,7 +291,7 @@ class TestReparameterize:
             physical=t.physical,
             initial_layout=t.initial_layout,
             final_layout=t.final_layout,
-            provenance=(Synthesized(math.pi), Synthesized(0.5)),
+            provenance=(Const(math.pi), Const(0.5)),
             metrics_before=t.metrics_before,
             metrics_after=t.metrics_after,
             phys_qubits=t.phys_qubits,

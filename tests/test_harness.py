@@ -203,6 +203,13 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="cells.jsonl:1"):
             run_sweep(cfg, resume=True)
 
+    def test_resume_without_checkpoint_fails(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="out_jsonl"):
+            run_sweep(tiny_config(), resume=True)
+        assert calls == []
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
     def test_bad_thread_count_fails_before_any_cell(self, tmp_path, monkeypatch, value):
         monkeypatch.setenv("VQCLAB_THREADS", value)
