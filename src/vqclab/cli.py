@@ -86,11 +86,14 @@ def _cmd_gradvar(args: argparse.Namespace) -> int:
 def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
     """The JSON config with the flags that were given merged in, validated once."""
     payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{args.config}: a sweep config must be a JSON object, got {type(payload).__name__}")
     flags = {"out_csv": args.out_csv, "out_dir": args.out_dir, "meta_seeds": args.meta_seeds}
     payload.update({name: value for name, value in flags.items() if value is not None})
-    if payload.get("out_jsonl") is None and payload.get("out_csv"):
-        payload["out_jsonl"] = str(Path(payload["out_csv"]).with_suffix(".jsonl"))
-    return SweepConfig(**payload)
+    try:
+        return SweepConfig(**payload)
+    except TypeError as e:  # an unknown or missing field, or a value of the wrong type
+        raise ValueError(f"{args.config}: {e}") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

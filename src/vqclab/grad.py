@@ -6,12 +6,13 @@ average the per-parameter sample variances. Sample i of a run draws its
 angles from an independent splitmix64 stream seeded ``seed + i*GOLDEN``,
 so parallel and serial evaluation orders agree bit for bit.
 
-``param_shift_gradient`` evaluates the shift rule literally: the angle of
-each symbol occurrence is shifted by +-pi/2 and the expectation values
-are differenced. ``grad_variance`` computes the same values through a
-forward/backward (adjoint) sweep over cached statevectors (Jones &
-Gacon, arXiv:2009.02823), which is algebraically identical for Pauli
-rotations and is regression-tested against the literal rule.
+``param_shift_gradient`` evaluates the shift rule literally: the bound
+circuit is simulated with the angle of each symbol occurrence shifted by
++-pi/2 and the expectation values are differenced. ``grad_variance``
+computes the same values through a forward/backward (adjoint) sweep over
+cached statevectors (Jones & Gacon, arXiv:2009.02823), which is
+algebraically identical for Pauli rotations and is regression-tested
+against the literal rule.
 
 The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
 of state each, so a block's buffers stay in a per-core L2 cache. Its
@@ -24,21 +25,21 @@ block size as in an unblocked one-gate-at-a-time sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, unique
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import ROTATION_KINDS, Affine, Circuit, Gate, GateKind, free_all_angles
+from .circuit import Affine, Circuit, Const, Gate, GateKind, bind, free_all_angles
 from .rng import GOLDEN, angles_from_u64, mix64_array
 from .sim import (
     MAX_QUBITS,
     PERMUTATION_KINDS,
     apply_kind,
     apply_pauli,
+    expect_z,
     permutation_sources,
-    state_expect_z,
     zero_states,
 )
 from .transpiler import TranspiledCircuit, rebind_symbol_derived
@@ -121,50 +122,26 @@ def sample_thetas(seed: int, samples: int, num_params: int) -> np.ndarray:
 # Gradients
 
 
-def _resolved_angles(circuit: Circuit, theta: Sequence[float]) -> list[float | None]:
-    """Concrete angle per gate (None for non-rotation gates)."""
-    angles: list[float | None] = []
-    for g in circuit.gates:
-        if g.kind in ROTATION_KINDS:
-            if isinstance(g.param, Affine):
-                angles.append(g.param.coeff * float(theta[g.param.symbol]) + g.param.offset)
-            else:
-                angles.append(g.param.angle)
-        else:
-            angles.append(None)
-    return angles
-
-
-def _expectation(circuit: Circuit, angles: Sequence[float | None], cost_qubit: int) -> float:
-    states = zero_states(1, circuit.num_qubits)
-    for g, angle in zip(circuit.gates, angles):
-        states = apply_kind(states, circuit.num_qubits, g.kind, g.qubits, angle)
-    return state_expect_z(states[0], circuit.num_qubits, cost_qubit)
-
-
 def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: int = 0) -> np.ndarray:
     """Exact gradient of <Z_cost> via the parameter-shift rule.
 
-    For each occurrence of a symbol, the occurrence's angle is shifted by
-    +-pi/2 and the expectations differenced; occurrences are summed with
-    their affine coefficients.
+    For each occurrence of a symbol, the bound circuit is simulated with
+    that one gate's angle shifted by +-pi/2 and the expectations
+    differenced; occurrences are summed with their affine coefficients.
     """
-    if len(theta) != circuit.num_symbols:
-        raise ValueError(
-            f"parameter count mismatch: circuit has {circuit.num_symbols} symbols, got {len(theta)}"
-        )
+    bound = bind(circuit, theta)
     if not 0 <= cost_qubit < circuit.num_qubits:
         raise ValueError(f"cost qubit {cost_qubit} out of range")
-    base = _resolved_angles(circuit, theta)
     grad = np.zeros(circuit.num_symbols)
     for idx, g in enumerate(circuit.gates):
         if not isinstance(g.param, Affine):
             continue
-        shifted = list(base)
-        shifted[idx] = base[idx] + math.pi / 2
-        plus = _expectation(circuit, shifted, cost_qubit)
-        shifted[idx] = base[idx] - math.pi / 2
-        minus = _expectation(circuit, shifted, cost_qubit)
+        before, after = bound.gates[:idx], bound.gates[idx + 1 :]
+        angle = bound.gates[idx].param.angle
+        plus, minus = (
+            expect_z(replace(bound, gates=(*before, replace(g, param=Const(angle + s)), *after)), cost_qubit)
+            for s in (math.pi / 2, -math.pi / 2)
+        )
         grad[g.param.symbol] += g.param.coeff * (plus - minus) / 2.0
     return grad
 

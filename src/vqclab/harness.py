@@ -6,7 +6,11 @@ measures gradient variance on the logical and the physical cost qubit,
 and records structural deltas alongside the trainability shift.
 Cells run in a thread pool capped by the VQCLAB_THREADS environment
 variable; per-cell seeding makes parallel and serial runs emit identical
-results. Failures are captured per cell and never abort the sweep.
+results. The sweep takes the results in canonical cell order, so the
+JSONL checkpoint lines and the progress calls come in that order at any
+thread count. A config with ``out_csv`` checkpoints to the ``.jsonl``
+file next to it unless it names ``out_jsonl``. Failures are captured per
+cell and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -57,6 +61,8 @@ class SweepConfig:
         if self.meta_seeds < 1:
             raise ValueError("meta_seeds must be >= 1")
         ReparamMode(self.mode)
+        if self.out_jsonl is None and self.out_csv:
+            self.out_jsonl = str(Path(self.out_csv).with_suffix(".jsonl"))
 
 
 def default_sweep_config(**overrides) -> SweepConfig:
@@ -202,11 +208,6 @@ def _worker_count(num_cells: int) -> int:
     return min(cap, num_cells)
 
 
-def _checkpoint_key(record: SweepRecord) -> tuple:
-    """A cell's identity within one run; the run fields are matched on load."""
-    return (record.ansatz, record.n, record.reps, record.seed)
-
-
 def _drop_torn_tail(path: Path) -> None:
     """Cut an unterminated last line (a crash mid-write) off the checkpoint
     stream, so it is neither parsed nor glued to the next record."""
@@ -237,7 +238,8 @@ def _load_checkpoints(config: SweepConfig) -> dict[tuple, SweepRecord]:
             continue
         record = SweepRecord(**payload["record"])
         if record.error is None:
-            loaded[_checkpoint_key(record)] = record
+            # a cell's identity within one run; the run fields matched above
+            loaded[(record.ansatz, record.n, record.reps, record.seed)] = record
     return loaded
 
 
@@ -247,7 +249,14 @@ def run_sweep(
     resume: bool = False,
     progress: Callable[[SweepRecord, int, int], None] | None = None,
 ) -> list[SweepRecord]:
-    """Run every cell of the sweep and return records in canonical order."""
+    """Run every cell of the sweep and return records in canonical order.
+
+    Cells run in a pool of worker threads, but their checkpoint lines,
+    ``progress`` calls and records all come out in canonical cell order:
+    a finished cell waits for every earlier one before it is written. So
+    a crash can lose finished but unwritten work of up to (workers - 1)
+    times the longest cell's time.
+    """
     if resume and not config.out_jsonl:
         raise ValueError("resume needs out_jsonl, the JSONL checkpoint to resume from")
     cells = enumerate_cells(config)
@@ -259,42 +268,29 @@ def run_sweep(
         if resume:
             done = _load_checkpoints(config)
 
-    lock = threading.Lock()
-    results: dict[int, SweepRecord] = {}
-    completed = 0
-    jsonl = open(config.out_jsonl, "a", encoding="utf-8") if config.out_jsonl else None
+    def work(cell: tuple[int, str, int, int, int]) -> tuple[SweepRecord, bool]:
+        _, kind, n, reps, seed = cell
+        cached = done.get((kind, n, reps, seed))
+        if cached is not None:
+            return cached, False
+        return run_cell(config, backend, kind, n, reps, seed), True
 
-    def finish(index: int, record: SweepRecord, fresh: bool) -> None:
-        nonlocal completed
-        with lock:
-            results[index] = record
-            completed += 1
+    records: list[SweepRecord] = []
+    with ExitStack() as stack:
+        jsonl = stack.enter_context(open(config.out_jsonl, "a", encoding="utf-8")) if config.out_jsonl else None
+        # One worker runs the cells in the caller's thread: a pool thread
+        # gets its own malloc arena, which raised the peak RSS of the
+        # 30-cell benchmark sweep from 44.9 to 48.3 MiB.
+        mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map if workers > 1 else map
+        for record, fresh in mapper(work, cells):
             if fresh and jsonl is not None:
                 payload = {"record": asdict(record), **{name: getattr(config, name) for name in _RUN_FIELDS}}
                 jsonl.write(json.dumps(payload, sort_keys=True) + "\n")
                 jsonl.flush()
+            records.append(record)
             if progress is not None:
-                progress(record, completed, len(cells))
-
-    def work(cell: tuple[int, str, int, int, int]) -> None:
-        index, kind, n, reps, seed = cell
-        cached = done.get(_checkpoint_key(SweepRecord(ansatz=kind, n=n, reps=reps, seed=seed)))
-        if cached is not None:
-            finish(index, cached, fresh=False)
-            return
-        finish(index, run_cell(config, backend, kind, n, reps, seed), fresh=True)
-
-    try:
-        if workers == 1:
-            for cell in cells:
-                work(cell)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(work, cells))
-    finally:
-        if jsonl is not None:
-            jsonl.close()
-    return [results[i] for i in sorted(results)]
+                progress(record, len(records), len(cells))
+    return records
 
 
 # ---------------------------------------------------------------------------

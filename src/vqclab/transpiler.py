@@ -254,18 +254,11 @@ def decompose_to_native(circuit: Circuit, backend: BackendModel) -> Circuit:
 
 def _merge_rz(first: ParamExpr, second: ParamExpr) -> ParamExpr | None:
     """Sum of two RZ angles when representable, else None."""
-    if isinstance(first, Const) and isinstance(second, Const):
-        return Const(first.angle + second.angle)
-    if isinstance(first, Const) and isinstance(second, Affine):
-        return Affine(second.symbol, second.coeff, second.offset + first.angle)
-    if isinstance(first, Affine) and isinstance(second, Const):
-        return Affine(first.symbol, first.coeff, first.offset + second.angle)
-    if (
-        isinstance(first, Affine)
-        and isinstance(second, Affine)
-        and first.symbol == second.symbol
-        and first.coeff == -second.coeff
-    ):
+    if isinstance(second, Const):
+        return _shift_expr(first, second.angle)
+    if isinstance(first, Const):
+        return _shift_expr(second, first.angle)
+    if first.symbol == second.symbol and first.coeff == -second.coeff:
         return Const(first.offset + second.offset)
     return None
 

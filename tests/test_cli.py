@@ -195,6 +195,25 @@ class TestSweepCommand:
         config_path.write_text(json.dumps({"ansatz": ["ttn"], "qubits": [2], "reps": [1], "backend": "line:2"}))
         return config_path
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "sampels": 20},
+            {"qubits": [2], "reps": [1]},
+            {"ansatz": ["ttn"], "qubits": 3, "reps": [1]},
+            [1, 2],
+        ],
+        ids=["unknown-key", "missing-ansatz", "qubits-not-a-list", "not-an-object"],
+    )
+    def test_bad_config_fails_cleanly(self, tmp_path, capsys, payload):
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(payload))
+        csv_path = tmp_path / "results.csv"
+        assert run("sweep", "--config", config_path, "--out-csv", csv_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(config_path) in err
+        assert not csv_path.exists() and not (tmp_path / "results.jsonl").exists()
+
     def test_bad_thread_count_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VQCLAB_THREADS", "abc")
         csv_path = tmp_path / "results.csv"

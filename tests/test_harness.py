@@ -1,4 +1,5 @@
 import json
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -128,6 +129,35 @@ class TestRunSweep:
             replace(r, wall_time=0.0) for r in parallel
         ]
 
+    def test_checkpoint_and_progress_in_cell_order(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("VQCLAB_THREADS", "2")
+
+        def first_cell_slow(config, backend, kind, n, reps, seed):
+            if seed == config.base_seed:
+                time.sleep(0.3)
+            return run_cell(config, backend, kind, n, reps, seed)
+
+        monkeypatch.setattr(harness, "run_cell", first_cell_slow)
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(qubits=[2, 3], reps=[1, 2], backend="line:3", samples=20, out_jsonl=str(jsonl))
+        seen = []
+        records = run_sweep(cfg, progress=lambda rec, done, total: seen.append((rec.n, rec.reps, done, total)))
+        order = [(n, reps) for _, _, n, reps, _ in enumerate_cells(cfg)]
+        assert seen == [(n, reps, done, 4) for done, (n, reps) in enumerate(order, start=1)]
+        lines = [json.loads(l)["record"] for l in jsonl.read_text().splitlines()]
+        assert [(l["n"], l["reps"]) for l in lines] == order
+        assert [(r.n, r.reps) for r in records] == order
+
+    def test_out_csv_implies_checkpoint_next_to_it(self, tmp_path):
+        jsonl = tmp_path / "results.jsonl"
+        cfg = tiny_config(out_csv=str(tmp_path / "results.csv"))
+        assert cfg.out_jsonl == str(jsonl)
+        assert tiny_config(out_csv=str(tmp_path / "results.csv"), out_jsonl="cells.jsonl").out_jsonl == "cells.jsonl"
+        first = run_sweep(cfg)
+        assert len(jsonl.read_text().splitlines()) == 1
+        assert run_sweep(cfg, resume=True) == first
+        assert len(jsonl.read_text().splitlines()) == 1
+
     def test_csv_bytes_reproducible(self, tmp_path):
         cfg = tiny_config(ansatz=["ttn"], qubits=[2, 3], samples=40, backend="line:3")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -179,8 +209,7 @@ class TestRunSweep:
         assert run_sweep(cfg, resume=True) == first
         assert len(jsonl.read_text().splitlines()) == 1
 
-    def test_resume_skips_torn_last_line(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("VQCLAB_THREADS", "1")  # checkpoint lines in cell order
+    def test_resume_skips_torn_last_line(self, tmp_path):
         jsonl = tmp_path / "cells.jsonl"
         cfg = tiny_config(qubits=[2, 3], backend="line:3", out_jsonl=str(jsonl))
         first = run_sweep(cfg)
