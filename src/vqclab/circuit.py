@@ -211,14 +211,16 @@ def free_all_angles(circuit: Circuit) -> Circuit:
 # Text serialization
 
 
-def _format_expr(expr: ParamExpr) -> str:
+def format_expr(expr: ParamExpr) -> str:
+    """The text-format token of an angle; ``repr`` keeps floats exact."""
     if isinstance(expr, Const):
         return f"const:{expr.angle!r}"
     sign = "+1" if expr.coeff == 1 else "-1"
     return f"affine:{expr.symbol}:{sign}:{expr.offset!r}"
 
 
-def _parse_expr(token: str, lineno: int) -> ParamExpr:
+def parse_expr(token: str) -> ParamExpr:
+    """Inverse of ``format_expr``."""
     parts = token.split(":")
     try:
         if parts[0] == "const" and len(parts) == 2:
@@ -229,7 +231,7 @@ def _parse_expr(token: str, lineno: int) -> ParamExpr:
             return Affine(int(parts[1]), int(parts[2]), float(parts[3]))
     except ValueError:
         pass
-    raise ValueError(f"line {lineno}: malformed parameter expression {token!r}")
+    raise ValueError(f"malformed parameter expression {token!r}")
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -239,7 +241,7 @@ def circuit_to_text(circuit: Circuit) -> str:
         if g.param is None:
             lines.append(f"{g.kind.value} {qubits}")
         else:
-            lines.append(f"{g.kind.value} {qubits} {_format_expr(g.param)}")
+            lines.append(f"{g.kind.value} {qubits} {format_expr(g.param)}")
     return "\n".join(lines) + "\n"
 
 
@@ -266,9 +268,8 @@ def circuit_from_text(text: str) -> Circuit:
         except ValueError:
             raise ValueError(f"line {i}: unknown gate kind {parts[0]!r}") from None
         qubits = tuple(int(q) for q in parts[1].split(","))
-        param = _parse_expr(parts[2], i) if len(parts) == 3 else None
         try:
-            gates.append(Gate(kind, qubits, param))
+            gates.append(Gate(kind, qubits, parse_expr(parts[2]) if len(parts) == 3 else None))
         except ValueError as e:
             raise ValueError(f"line {i}: {e}") from None
     return Circuit(num_qubits, tuple(gates), num_symbols)

@@ -2,8 +2,8 @@
 
 Subcommands: build, transpile, expect, gradvar, sweep. Circuits travel as
 the line-based text format, backends as ``line:n`` / ``heavy-hex:R,C`` /
-JSON path references, and provenance as a JSON map from physical symbol
-id to its origin.
+JSON path references, and what ``transpile`` decided (the symbol origins,
+the logical symbol count, the cost qubit) as the provenance JSON file.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .ansatz import build_ansatz
 from .backend import resolve_backend
-from .circuit import Affine, Circuit, bind, free_all_angles, load_circuit, save_circuit
+from .circuit import bind, free_all_angles, load_circuit, save_circuit
 from .grad import ReparamMode, grad_variance
 from .harness import SweepConfig, emit_csv, emit_heatmap_svg, run_sweep
 from .sim import expect_z
@@ -37,7 +37,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
     t = transpile(circuit, backend, layout_seed=args.layout_seed)
     save_circuit(t.physical, args.out)
     if args.provenance:
-        save_provenance(t.provenance, args.provenance)
+        save_provenance(t, args.provenance)
     report = overhead(t, args.reps or 0)
     after = t.metrics_after
     print(f"wrote {args.out}: {after.g1q} 1q + {after.g2q} 2q gates, depth {after.dag_depth}, "
@@ -60,23 +60,19 @@ def _cmd_expect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _symbol_derived(circuit: Circuit, provenance_path: str) -> Circuit:
-    """The physical circuit over the logical symbols its provenance file names."""
-    provenance = load_provenance(provenance_path)
-    num_logical = 1 + max((o.symbol for o in provenance if isinstance(o, Affine)), default=-1)
-    return rebind_symbol_derived(circuit, provenance, num_logical)
-
-
 def _cmd_gradvar(args: argparse.Namespace) -> int:
-    circuit = load_circuit(args.inp)
+    circuit = free_all_angles(load_circuit(args.inp))
     mode = ReparamMode(args.mode)
-    if mode is ReparamMode.ALL_ANGLES:
-        circuit = free_all_angles(circuit)
-    elif not args.provenance:
-        raise ValueError("--mode symbol-derived needs --provenance, the origin map written by transpile")
-    else:
-        circuit = _symbol_derived(circuit, args.provenance)
-    stats = grad_variance(circuit, args.samples, args.seed, args.cost_qubit)
+    qubit = 0  # the cost qubit unless a provenance file or --cost-qubit names one
+    if args.provenance:
+        origins, num_logical, qubit = load_provenance(args.provenance)
+        # the rebind also checks that the file belongs to this circuit
+        derived = rebind_symbol_derived(circuit, origins, num_logical)
+        if mode is ReparamMode.SYMBOL_DERIVED:
+            circuit = derived
+    elif mode is ReparamMode.SYMBOL_DERIVED:
+        raise ValueError("--mode symbol-derived needs --provenance, the file that transpile --provenance writes")
+    stats = grad_variance(circuit, args.samples, args.seed, qubit if args.cost_qubit is None else args.cost_qubit)
     payload = asdict(stats)
     payload["stderr"] = stats.stderr
     print(json.dumps(payload, indent=2))
@@ -138,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--backend", required=True, help="line:n, heavy-hex:R,C or a JSON path")
     p.add_argument("--out", required=True)
-    p.add_argument("--provenance", help="write the physical-symbol origin map as JSON")
+    p.add_argument("--provenance", help="write the symbol origins, symbol count and cost qubit as JSON")
     p.add_argument("--layout-seed", type=int, default=None)
     p.add_argument("--reps", type=int, default=None, help="repetition count for the depth delta")
     p.set_defaults(func=_cmd_transpile)
@@ -154,8 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--mode", choices=[m.value for m in ReparamMode], default=ReparamMode.ALL_ANGLES.value)
-    p.add_argument("--cost-qubit", type=int, default=0)
-    p.add_argument("--provenance", help="origin map JSON for symbol-derived mode")
+    p.add_argument("--cost-qubit", type=int, help="default: the --provenance file's, else 0")
+    p.add_argument("--provenance", help="file written by transpile --provenance")
     p.set_defaults(func=_cmd_gradvar)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config")

@@ -9,8 +9,9 @@ variable; per-cell seeding makes parallel and serial runs emit identical
 results. The sweep takes the results in canonical cell order, so the
 JSONL checkpoint lines and the progress calls come in that order at any
 thread count. A config with ``out_csv`` checkpoints to the ``.jsonl``
-file next to it unless it names ``out_jsonl``. Failures are captured per
-cell and never abort the sweep.
+file next to it unless it names ``out_jsonl``. A resume reuses only
+records whose keys are exactly ``SweepRecord``'s fields. Failures are
+captured per cell and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -35,6 +36,21 @@ from .transpiler import overhead, transpile
 CELL_SEED_STRIDE = 1000003
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a value must be to fill a SweepConfig field of each annotation; a
+# string is not a list of names and a bool is not a count.
+_ACCEPTS = {
+    "list[str]": lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+    "list[int]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+    "int": _is_int,
+    "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+}
+
+
 @dataclass
 class SweepConfig:
     ansatz: list[str]
@@ -50,6 +66,9 @@ class SweepConfig:
     out_jsonl: str | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not _ACCEPTS[f.type](getattr(self, f.name)):
+                raise TypeError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         if not self.ansatz or not self.qubits or not self.reps:
             raise ValueError("ansatz, qubits and reps lists must be non-empty")
         if any(n < 2 for n in self.qubits):
@@ -61,8 +80,13 @@ class SweepConfig:
         if self.meta_seeds < 1:
             raise ValueError("meta_seeds must be >= 1")
         ReparamMode(self.mode)
+
+    @property
+    def checkpoint(self) -> str | None:
+        """The JSONL checkpoint: ``out_jsonl``, else the file next to ``out_csv``."""
         if self.out_jsonl is None and self.out_csv:
-            self.out_jsonl = str(Path(self.out_csv).with_suffix(".jsonl"))
+            return str(Path(self.out_csv).with_suffix(".jsonl"))
+        return self.out_jsonl
 
 
 def default_sweep_config(**overrides) -> SweepConfig:
@@ -114,6 +138,8 @@ _CSV_COLUMNS = [
     if f.name not in ("wall_time", "error")
 ]
 CSV_HEADER = ",".join({"p_log": "P_log", "p_phys": "P_phys"}.get(name, name) for name, _ in _CSV_COLUMNS)
+
+_RECORD_FIELDS = {f.name for f in fields(SweepRecord)}
 
 # Config fields that decide a cell's result beyond its own (ansatz, n, reps,
 # seed), with the value a checkpoint line that lacks the field stands for.
@@ -224,9 +250,8 @@ def _drop_torn_tail(path: Path) -> None:
         f.truncate(keep)
 
 
-def _load_checkpoints(config: SweepConfig) -> dict[tuple, SweepRecord]:
+def _load_checkpoints(config: SweepConfig, path: Path) -> dict[tuple, SweepRecord]:
     loaded: dict[tuple, SweepRecord] = {}
-    path = Path(config.out_jsonl)
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -234,7 +259,17 @@ def _load_checkpoints(config: SweepConfig) -> dict[tuple, SweepRecord]:
             payload = json.loads(line)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}:{lineno}: malformed checkpoint line: {e}") from e
+        if not isinstance(payload, dict) or not isinstance(payload.get("record"), dict):
+            raise ValueError(f"{path}:{lineno}: malformed checkpoint line: not an object with a record")
         if any(payload.get(name, absent) != getattr(config, name) for name, absent in _RUN_FIELDS.items()):
+            continue
+        if payload["record"].keys() != _RECORD_FIELDS:
+            # missing keys would be filled with defaults: reuse only exact records
+            warnings.warn(
+                f"{path}:{lineno}: not reusing a record whose keys differ from SweepRecord's fields",
+                RuntimeWarning,
+                stacklevel=3,
+            )
             continue
         record = SweepRecord(**payload["record"])
         if record.error is None:
@@ -257,16 +292,17 @@ def run_sweep(
     a crash can lose finished but unwritten work of up to (workers - 1)
     times the longest cell's time.
     """
-    if resume and not config.out_jsonl:
+    checkpoint = config.checkpoint
+    if resume and not checkpoint:
         raise ValueError("resume needs out_jsonl, the JSONL checkpoint to resume from")
     cells = enumerate_cells(config)
     workers = _worker_count(len(cells))
     backend = resolve_backend(config.backend)
     done: dict[tuple, SweepRecord] = {}
-    if config.out_jsonl and Path(config.out_jsonl).exists():
-        _drop_torn_tail(Path(config.out_jsonl))
+    if checkpoint and Path(checkpoint).exists():
+        _drop_torn_tail(Path(checkpoint))
         if resume:
-            done = _load_checkpoints(config)
+            done = _load_checkpoints(config, Path(checkpoint))
 
     def work(cell: tuple[int, str, int, int, int]) -> tuple[SweepRecord, bool]:
         _, kind, n, reps, seed = cell
@@ -277,7 +313,7 @@ def run_sweep(
 
     records: list[SweepRecord] = []
     with ExitStack() as stack:
-        jsonl = stack.enter_context(open(config.out_jsonl, "a", encoding="utf-8")) if config.out_jsonl else None
+        jsonl = stack.enter_context(open(checkpoint, "a", encoding="utf-8")) if checkpoint else None
         # One worker runs the cells in the caller's thread: a pool thread
         # gets its own malloc arena, which raised the peak RSS of the
         # 30-cell benchmark sweep from 44.9 to 48.3 MiB.

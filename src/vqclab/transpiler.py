@@ -6,8 +6,8 @@ non-native single-qubit gate through the RZ/SX template, and a peephole
 cleanup run to fixpoint. Every surviving rotation angle is re-labeled
 with a fresh physical symbol whose origin is recorded, so a physical
 circuit can always be bound back through the logical parameter vector
-and checked for exact semantic equivalence. The origins travel as the
-JSON file of ``save_provenance``/``load_provenance``.
+and checked for exact semantic equivalence. The origins, symbol count and
+cost qubit travel as the JSON file of ``save_provenance``/``load_provenance``.
 
 Physical circuits are emitted over the compact set of qubits the routed
 gates actually touch; ``phys_qubits`` maps each compact index back to
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,7 +35,9 @@ from .circuit import (
     ParamExpr,
     StructuralMetrics,
     bind,
+    format_expr,
     free_all_angles,
+    parse_expr,
     structural_metrics,
 )
 from .rng import SplitMix64
@@ -68,28 +71,28 @@ class TranspiledCircuit:
         return self.compact_index(self.final_layout[0])
 
 
-def save_provenance(provenance: Sequence[ParamExpr], path: str | Path) -> None:
-    """Write the origins as JSON, keyed by physical symbol id."""
+def save_provenance(t: TranspiledCircuit, path: str | Path) -> None:
+    """Write the origins (text-format tokens), symbol count and cost qubit."""
     payload = {
-        str(p): {"kind": "logical", "sym": o.symbol, "coeff": o.coeff, "offset": o.offset}
-        if isinstance(o, Affine)
-        else {"kind": "const", "value": o.angle}
-        for p, o in enumerate(provenance)
+        "format": 2,
+        "num_logical": t.metrics_before.num_symbols,
+        "cost_qubit": t.cost_qubit,
+        "origins": [format_expr(o) for o in t.provenance],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def load_provenance(path: str | Path) -> tuple[ParamExpr, ...]:
-    """Read origins written by ``save_provenance``, in physical symbol order."""
+def load_provenance(path: str | Path) -> tuple[tuple[ParamExpr, ...], int, int]:
+    """Read ``(origins, num_logical, cost_qubit)`` written by ``save_provenance``."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if isinstance(payload, dict) and payload.get("format") != 2:
+        raise ValueError(f"{path}: not a format-2 provenance file; re-run `vqclab transpile --provenance`")
     try:
-        entries = [payload[str(p)] for p in range(len(payload))]
-        return tuple(
-            Affine(e["sym"], e["coeff"], e["offset"]) if e["kind"] == "logical" else Const(e["value"])
-            for e in entries
-        )
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{path}: malformed provenance map: {e}") from None
+        origins = tuple(parse_expr(o) for o in payload["origins"])
+        num_logical, cost_qubit = (operator.index(payload[key]) for key in ("num_logical", "cost_qubit"))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: malformed provenance file: {e}") from None
+    return origins, num_logical, cost_qubit
 
 
 def rebind_symbol_derived(physical: Circuit, provenance: Sequence[ParamExpr], num_logical: int) -> Circuit:

@@ -44,11 +44,11 @@ class TestTranspileCommand:
         expected = transpile(load_circuit(circ), make_line(2))
         assert load_circuit(phys) == expected.physical
         payload = json.loads(prov.read_text())
-        assert set(payload) == {str(i) for i in range(expected.physical.num_symbols)}
-        kinds = {entry["kind"] for entry in payload.values()}
-        assert kinds == {"logical", "const"}
-        logical_entries = [e for e in payload.values() if e["kind"] == "logical"]
-        assert all(e["coeff"] in (1, -1) for e in logical_entries)
+        assert list(payload) == ["format", "num_logical", "cost_qubit", "origins"]
+        assert (payload["format"], payload["num_logical"], payload["cost_qubit"]) == (2, 4, expected.cost_qubit)
+        assert len(payload["origins"]) == expected.physical.num_symbols
+        assert {token.split(":")[0] for token in payload["origins"]} == {"affine", "const"}
+        assert all(token.split(":")[2] in ("+1", "-1") for token in payload["origins"] if token.startswith("affine"))
         assert "final layout" in capsys.readouterr().out
 
     def test_stdout_and_files_pinned(self, tmp_path, capsys):
@@ -68,7 +68,7 @@ class TestTranspileCommand:
             "final layout: [5, 3, 4, 2]\n"
         )
         assert hashlib.sha256(prov.read_bytes()).hexdigest() == (
-            "c3fdb0f9e4695cfd93ef3847d52468a8cf3c1f6613ade829565104ce80422f9c"
+            "b11eeab04325215d4feaff03e45e96ed08d79b80da40b46ed2372ed40a76f7b2"
         )
         assert hashlib.sha256(phys.read_bytes()).hexdigest() == (
             "2fed5cd6357726c4659919eba730ed1b7a26352b803b7f767eafd3fc15c4a4a9"
@@ -133,6 +133,30 @@ class TestGradvarCommand:
         assert payload["grad_var"] == expected.grad_var
         assert payload["per_param_var"] == list(expected.per_param_var)
 
+    @pytest.mark.parametrize("mode", list(ReparamMode), ids=lambda m: m.value)
+    def test_cost_qubit_comes_from_provenance(self, tmp_path, capsys, mode):
+        # ttn n=4 L=1 under this layout ends with logical qubit 0 on compact qubit 7
+        circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
+        run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
+        run("transpile", "--in", circ, "--backend", "line:8", "--out", phys, "--provenance", prov,
+            "--layout-seed", "3")
+        capsys.readouterr()
+        t = transpile(load_circuit(circ), make_line(8), layout_seed=3)
+        assert t.final_layout == (7, 5, 6, 0) and t.cost_qubit == 7
+        assert run("gradvar", "--in", phys, "--mode", mode.value, "--provenance", prov, "--samples", "20") == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = grad_variance(reparameterize(t, mode), 20, 42, t.cost_qubit)
+        assert payload["grad_var"] == expected.grad_var
+        assert payload["per_param_var"] == list(expected.per_param_var)
+        if mode is ReparamMode.SYMBOL_DERIVED:
+            assert payload["grad_var"] == 0.16007644570608856
+        # an explicit --cost-qubit still wins over the file's
+        assert run("gradvar", "--in", phys, "--mode", mode.value, "--provenance", prov, "--samples", "20",
+                   "--cost-qubit", "0") == 0
+        assert json.loads(capsys.readouterr().out)["grad_var"] == (
+            grad_variance(reparameterize(t, mode), 20, 42, 0).grad_var
+        )
+
     def test_symbol_derived_without_provenance_fails(self, tmp_path, capsys):
         circ, phys = tmp_path / "c.txt", tmp_path / "p.txt"
         run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
@@ -146,9 +170,13 @@ class TestGradvarCommand:
 
     @pytest.mark.parametrize(
         "prov_text, message",
-        [('{"0": {"kind": "const"}}', "malformed provenance"), ("[1, 2]", "malformed provenance"),
-         ('{"0": {"kind": "const", "value": 1.0}}', "provenance has 1 entries")],
-        ids=["missing-field", "not-a-map", "wrong-length"],
+        [('{"format": 2, "num_logical": 1, "cost_qubit": 0}', "malformed provenance"),
+         ("[1, 2]", "malformed provenance"),
+         ('{"format": 2, "num_logical": 1, "cost_qubit": 0, "origins": ["affine:0:+2:0.0"]}',
+          "malformed parameter expression 'affine:0:+2:0.0'"),
+         ('{"format": 2, "num_logical": 0, "cost_qubit": 0, "origins": ["const:1.0"]}', "provenance has 1 entries"),
+         ('{"0": {"kind": "const", "value": 1.0}}', "re-run `vqclab transpile --provenance`")],
+        ids=["missing-field", "not-a-map", "malformed-expression", "wrong-length", "format-1"],
     )
     def test_bad_provenance_fails_cleanly(self, tmp_path, capsys, prov_text, message):
         circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
@@ -156,8 +184,10 @@ class TestGradvarCommand:
         run("transpile", "--in", circ, "--backend", "line:2", "--out", phys)
         prov.write_text(prov_text)
         capsys.readouterr()
-        assert run("gradvar", "--in", phys, "--mode", "symbol-derived", "--provenance", prov) == 1
-        assert message in capsys.readouterr().err
+        for mode in ReparamMode:
+            assert run("gradvar", "--in", phys, "--mode", mode.value, "--provenance", prov) == 1
+            captured = capsys.readouterr()
+            assert message in captured.err and captured.out == ""
 
 
 class TestSweepCommand:
@@ -202,8 +232,13 @@ class TestSweepCommand:
             {"qubits": [2], "reps": [1]},
             {"ansatz": ["ttn"], "qubits": 3, "reps": [1]},
             [1, 2],
+            {"ansatz": "ttn", "qubits": [2], "reps": [1]},
+            {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "samples": 10.5},
+            {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "base_seed": 1.5},
+            {"ansatz": ["ttn"], "qubits": [2.0], "reps": [1]},
         ],
-        ids=["unknown-key", "missing-ansatz", "qubits-not-a-list", "not-an-object"],
+        ids=["unknown-key", "missing-ansatz", "qubits-not-a-list", "not-an-object", "ansatz-a-string",
+             "fractional-samples", "fractional-base-seed", "float-qubits"],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, capsys, payload):
         config_path = tmp_path / "sweep.json"

@@ -213,6 +213,11 @@ class TestGradVariance:
         with pytest.raises(ValueError, match="samples"):
             grad_variance(ry_circuit(), 1, 0)
 
+    @pytest.mark.parametrize("samples", [10.5, 10.0, True, "10"])
+    def test_samples_must_be_an_int(self, samples):
+        with pytest.raises(ValueError, match="samples must be an int"):
+            grad_variance(build_ttn(2, 1), samples, 1)
+
     def test_stderr_formula(self):
         stats = grad_variance(ry_circuit(), 200, 0)
         assert stats.stderr == pytest.approx(stats.grad_var * math.sqrt(2 / 199))

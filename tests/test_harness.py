@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -60,6 +61,24 @@ class TestConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(ansatz="ttn"), "ansatz must be list[str]"),
+            (dict(qubits=[2, True]), "qubits must be list[int]"),
+            (dict(samples=True), "samples must be int"),
+            (dict(meta_seeds=2.0), "meta_seeds must be int"),
+            (dict(backend=None), "backend must be str"),
+            (dict(out_csv=1), "out_csv must be str | None"),
+        ],
+    )
+    def test_each_field_checked_against_its_annotation(self, bad, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            tiny_config(**bad)
+
+    def test_tuples_fill_list_fields(self):
+        assert enumerate_cells(tiny_config(qubits=(2, 3))) == enumerate_cells(tiny_config(qubits=[2, 3]))
 
 
 class TestCellEnumeration:
@@ -151,12 +170,18 @@ class TestRunSweep:
     def test_out_csv_implies_checkpoint_next_to_it(self, tmp_path):
         jsonl = tmp_path / "results.jsonl"
         cfg = tiny_config(out_csv=str(tmp_path / "results.csv"))
-        assert cfg.out_jsonl == str(jsonl)
-        assert tiny_config(out_csv=str(tmp_path / "results.csv"), out_jsonl="cells.jsonl").out_jsonl == "cells.jsonl"
+        assert cfg.checkpoint == str(jsonl)
+        assert tiny_config(out_csv=str(tmp_path / "results.csv"), out_jsonl="cells.jsonl").checkpoint == "cells.jsonl"
         first = run_sweep(cfg)
         assert len(jsonl.read_text().splitlines()) == 1
         assert run_sweep(cfg, resume=True) == first
         assert len(jsonl.read_text().splitlines()) == 1
+
+    def test_replaced_out_csv_moves_the_checkpoint(self, tmp_path):
+        cfg = replace(tiny_config(out_csv=str(tmp_path / "a.csv")), out_csv=str(tmp_path / "b.csv"))
+        assert cfg.out_jsonl is None and cfg.checkpoint == str(tmp_path / "b.jsonl")
+        run_sweep(cfg)
+        assert (tmp_path / "b.jsonl").exists() and not (tmp_path / "a.jsonl").exists()
 
     def test_csv_bytes_reproducible(self, tmp_path):
         cfg = tiny_config(ansatz=["ttn"], qubits=[2, 3], samples=40, backend="line:3")
@@ -231,6 +256,35 @@ class TestRunSweep:
         jsonl.write_text("{not json\n" + jsonl.read_text())
         with pytest.raises(ValueError, match="cells.jsonl:1"):
             run_sweep(cfg, resume=True)
+
+    @pytest.mark.parametrize("line", ["[1]", '{"samples": 50}', '{"record": [1]}'],
+                             ids=["not-an-object", "no-record", "record-not-an-object"])
+    def test_resume_rejects_foreign_line(self, tmp_path, line):
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(out_jsonl=str(jsonl))
+        run_sweep(cfg)
+        jsonl.write_text(jsonl.read_text() + line + "\n")
+        with pytest.raises(ValueError, match="cells.jsonl:2: malformed checkpoint line"):
+            run_sweep(cfg, resume=True)
+
+    @pytest.mark.parametrize("edit", ["extra-key", "missing-key"])
+    def test_resume_recomputes_record_with_other_keys(self, tmp_path, monkeypatch, edit):
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(out_jsonl=str(jsonl))
+        first = run_sweep(cfg)
+        payload = json.loads(jsonl.read_text())
+        if edit == "extra-key":
+            payload["record"]["version"] = 2
+        else:
+            del payload["record"]["gradvar_phys"]
+        jsonl.write_text(json.dumps(payload) + "\n")
+        calls = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args) or run_cell(*args))
+        with pytest.warns(RuntimeWarning, match="cells.jsonl:1: not reusing"):
+            resumed = run_sweep(cfg, resume=True)
+        assert len(calls) == 1
+        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
+        assert len(jsonl.read_text().splitlines()) == 2
 
     def test_resume_without_checkpoint_fails(self, monkeypatch):
         calls = []

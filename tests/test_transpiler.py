@@ -1,5 +1,8 @@
+import io
+import json
 import math
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ from vqclab.circuit import (
     load_circuit,
     save_circuit,
 )
-from vqclab.grad import ReparamMode, reparameterize
+from vqclab.grad import ReparamMode, grad_variance, reparameterize
 from vqclab.sim import apply_kind, simulate
 from vqclab.transpiler import (
     bind_through_provenance,
@@ -356,6 +359,7 @@ PEEPHOLE_RULES = {
     "rz-merge-opposite-coeffs": (
         1, [rz_affine(0, 0, 1, 0.5), rz_affine(0, 0, -1, 0.25), SX0, rz_affine(0, 0, 1, 0.0)], 1, 3
     ),
+    "rz-merge-small-angle": (1, [SX0, rz_const(0, 0.3), rz_const(0, 2 * math.pi - 0.295), SX0], 0, 3),
     "rz-zero-drop": (2, [SX0, rz_const(0, 0.0), Gate(GateKind.CX, (0, 1)), rz_const(1, 2 * math.pi)], 0, 2),
     "cx-pair-cancel": (2, [SX0, Gate(GateKind.CX, (1, 0)), Gate(GateKind.CX, (1, 0)), rz_affine(1, 0, -1, 1.0)], 1, 2),
     "sx4-collapse": (1, [rz_affine(0, 0, 1, 0.0), SX0, SX0, SX0, SX0, Gate(GateKind.X, (0,))], 1, 2),
@@ -588,9 +592,8 @@ def test_transpile_properties_on_random_backends(case):
     assert free_all_angles(t.physical) == t.physical
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        save_provenance(t.provenance, d / "lib.json")
-        assert load_provenance(d / "lib.json") == t.provenance
-        # the same files through the command line, then its symbol-derived rebind
+        save_provenance(t, d / "lib.json")
+        # the same files through the command line, then its gradvar in both modes
         save_circuit(circuit, d / "c.txt")
         save_backend(backend, d / "b.json")
         argv = ["transpile", "--in", d / "c.txt", "--backend", d / "b.json", "--out", d / "p.txt",
@@ -599,6 +602,13 @@ def test_transpile_properties_on_random_backends(case):
             argv += ["--layout-seed", layout_seed]
         assert cli.main([str(a) for a in argv]) == 0
         assert (d / "cli.json").read_bytes() == (d / "lib.json").read_bytes()
-        physical = load_circuit(d / "p.txt")
-        assert physical == t.physical
-        assert cli._symbol_derived(physical, str(d / "cli.json")) == reparameterize(t, ReparamMode.SYMBOL_DERIVED)
+        assert load_provenance(d / "cli.json") == (t.provenance, t.metrics_before.num_symbols, t.cost_qubit)
+        assert load_circuit(d / "p.txt") == t.physical
+        for mode in ReparamMode:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.main(["gradvar", "--in", str(d / "p.txt"), "--mode", mode.value,
+                                 "--provenance", str(d / "cli.json"), "--samples", "2", "--seed", "9"]) == 0
+            expected = grad_variance(reparameterize(t, mode), 2, 9, t.cost_qubit)
+            payload = json.loads(out.getvalue())
+            assert (payload["grad_var"], payload["per_param_var"]) == (expected.grad_var, list(expected.per_param_var))
