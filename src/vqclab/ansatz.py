@@ -2,7 +2,9 @@
 
 Each builder takes a qubit count ``n >= 2`` and a repetition count
 ``L >= 1`` and returns a circuit over the logical gate set {RY, RZ, CX}
-where every rotation carries a fresh symbol (coeff +1, offset 0).
+where every rotation carries a fresh symbol (coeff +1, offset 0). The
+builders place each rotation at the placeholder angle ``_FREE`` and leave
+the numbering to ``free_all_angles``, so symbols count up in gate order.
 
 Parameter counts:
     real_amplitudes  P = n(L+1)        entangler: nearest-neighbor chain
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from enum import Enum, unique
 
-from .circuit import Affine, Circuit, Gate, GateKind
+from .circuit import Circuit, Const, Gate, GateKind, free_all_angles
 
 
 @unique
@@ -29,26 +31,18 @@ def _check_shape(n: int, reps: int) -> None:
         raise ValueError(f"invalid ansatz shape: need n >= 2 and reps >= 1, got n={n} reps={reps}")
 
 
-class _SymbolCounter:
-    def __init__(self) -> None:
-        self.count = 0
-
-    def fresh(self) -> Affine:
-        expr = Affine(self.count, 1, 0.0)
-        self.count += 1
-        return expr
+_FREE = Const(0.0)
 
 
 def build_real_amplitudes(n: int, reps: int) -> Circuit:
     """RY layer followed by a CX chain per repetition, plus a final RY layer."""
     _check_shape(n, reps)
-    sym = _SymbolCounter()
     gates: list[Gate] = []
     for _ in range(reps):
-        gates.extend(Gate(GateKind.RY, (q,), sym.fresh()) for q in range(n))
+        gates.extend(Gate(GateKind.RY, (q,), _FREE) for q in range(n))
         gates.extend(Gate(GateKind.CX, (i, i + 1)) for i in range(n - 1))
-    gates.extend(Gate(GateKind.RY, (q,), sym.fresh()) for q in range(n))
-    return Circuit(n, tuple(gates), sym.count)
+    gates.extend(Gate(GateKind.RY, (q,), _FREE) for q in range(n))
+    return free_all_angles(Circuit(n, tuple(gates), 0))
 
 
 def build_efficient_su2(n: int, reps: int) -> Circuit:
@@ -57,18 +51,17 @@ def build_efficient_su2(n: int, reps: int) -> Circuit:
     Entangler pairs are emitted in lexicographic order (0,1), (0,2), ...
     """
     _check_shape(n, reps)
-    sym = _SymbolCounter()
     gates: list[Gate] = []
 
     def rotation_layer() -> None:
-        gates.extend(Gate(GateKind.RY, (q,), sym.fresh()) for q in range(n))
-        gates.extend(Gate(GateKind.RZ, (q,), sym.fresh()) for q in range(n))
+        gates.extend(Gate(GateKind.RY, (q,), _FREE) for q in range(n))
+        gates.extend(Gate(GateKind.RZ, (q,), _FREE) for q in range(n))
 
     for _ in range(reps):
         rotation_layer()
         gates.extend(Gate(GateKind.CX, (i, j)) for i in range(n) for j in range(i + 1, n))
     rotation_layer()
-    return Circuit(n, tuple(gates), sym.count)
+    return free_all_angles(Circuit(n, tuple(gates), 0))
 
 
 def build_ttn(n: int, reps: int) -> Circuit:
@@ -80,7 +73,6 @@ def build_ttn(n: int, reps: int) -> Circuit:
     qubit 0 is active, then one final RY lands on qubit 0.
     """
     _check_shape(n, reps)
-    sym = _SymbolCounter()
     gates: list[Gate] = []
     for _ in range(reps):
         active = list(range(n))
@@ -89,16 +81,16 @@ def build_ttn(n: int, reps: int) -> Circuit:
             i = 0
             while i + 1 < len(active):
                 a, b = active[i], active[i + 1]
-                gates.append(Gate(GateKind.RY, (a,), sym.fresh()))
-                gates.append(Gate(GateKind.RY, (b,), sym.fresh()))
+                gates.append(Gate(GateKind.RY, (a,), _FREE))
+                gates.append(Gate(GateKind.RY, (b,), _FREE))
                 gates.append(Gate(GateKind.CX, (b, a)))
                 survivors.append(a)
                 i += 2
             if i < len(active):
                 survivors.append(active[i])
             active = survivors
-        gates.append(Gate(GateKind.RY, (0,), sym.fresh()))
-    return Circuit(n, tuple(gates), sym.count)
+        gates.append(Gate(GateKind.RY, (0,), _FREE))
+    return free_all_angles(Circuit(n, tuple(gates), 0))
 
 
 _BUILDERS = {

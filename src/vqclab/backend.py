@@ -1,13 +1,16 @@
 """Hardware backend model: physical qubits, coupling graph, native gates.
 
 Backends are undirected, connected coupling graphs plus the native gate
-sets the transpiler must target. The JSON file format is
+sets the transpiler must target. ``BackendModel.distances`` is the one
+graph search: the connectivity check and the router's shortest paths
+both read its hop counts. The JSON file format is
 
     {"num_physical": 7, "edges": [[0, 1], ...],
      "native_1q": ["RZ", "SX", "X"], "native_2q": ["CX"]}
 
-and backend references of the form ``line:n``, ``heavy-hex:R,C`` or a
-file path are accepted wherever a backend is configured.
+with integer counts and endpoints. Backend references of the form
+``line:n``, ``heavy-hex:R,C`` or a file path are accepted wherever a
+backend is configured.
 """
 
 from __future__ import annotations
@@ -45,21 +48,22 @@ class BackendModel:
             adj[a].append(b)
             adj[b].append(a)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(ns)) for ns in adj))
-        self._check_connected()
-
-    def _check_connected(self) -> None:
         if self.num_physical < 1:
             raise ValueError("backend needs at least one qubit")
-        seen = {0}
-        queue = deque([0])
+        if len(self.distances(0)) != self.num_physical:
+            raise ValueError("disconnected coupling graph")
+
+    def distances(self, src: int) -> dict[int, int]:
+        """Hop counts from ``src`` to every qubit it reaches (breadth-first)."""
+        dist = {src: 0}
+        queue = deque([src])
         while queue:
             v = queue.popleft()
             for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
+                if w not in dist:
+                    dist[w] = dist[v] + 1
                     queue.append(w)
-        if len(seen) != self.num_physical:
-            raise ValueError("disconnected coupling graph")
+        return dist
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adj[q]  # type: ignore[attr-defined]
@@ -116,15 +120,25 @@ def load_backend(path: str | Path) -> BackendModel:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: {e}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a backend file must be a JSON object, got {type(payload).__name__}")
     try:
-        return BackendModel(
-            num_physical=int(payload["num_physical"]),
-            edges=frozenset((int(a), int(b)) for a, b in payload["edges"]),
-            native_1q=frozenset(GateKind(k) for k in payload["native_1q"]),
-            native_2q=frozenset(GateKind(k) for k in payload["native_2q"]),
-        )
+        num_physical, edges = payload["num_physical"], payload["edges"]
+        natives = [frozenset(GateKind(k) for k in payload[key]) for key in ("native_1q", "native_2q")]
     except KeyError as e:
         raise ValueError(f"{path}: missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: native gate sets must be lists of gate names: {e}") from None
+    if type(num_physical) is not int:
+        raise ValueError(f"{path}: num_physical must be an integer, got {num_physical!r}")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(type(q) is int for q in e) for e in edges
+    ):
+        raise ValueError(f"{path}: edges must be a list of [a, b] integer pairs, got {edges!r}")
+    try:
+        return BackendModel(num_physical, frozenset(map(tuple, edges)), *natives)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def resolve_backend(ref: str) -> BackendModel:

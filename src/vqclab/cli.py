@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .ansatz import build_ansatz
+from .ansatz import AnsatzKind, build_ansatz
 from .backend import resolve_backend
 from .circuit import bind, free_all_angles, load_circuit, save_circuit
 from .grad import ReparamMode, grad_variance
@@ -81,14 +81,14 @@ def _cmd_gradvar(args: argparse.Namespace) -> int:
 
 def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
     """The JSON config with the flags that were given merged in, validated once."""
-    payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict):
-        raise ValueError(f"{args.config}: a sweep config must be a JSON object, got {type(payload).__name__}")
-    flags = {"out_csv": args.out_csv, "out_dir": args.out_dir, "meta_seeds": args.meta_seeds}
-    payload.update({name: value for name, value in flags.items() if value is not None})
     try:
+        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise TypeError(f"a sweep config must be a JSON object, got {type(payload).__name__}")
+        flags = {"out_csv": args.out_csv, "out_dir": args.out_dir, "meta_seeds": args.meta_seeds}
+        payload.update({name: value for name, value in flags.items() if value is not None})
         return SweepConfig(**payload)
-    except TypeError as e:  # an unknown or missing field, or a value of the wrong type
+    except (TypeError, ValueError) as e:  # bad JSON, an unknown or missing field, or a bad value
         raise ValueError(f"{args.config}: {e}") from None
 
 
@@ -106,6 +106,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if config.out_csv:
         emit_csv(records, config.out_csv)
         print(f"wrote {config.out_csv}")
+    failures = [r for r in records if r.error]
+    if failures:
+        print(f"{len(failures)} cell(s) failed; see the JSONL checkpoint for details")
     if config.out_dir:
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -113,10 +116,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             path = out_dir / f"delta_gradvar_{kind}.svg"
             emit_heatmap_svg(records, kind, path)
             print(f"wrote {path}")
-    failures = [r for r in records if r.error]
-    if failures:
-        print(f"{len(failures)} cell(s) failed; see the JSONL checkpoint for details")
-    return 0
+    return 1 if failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build an ansatz circuit and write it as text")
-    p.add_argument("--ansatz", required=True, choices=["efficient_su2", "ttn", "real_amplitudes"])
+    p.add_argument("--ansatz", required=True, choices=[k.value for k in AnsatzKind])
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -142,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("expect", help="evaluate <Z_qubit> for a bound circuit")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--theta", help="whitespace-separated parameter file")
-    p.add_argument("--qubit", type=int, default=0)
+    p.add_argument("--qubit", type=int, required=True,
+                   help="for a compiled circuit, the provenance file's cost_qubit")
     p.set_defaults(func=_cmd_expect)
 
     p = sub.add_parser("gradvar", help="gradient variance of a circuit text file")

@@ -235,7 +235,7 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
 def grad_variance(circuit: Circuit, samples: int, seed: int, cost_qubit: int = 0) -> GradStats:
     """GradVar of a circuit: mean per-parameter gradient variance under
     uniform parameter draws. Deterministic in (circuit, samples, seed)."""
-    if isinstance(samples, bool) or not isinstance(samples, int):
+    if type(samples) is not int:
         raise ValueError(f"samples must be an int, got {samples!r}")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .ansatz import build_ansatz
+from .ansatz import AnsatzKind, build_ansatz
 from .backend import BackendModel, resolve_backend
 from .circuit import Circuit
 from .grad import ReparamMode, grad_variance, reparameterize
@@ -36,16 +36,12 @@ from .transpiler import overhead, transpile
 CELL_SEED_STRIDE = 1000003
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # What a value must be to fill a SweepConfig field of each annotation; a
-# string is not a list of names and a bool is not a count.
+# string is not a list of names, and only an int is a count (not a bool).
 _ACCEPTS = {
     "list[str]": lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
-    "list[int]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-    "int": _is_int,
+    "list[int]": lambda v: isinstance(v, (list, tuple)) and all(type(x) is int for x in v),
+    "int": lambda v: type(v) is int,
     "str": lambda v: isinstance(v, str),
     "str | None": lambda v: v is None or isinstance(v, str),
 }
@@ -90,17 +86,10 @@ class SweepConfig:
 
 
 def default_sweep_config(**overrides) -> SweepConfig:
-    """The stock sweep: all three families over a heavy-hex device."""
-    base = dict(
-        ansatz=["efficient_su2", "ttn", "real_amplitudes"],
-        qubits=[2, 4, 6, 8, 10],
-        reps=[1, 2, 4, 6, 8, 10],
-        samples=200,
-        base_seed=42,
-        backend="heavy-hex:5,11",
-    )
-    base.update(overrides)
-    return SweepConfig(**base)
+    """The stock sweep: every family over the grid below; ``SweepConfig``
+    supplies the rest."""
+    grid = dict(ansatz=[k.value for k in AnsatzKind], qubits=[2, 4, 6, 8, 10], reps=[1, 2, 4, 6, 8, 10])
+    return SweepConfig(**{**grid, **overrides})
 
 
 @dataclass

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -89,7 +88,9 @@ def load_provenance(path: str | Path) -> tuple[tuple[ParamExpr, ...], int, int]:
         raise ValueError(f"{path}: not a format-2 provenance file; re-run `vqclab transpile --provenance`")
     try:
         origins = tuple(parse_expr(o) for o in payload["origins"])
-        num_logical, cost_qubit = (operator.index(payload[key]) for key in ("num_logical", "cost_qubit"))
+        num_logical, cost_qubit = payload["num_logical"], payload["cost_qubit"]
+        if type(num_logical) is not int or type(cost_qubit) is not int:
+            raise TypeError(f"num_logical and cost_qubit must be integers, got {num_logical!r}, {cost_qubit!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: malformed provenance file: {e}") from None
     return origins, num_logical, cost_qubit
@@ -141,20 +142,11 @@ def _validate_layout(circuit: Circuit, backend: BackendModel, layout: Sequence[i
 
 def _bfs_path(backend: BackendModel, src: int, dst: int) -> list[int]:
     """Shortest path src..dst; ties broken toward the smaller-index neighbor."""
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v == dst:
-            break
-        for w in backend.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    dist = backend.distances(src)
     path = [dst]
     while path[-1] != src:
         v = path[-1]
-        prev = min(w for w in backend.neighbors(v) if dist.get(w, -1) == dist[v] - 1)
+        prev = min(w for w in backend.neighbors(v) if dist[w] == dist[v] - 1)
         path.append(prev)
     path.reverse()
     return path

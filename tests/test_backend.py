@@ -91,6 +91,23 @@ class TestBackendModel:
         assert m.has_edge(1, 0) and m.has_edge(0, 1)
 
 
+@pytest.mark.parametrize("model", [make_line(5), make_heavy_hex(2, 3), make_heavy_hex(5, 11)],
+                         ids=["line:5", "heavy-hex:2,3", "heavy-hex:5,11"])
+def test_distances_match_relaxation(model):
+    # relax every edge until no hop count shrinks
+    for src in range(model.num_physical):
+        hops = [0 if q == src else model.num_physical for q in range(model.num_physical)]
+        changed = True
+        while changed:
+            changed = False
+            for a, b in model.edges:
+                for u, v in ((a, b), (b, a)):
+                    if hops[u] + 1 < hops[v]:
+                        hops[v] = hops[u] + 1
+                        changed = True
+        assert model.distances(src) == dict(enumerate(hops))
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         m = make_heavy_hex(2, 3)

@@ -83,6 +83,29 @@ class TestTranspileCommand:
         run("build", "--ansatz", "real_amplitudes", "--qubits", "2", "--reps", "1", "--out", circ)
         assert run("transpile", "--in", circ, "--backend", backend_path, "--out", tmp_path / "p.txt") == 0
 
+    @pytest.mark.parametrize(
+        "payload",
+        [[1, 2],
+         {"num_physical": 3.9, "edges": [[0, 1], [1, 2]], "native_1q": ["RZ", "SX", "X"], "native_2q": ["CX"]},
+         {"num_physical": 3, "edges": [[0, 1], [1, 2.7]], "native_1q": ["RZ", "SX", "X"], "native_2q": ["CX"]},
+         {"num_physical": 3, "edges": [[0, 1], [1, True]], "native_1q": ["RZ", "SX", "X"], "native_2q": ["CX"]},
+         {"num_physical": 3, "edges": [[0, 1, 2]], "native_1q": ["RZ", "SX", "X"], "native_2q": ["CX"]},
+         {"num_physical": 3, "edges": [[0, 1], 2], "native_1q": ["RZ", "SX", "X"], "native_2q": ["CX"]},
+         {"num_physical": 3, "edges": [[0, 1], [1, 2]], "native_1q": ["RZ", "SX", "U3"], "native_2q": ["CX"]}],
+        ids=["not-an-object", "fractional-count", "fractional-endpoint", "bool-endpoint", "edge-a-triple",
+             "edge-not-a-list", "unknown-native-gate"],
+    )
+    def test_bad_backend_file_fails_cleanly(self, tmp_path, capsys, payload):
+        backend_path = tmp_path / "b.json"
+        backend_path.write_text(json.dumps(payload))
+        circ = tmp_path / "c.txt"
+        run("build", "--ansatz", "real_amplitudes", "--qubits", "2", "--reps", "1", "--out", circ)
+        capsys.readouterr()
+        assert run("transpile", "--in", circ, "--backend", backend_path, "--out", tmp_path / "p.txt") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and str(backend_path) in captured.err
+        assert not (tmp_path / "p.txt").exists()
+
     def test_unfit_backend_fails_cleanly(self, tmp_path, capsys):
         circ = tmp_path / "c.txt"
         run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
@@ -101,6 +124,22 @@ class TestExpectCommand:
         assert run("expect", "--in", circ, "--theta", theta_file, "--qubit", "0") == 0
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(expect_z(bind(build_ttn(2, 1), theta), 0))
+
+    def test_qubit_is_required(self, tmp_path, capsys):
+        # ttn n=4 L=1 under this layout reads its cost at compact qubit 7, not 0
+        circ, phys, theta_file = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "theta.txt"
+        run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
+        run("transpile", "--in", circ, "--backend", "line:8", "--out", phys, "--layout-seed", "3")
+        physical = load_circuit(phys)
+        theta = [0.1 + 0.3 * i for i in range(physical.num_symbols)]
+        theta_file.write_text(" ".join(repr(t) for t in theta))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run("expect", "--in", phys, "--theta", theta_file)
+        assert exc.value.code != 0
+        assert "--qubit" in capsys.readouterr().err
+        assert run("expect", "--in", phys, "--theta", theta_file, "--qubit", "7") == 0
+        assert float(capsys.readouterr().out) == expect_z(bind(physical, theta), 7)
 
 
 class TestGradvarCommand:
@@ -175,8 +214,9 @@ class TestGradvarCommand:
          ('{"format": 2, "num_logical": 1, "cost_qubit": 0, "origins": ["affine:0:+2:0.0"]}',
           "malformed parameter expression 'affine:0:+2:0.0'"),
          ('{"format": 2, "num_logical": 0, "cost_qubit": 0, "origins": ["const:1.0"]}', "provenance has 1 entries"),
-         ('{"0": {"kind": "const", "value": 1.0}}', "re-run `vqclab transpile --provenance`")],
-        ids=["missing-field", "not-a-map", "malformed-expression", "wrong-length", "format-1"],
+         ('{"0": {"kind": "const", "value": 1.0}}', "re-run `vqclab transpile --provenance`"),
+         ('{"format": 2, "num_logical": true, "cost_qubit": false, "origins": []}', "malformed provenance")],
+        ids=["missing-field", "not-a-map", "malformed-expression", "wrong-length", "format-1", "bool-count"],
     )
     def test_bad_provenance_fails_cleanly(self, tmp_path, capsys, prov_text, message):
         circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
@@ -236,18 +276,37 @@ class TestSweepCommand:
             {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "samples": 10.5},
             {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "base_seed": 1.5},
             {"ansatz": ["ttn"], "qubits": [2.0], "reps": [1]},
+            {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "samples": 1},
+            '{"ansatz": ["ttn"],',
         ],
         ids=["unknown-key", "missing-ansatz", "qubits-not-a-list", "not-an-object", "ansatz-a-string",
-             "fractional-samples", "fractional-base-seed", "float-qubits"],
+             "fractional-samples", "fractional-base-seed", "float-qubits", "too-few-samples", "not-json"],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, capsys, payload):
+        # a string payload is the file's raw text
         config_path = tmp_path / "sweep.json"
-        config_path.write_text(json.dumps(payload))
+        config_path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         csv_path = tmp_path / "results.csv"
         assert run("sweep", "--config", config_path, "--out-csv", csv_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(config_path) in err
         assert not csv_path.exists() and not (tmp_path / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("with_out_dir", [False, True], ids=["csv-only", "with-out-dir"])
+    def test_failed_cell_exits_nonzero(self, tmp_path, capsys, with_out_dir):
+        # ttn n=4 does not fit line:3, so the only cell fails
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(
+            {"ansatz": ["ttn"], "qubits": [4], "reps": [1], "samples": 10, "backend": "line:3"}
+        ))
+        argv = ["sweep", "--config", config_path, "--out-csv", tmp_path / "results.csv"]
+        if with_out_dir:
+            argv += ["--out-dir", tmp_path / "maps"]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert "1 cell(s) failed" in captured.out
+        if with_out_dir:
+            assert "no records for ansatz 'ttn'" in captured.err
 
     def test_bad_thread_count_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VQCLAB_THREADS", "abc")
