@@ -2,8 +2,9 @@
 
 Backends are undirected, connected coupling graphs plus the native gate
 sets the transpiler must target. ``BackendModel.distances`` is the one
-graph search: the connectivity check and the router's shortest paths
-both read its hop counts. The JSON file format is
+graph search, run once per source and kept: the connectivity check and
+the router's shortest paths both read its hop counts. The JSON file
+format is
 
     {"num_physical": 7, "edges": [[0, 1], ...],
      "native_1q": ["RZ", "SX", "X"], "native_2q": ["CX"]}
@@ -19,8 +20,10 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
-from .circuit import GateKind
+from .circuit import GateKind, as_index
 
 DEFAULT_NATIVE_1Q = frozenset({GateKind.RZ, GateKind.SX, GateKind.X})
 DEFAULT_NATIVE_2Q = frozenset({GateKind.CX})
@@ -36,7 +39,7 @@ class BackendModel:
     def __post_init__(self) -> None:
         norm = set()
         for e in self.edges:
-            a, b = int(e[0]), int(e[1])
+            a, b = as_index(e[0], "edge endpoint"), as_index(e[1], "edge endpoint")
             if a == b:
                 raise ValueError(f"self-loop edge ({a},{b})")
             if not (0 <= a < self.num_physical and 0 <= b < self.num_physical):
@@ -48,22 +51,31 @@ class BackendModel:
             adj[a].append(b)
             adj[b].append(a)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(ns)) for ns in adj))
+        object.__setattr__(self, "_hops", {})
         if self.num_physical < 1:
             raise ValueError("backend needs at least one qubit")
         if len(self.distances(0)) != self.num_physical:
             raise ValueError("disconnected coupling graph")
 
-    def distances(self, src: int) -> dict[int, int]:
-        """Hop counts from ``src`` to every qubit it reaches (breadth-first)."""
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for w in self.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
+    def distances(self, src: int) -> Mapping[int, int]:
+        """Hop counts from ``src`` to every qubit it reaches (breadth-first).
+
+        Each source is searched once, on first use, and its hop counts are
+        kept on the backend; callers get a read-only view. Threads racing
+        on one source both search it and store equal counts.
+        """
+        hops = self._hops.get(src)  # type: ignore[attr-defined]
+        if hops is None:
+            dist = {src: 0}
+            queue = deque([src])
+            while queue:
+                v = queue.popleft()
+                for w in self.neighbors(v):
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        queue.append(w)
+            hops = self._hops[src] = dist  # type: ignore[attr-defined]
+        return MappingProxyType(hops)
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adj[q]  # type: ignore[attr-defined]

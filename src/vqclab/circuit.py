@@ -15,6 +15,7 @@ Text format (one gate per line, used by the CLI):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum, unique
 from pathlib import Path
@@ -40,6 +41,20 @@ class GateKind(Enum):
     H = "H"
     CX = "CX"
     SWAP = "SWAP"
+
+
+def as_index(value, what: str) -> int:
+    """``value`` as a Python int; a float or bool raises ``ValueError``.
+
+    Integers of any type that implements ``__index__`` (numpy's included)
+    are accepted, so a fractional index cannot be truncated silently.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ})
@@ -89,7 +104,7 @@ class Gate:
     param: ParamExpr | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(as_index(q, "qubit index") for q in self.qubits))
         arity = 2 if self.kind in TWO_QUBIT_KINDS else 1
         if len(self.qubits) != arity:
             raise ValueError(f"{self.kind.value} expects {arity} qubit(s), got {self.qubits}")

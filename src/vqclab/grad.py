@@ -14,12 +14,21 @@ cached statevectors (Jones & Gacon, arXiv:2009.02823), which is
 algebraically identical for Pauli rotations and is regression-tested
 against the literal rule.
 
+The sweep runs on the cost qubit's backward light cone only (Cerezo et
+al., arXiv:2001.00550): the gates that can reach Z_cost, on the qubits
+they touch, renumbered in order. Every other gate cancels out of
+<Z_cost>, so a parameter that occurs only outside the cone reports a
+gradient of exactly 0. When the cone is the whole circuit (as for the
+stock sweep's ttn circuits) the sweep is the full-register one, step for
+step.
+
 The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
-of state each, so a block's buffers stay in a per-core L2 cache. Its
-backward pass un-applies each gate once from a stacked [state; costate]
-buffer, and each run of CX/SWAP/X gates is one composed gather. Rows
-never mix and gathers are exact, so the results are the same bits at any
-block size as in an unblocked one-gate-at-a-time sweep.
+of cone state each, so a block's buffers stay in a per-core L2 cache.
+Its backward pass un-applies each gate once from a stacked
+[state; costate] buffer, and each run of CX/SWAP/X gates is one composed
+gather. Rows never mix and gathers are exact, so the results are the
+same bits at any block size as in an unblocked one-gate-at-a-time sweep
+of the same cone.
 """
 
 from __future__ import annotations
@@ -52,7 +61,9 @@ _PAULI_OF = {GateKind.RX: "X", GateKind.RY: "Y", GateKind.RZ: "Z"}
 # Xeon with 2 MiB L2 per core, the six n = 12, B = 200 GradVar calls of
 # perfbench's gradvar_n12 took ~10 s with 0.5-1 MiB blocks (~15 s
 # unblocked), ~11 s with 2 MiB blocks or with 256 KiB blocks (more Python
-# dispatch) and ~12.5 s with 4 MiB blocks.
+# dispatch) and ~12.5 s with 4 MiB blocks. Those timings predate the light
+# cone and swept all 12 qubits of every call; the three ttn calls, whose
+# cone is the whole register, still do.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -146,21 +157,42 @@ def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: i
     return grad
 
 
-def _sweep_steps(circuit: Circuit) -> list[Gate | tuple[np.ndarray, np.ndarray]]:
-    """The circuit's gates as sweep steps: each maximal run of CX/SWAP/X
-    becomes its (forward, backward) index maps; every other gate stays."""
+def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], int, int]:
+    """The gates in the backward light cone of ``cost_qubit``, renumbered.
+
+    Walking from the last gate to the first, a gate is kept when it
+    touches a live qubit, and its qubits then become live. Every other
+    gate commutes with the cost observable as conjugated so far and
+    cancels out of <Z_cost>. The live qubits are renumbered in increasing
+    order. Returns (kept gates, live qubit count, new cost qubit index).
+    """
+    live = {cost_qubit}
+    kept: list[Gate] = []
+    for g in reversed(circuit.gates):
+        if not live.isdisjoint(g.qubits):
+            live.update(g.qubits)
+            kept.append(g)
+    index = {q: i for i, q in enumerate(sorted(live))}
+    gates = [replace(g, qubits=tuple(index[q] for q in g.qubits)) for g in reversed(kept)]
+    return gates, len(index), index[cost_qubit]
+
+
+def _sweep_steps(gates: Sequence[Gate], n: int) -> list[Gate | tuple[np.ndarray, np.ndarray]]:
+    """The gates as sweep steps on ``n`` qubits: each maximal run of
+    CX/SWAP/X becomes its (forward, backward) index maps; every other
+    gate stays."""
     steps: list[Gate | tuple[np.ndarray, np.ndarray]] = []
     run: list[Gate] = []
-    for g in circuit.gates:
+    for g in gates:
         if g.kind in PERMUTATION_KINDS:
             run.append(g)
             continue
         if run:
-            steps.append(permutation_sources(circuit.num_qubits, run))
+            steps.append(permutation_sources(n, run))
             run = []
         steps.append(g)
     if run:
-        steps.append(permutation_sources(circuit.num_qubits, run))
+        steps.append(permutation_sources(n, run))
     return steps
 
 
@@ -211,14 +243,15 @@ def _sweep_block(steps: list, n: int, thetas: np.ndarray, cost_qubit: int, grads
 def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) -> np.ndarray:
     """Shift-rule gradients for a batch of parameter vectors, shape (B, P).
 
-    The batch is split into near-equal row blocks of at least
-    ``_BLOCK_BYTES`` of state each (the whole batch if it is smaller),
-    swept one block at a time.
+    Only the cost qubit's backward light cone is swept; a symbol with no
+    occurrence in it keeps gradient 0. The batch is split into near-equal
+    row blocks of at least ``_BLOCK_BYTES`` of cone state each (the whole
+    batch if it is smaller), swept one block at a time.
     """
-    n = circuit.num_qubits
-    if n > MAX_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
-    steps = _sweep_steps(circuit)
+    if circuit.num_qubits > MAX_QUBITS:
+        raise ValueError(f"{circuit.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
+    gates, n, cost_qubit = _light_cone(circuit, cost_qubit)
+    steps = _sweep_steps(gates, n)
     batch = thetas.shape[0]
     # At least two rows per block: numpy multiplies a lone complex element
     # in place without the fused multiply-add of its vector loop, so a

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,6 +90,26 @@ class TestBackendModel:
         m = BackendModel(3, frozenset({(1, 0), (2, 1)}))
         assert m.edges == frozenset({(0, 1), (1, 2)})
         assert m.has_edge(1, 0) and m.has_edge(0, 1)
+
+    @pytest.mark.parametrize("endpoint", [2.7, 2.0, True, np.float64(2.0)], ids=["fraction", "float", "bool", "np-float"])
+    def test_non_integer_endpoint_rejected(self, endpoint):
+        with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+            BackendModel(3, frozenset({(0, 1), (1, endpoint)}))
+
+    def test_numpy_integer_endpoints_accepted(self):
+        m = BackendModel(3, frozenset({(np.int64(0), np.int32(1)), (np.uint8(2), 1)}))
+        assert m.edges == frozenset({(0, 1), (1, 2)})
+        assert all(type(q) is int for e in m.edges for q in e)
+
+    def test_distances_searched_once_per_source(self, monkeypatch):
+        m = make_heavy_hex(2, 3)
+        first = m.distances(4)
+        calls = []
+        monkeypatch.setattr(BackendModel, "neighbors", lambda self, q: calls.append(q) or self._adj[q])
+        assert m.distances(4) == first
+        assert calls == []
+        with pytest.raises(TypeError):
+            first[0] = 99
 
 
 @pytest.mark.parametrize("model", [make_line(5), make_heavy_hex(2, 3), make_heavy_hex(5, 11)],

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,16 @@ class TestGate:
     def test_two_qubit_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
             Gate(GateKind.CX, (1, 1))
+
+    @pytest.mark.parametrize("qubit", [1.7, 1.0, True, np.float64(1.0)], ids=["fraction", "float", "bool", "np-float"])
+    def test_non_integer_qubit_rejected(self, qubit):
+        with pytest.raises(ValueError, match="qubit index must be an integer"):
+            Gate(GateKind.CX, (0, qubit))
+
+    def test_numpy_integer_qubits_accepted(self):
+        g = Gate(GateKind.CX, (np.int64(0), np.int32(1)))
+        assert g.qubits == (0, 1)
+        assert all(type(q) is int for q in g.qubits)
 
 
 class TestCircuit:

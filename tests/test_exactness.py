@@ -1,9 +1,12 @@
 """Bit-for-bit pins on the gradient engine.
 
-The digests below were computed by the unblocked one-gate-at-a-time
-adjoint sweep. Every exact rewrite of the engine (row blocking, stacked
+The digests below were computed by the light-cone sweep: the blocked
+adjoint sweep run on the gates and qubits of the cost qubit's backward
+light cone. Every exact rewrite of the engine (row blocking, stacked
 state and costate, fused permutation runs) must reproduce them, and must
-give the same bits at any block size.
+give the same bits at any block size. Where the cone is the whole
+circuit (every ttn pin) the bits are those of the full-register sweep;
+elsewhere each grad_var stays within 1e-14 relative of it.
 """
 
 import hashlib
@@ -36,9 +39,9 @@ def stats_digest(stats) -> str:
 # n=10 runs in several row blocks at the default block size; n=4 runs in one.
 FROZEN = {
     ("efficient_su2", 10, 1): {
-        "logical": ("0x1.b125e98b2373ap-7", "d0ed33885fe6071e2dd68983764269f90cfcd9b6771f5506bc2efeec4a23d0e4"),
-        "all-angles": ("0x1.b129b3f0adefap-7", "e9127a6f05b9bcdf0670cfe55868273484123fd8f9d1bd0195363fe5b90ea456"),
-        "symbol-derived": ("0x1.b125e98b2373ap-7", "6efd861b19963b033da494fcca576dd8ea1673b0ba8936ede4400b3625998b6e"),
+        "logical": ("0x1.b125e98b23736p-7", "3708fdf4981e999b6dd0fe5b4a87588f613052f57692ac22b593c25b62d48dd9"),
+        "all-angles": ("0x1.b129b3f0adefap-7", "a7b37a27756801c7483bbf53edcc8f103424d6088d59efa580729de666953df4"),
+        "symbol-derived": ("0x1.b125e98b23738p-7", "93156d0ebb01411d672ea89611e9503af34c346ef3e86eeca14e8cc5d7895ef2"),
     },
     ("ttn", 4, 2): {
         "logical": ("0x1.ca4c30ab555bdp-4", "59771dee4aef46dc1d42a347134afabf91c9507b7322a4560718d23abe3b1092"),
@@ -63,10 +66,34 @@ def test_gradstats_frozen_digests(cell):
     assert got == FROZEN[cell]
 
 
+# grad_var.hex() of the cells above that the light cone moved, as the
+# full-register sweep computed them.
+FULL_REGISTER_GRAD_VAR = {
+    ("efficient_su2", 10, 1): {
+        "logical": "0x1.b125e98b2373ap-7",
+        "all-angles": "0x1.b129b3f0adefap-7",
+        "symbol-derived": "0x1.b125e98b2373ap-7",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(FULL_REGISTER_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
+def test_light_cone_within_rounding_of_full_register(cell):
+    for mode, old in FULL_REGISTER_GRAD_VAR[cell].items():
+        new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
+        assert abs(new - old) <= 1e-14 * abs(old)
+
+
 def test_block_size_engages_at_ten_qubits():
-    # the n=10 pin above must run in more than one row block, the n=4 pin in one
+    # the n=10 pins above must run in more than one row block, the n=4 pin
+    # in one; their light cones span every qubit of each circuit
     assert 200 // (grad._BLOCK_BYTES // ((1 << 10) * 16)) > 1
     assert 200 // (grad._BLOCK_BYTES // ((1 << 4) * 16)) == 0
+    for family, n, reps in FROZEN:
+        logical = build_ansatz(family, n, reps)
+        t = transpile(logical, resolve_backend("heavy-hex:5,11"))
+        assert grad._light_cone(logical, 0)[1] == n
+        assert grad._light_cone(t.physical, t.cost_qubit)[1] == t.physical.num_qubits == n
 
 
 def test_demo_sweep_csv_regenerates_byte_identical(tmp_path):

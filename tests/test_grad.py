@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vqclab.ansatz import build_efficient_su2, build_real_amplitudes, build_ttn
 from vqclab.backend import make_heavy_hex, make_line
@@ -10,6 +12,7 @@ from vqclab.grad import (
     GradStats,
     ReparamMode,
     _gradients_batched,
+    _light_cone,
     delta_gradvar,
     free_all_angles,
     grad_variance,
@@ -177,6 +180,86 @@ class TestParamShiftGradient:
             np.array([param_shift_gradient(c, th, 0) for th in thetas]),
             atol=1e-12,
         )
+
+
+@st.composite
+def partial_cone_circuits(draw):
+    """Random circuits on n <= 5 qubits with a random cost qubit.
+
+    Symbols are drawn from a small pool, so some are used more than once.
+    When ``split`` is drawn, two-qubit gates never cross between qubits
+    below and at or above it, so the cost qubit's light cone leaves out a
+    whole group of qubits and the symbols used only there.
+    """
+    n = draw(st.integers(1, 5))
+    split = draw(st.integers(1, n - 1)) if n > 1 and draw(st.booleans()) else None
+    pool = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(1, 20))):
+        choice = draw(st.sampled_from(("2q", "fixed", "affine", "const") if n > 1 else ("fixed", "affine", "const")))
+        if choice == "2q":
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            if split is not None and (a < split) != (b < split):
+                continue
+            gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (a, b)))
+            continue
+        q = draw(st.integers(0, n - 1))
+        if choice == "fixed":
+            gates.append(Gate(draw(st.sampled_from((GateKind.SX, GateKind.H, GateKind.X))), (q,)))
+            continue
+        kind = draw(st.sampled_from((GateKind.RX, GateKind.RY, GateKind.RZ)))
+        angle = draw(st.floats(0.0, 2 * math.pi, allow_nan=False))
+        if choice == "affine":
+            param = Affine(draw(st.integers(0, pool - 1)), draw(st.sampled_from((1, -1))), angle)
+        else:
+            param = Const(angle)
+        gates.append(Gate(kind, (q,), param))
+    used = sorted({g.param.symbol for g in gates if isinstance(g.param, Affine)})
+    if not used:
+        gates.append(Gate(GateKind.RY, (n - 1,), Affine(0, 1, 0.0)))
+        used = [0]
+    renumber = {s: i for i, s in enumerate(used)}
+    gates = [
+        Gate(g.kind, g.qubits, Affine(renumber[g.param.symbol], g.param.coeff, g.param.offset))
+        if isinstance(g.param, Affine)
+        else g
+        for g in gates
+    ]
+    cost_qubit = draw(st.integers(0, n - 1))
+    return Circuit(n, tuple(gates), len(used)), cost_qubit, draw(st.integers(2, 6)), draw(st.integers(0, 2**32))
+
+
+class TestLightCone:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(partial_cone_circuits())
+    def test_cone_sweep_equals_literal_shift_rule(self, case):
+        circuit, cost_qubit, batch, seed = case
+        thetas = sample_thetas(seed, batch, circuit.num_symbols)
+        fast = _gradients_batched(circuit, thetas, cost_qubit)
+        literal = np.array([param_shift_gradient(circuit, th, cost_qubit) for th in thetas])
+        np.testing.assert_allclose(fast, literal, rtol=0, atol=1e-12)
+        in_cone = {g.param.symbol for g in _light_cone(circuit, cost_qubit)[0] if isinstance(g.param, Affine)}
+        outside = [s for s in range(circuit.num_symbols) if s not in in_cone]
+        assert np.all(fast[:, outside] == 0.0)
+
+    def test_real_amplitudes_keeps_two_qubits(self):
+        gates, n, cost = _light_cone(build_real_amplitudes(12, 1), 0)
+        assert (n, cost) == (2, 0)
+        assert gates == [
+            Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)),
+            Gate(GateKind.RY, (1,), Affine(1, 1, 0.0)),
+            Gate(GateKind.CX, (0, 1)),
+            Gate(GateKind.RY, (0,), Affine(12, 1, 0.0)),
+        ]
+
+    def test_ttn_keeps_every_gate(self):
+        c = build_ttn(12, 1)
+        assert _light_cone(c, 0) == (list(c.gates), 12, 0)
+
+    def test_live_qubits_renumbered_in_order(self):
+        c = Circuit(4, (Gate(GateKind.X, (0,)), Gate(GateKind.CX, (3, 1)), Gate(GateKind.H, (2,))), 0)
+        assert _light_cone(c, 3) == ([Gate(GateKind.CX, (1, 0))], 2, 1)
+        assert _light_cone(c, 2) == ([Gate(GateKind.H, (0,))], 1, 0)
 
 
 class TestGradVariance:
