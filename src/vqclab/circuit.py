@@ -80,8 +80,10 @@ class Affine:
     offset: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "symbol", as_index(self.symbol, "symbol id"))
         if self.symbol < 0:
             raise ValueError(f"negative symbol id {self.symbol}")
+        object.__setattr__(self, "coeff", as_index(self.coeff, "affine coeff"))
         if self.coeff not in (1, -1):
             raise ValueError(f"affine coeff must be +1 or -1, got {self.coeff}")
         object.__setattr__(self, "offset", normalize_angle(float(self.offset)))
@@ -139,6 +141,8 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "num_qubits", as_index(self.num_qubits, "num_qubits"))
+        object.__setattr__(self, "num_symbols", as_index(self.num_symbols, "num_symbols"))
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
         for g in self.gates:

@@ -24,11 +24,18 @@ step.
 
 The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
 of cone state each, so a block's buffers stay in a per-core L2 cache.
-Its backward pass un-applies each gate once from a stacked
-[state; costate] buffer, and each run of CX/SWAP/X gates is one composed
-gather. Rows never mix and gathers are exact, so the results are the
-same bits at any block size as in an unblocked one-gate-at-a-time sweep
-of the same cone.
+It works in two kinds of step. Each maximal run of CX/SWAP gates is one
+composed gather. Each maximal run of single-qubit gates on one wire
+(held back until a two-qubit gate touches the wire, or the circuit ends)
+is fused into its per-sample 2x2 product U, applied in one pass. The
+backward pass reads every occurrence in a run from the run's 2x2
+transition matrix G[r, a, b] = sum over the other qubits of
+conj(lambda_a) psi_b: occurrence k contributes coeff * Im sum_ab
+(W P_k W^dagger)_ab G_ab, W being the product of the run's gates after
+k. Then it un-applies U^dagger from a stacked [state; costate] buffer in
+one pass. Fusion rounds differently from a gate-by-gate sweep (within
+~1e-14 relative on GradVar); rows never mix and gathers are exact, so
+the results are the same bits at any block size.
 """
 
 from __future__ import annotations
@@ -40,30 +47,30 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Affine, Circuit, Const, Gate, GateKind, bind, free_all_angles
+from .circuit import TWO_QUBIT_KINDS, Affine, Circuit, Const, Gate, bind, free_all_angles
 from .rng import GOLDEN, angles_from_u64, mix64_array
 from .sim import (
+    GENERATORS,
     MAX_QUBITS,
-    PERMUTATION_KINDS,
-    apply_kind,
+    apply_matrix_1q,
     apply_pauli,
     expect_z,
+    gate_matrix,
     permutation_sources,
     zero_states,
 )
 from .transpiler import TranspiledCircuit, rebind_symbol_derived
 
-_PAULI_OF = {GateKind.RX: "X", GateKind.RY: "Y", GateKind.RZ: "Z"}
-
 # Least bytes of state per row block of the adjoint sweep (a smaller batch
 # is one block). A block holds under twice this, so the stacked
 # [state; costate] buffer stays within a 2 MiB per-core L2. On a 2-vCPU
 # Xeon with 2 MiB L2 per core, the six n = 12, B = 200 GradVar calls of
-# perfbench's gradvar_n12 took ~10 s with 0.5-1 MiB blocks (~15 s
-# unblocked), ~11 s with 2 MiB blocks or with 256 KiB blocks (more Python
-# dispatch) and ~12.5 s with 4 MiB blocks. Those timings predate the light
-# cone and swept all 12 qubits of every call; the three ttn calls, whose
-# cone is the whole register, still do.
+# perfbench's gradvar_n12 (fused runs, light cone) took 2.4-3.0 s with
+# 512 KiB blocks, 2.5-3.2 s with 1 MiB, 3.0-3.1 s with 256 KiB (each
+# block rebuilds every run's 2x2 matrices), 3.2 s with 2 MiB and 2.7 s
+# with 4 MiB: best of three, two rounds, on a shared host whose noise
+# exceeds the differences. Before fusion, 0.5-1 MiB blocks were best by
+# ~10 % and unblocked sweeps were ~50 % slower.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -177,67 +184,133 @@ def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], int, int
     return gates, len(index), index[cost_qubit]
 
 
-def _sweep_steps(gates: Sequence[Gate], n: int) -> list[Gate | tuple[np.ndarray, np.ndarray]]:
-    """The gates as sweep steps on ``n`` qubits: each maximal run of
-    CX/SWAP/X becomes its (forward, backward) index maps; every other
-    gate stays."""
-    steps: list[Gate | tuple[np.ndarray, np.ndarray]] = []
-    run: list[Gate] = []
+@dataclass(frozen=True)
+class _Run:
+    """A run of single-qubit gates on one wire, fused into one sweep step."""
+
+    qubit: int
+    gates: tuple[Gate, ...]
+
+
+def _sweep_steps(gates: Sequence[Gate], n: int) -> list[_Run | tuple[np.ndarray, np.ndarray]]:
+    """The gates as sweep steps on ``n`` qubits: the (forward, backward)
+    index maps of each maximal run of CX/SWAP, and each maximal run of
+    single-qubit gates on one wire, held back until a two-qubit gate
+    touches that wire or the circuit ends."""
+    steps: list[_Run | tuple[np.ndarray, np.ndarray]] = []
+    two_qubit: list[Gate] = []
+    held: dict[int, list[Gate]] = {}
     for g in gates:
-        if g.kind in PERMUTATION_KINDS:
-            run.append(g)
+        if g.kind not in TWO_QUBIT_KINDS:
+            held.setdefault(g.qubits[0], []).append(g)
             continue
-        if run:
-            steps.append(permutation_sources(n, run))
-            run = []
-        steps.append(g)
-    if run:
-        steps.append(permutation_sources(n, run))
+        runs = [_Run(q, tuple(held.pop(q))) for q in g.qubits if q in held]
+        if runs and two_qubit:
+            steps.append(permutation_sources(n, two_qubit))
+            two_qubit = []
+        steps.extend(runs)
+        two_qubit.append(g)
+    if two_qubit:
+        steps.append(permutation_sources(n, two_qubit))
+    steps.extend(_Run(q, tuple(run)) for q, run in held.items())
     return steps
 
 
-def _stacked(angle):
-    """Per-sample angles for a [state; costate] buffer: the block twice."""
-    return np.concatenate((angle, angle)) if isinstance(angle, np.ndarray) else angle
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of 2x2 matrices, either or both stacked per sample."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _matrices(run: _Run, thetas: np.ndarray) -> list[np.ndarray]:
+    """The run's 2x2 gate matrices, per sample where the angle is an ``Affine``."""
+    out = []
+    for g in run.gates:
+        param = g.param
+        if isinstance(param, Affine):
+            out.append(gate_matrix(g.kind, param.coeff * thetas[:, param.symbol] + param.offset))
+        else:
+            out.append(gate_matrix(g.kind, None if param is None else param.angle))
+    return out
+
+
+def _product(run: _Run, matrices: list[np.ndarray]) -> np.ndarray:
+    """U = U_k...U_1, grown outward from the run's first ``Affine`` gate.
+
+    Every partial product then holds a per-sample matrix, so its rounding
+    varies from sample to sample. A product of fixed gates alone would
+    round the same way in every run of every sample and bias the state's
+    norm: built from the last gate, the SX.RZ(pi) tails of symbol-derived
+    ttn n=10 L=10 moved its GradVar by -7e-14 relative.
+    """
+    first = next((i for i, g in enumerate(run.gates) if isinstance(g.param, Affine)), 0)
+    u = matrices[first]
+    for m in reversed(matrices[:first]):
+        u = _matmul(u, m)
+    for m in matrices[first + 1 :]:
+        u = _matmul(m, u)
+    return u
+
+
+def _transition(buf: np.ndarray, n: int, q: int) -> np.ndarray:
+    """G[r, a, b] = sum over the other qubits of conj(lambda_a) psi_b, for
+    qubit ``q`` of the stacked buffer [psi; lambda] shaped (2, rows, 2**n)."""
+    rows = buf.shape[1]
+    shape = (rows, 1 << (n - 1 - q), 2, 1 << q)
+    psi = buf[0].reshape(shape)
+    lam = np.conj(buf[1]).reshape(shape)
+    g = np.empty((rows, 2, 2), dtype=np.complex128)
+    for a in (0, 1):
+        for b in (0, 1):
+            g[:, a, b] = np.einsum("roi,roi->r", lam[:, :, a], psi[:, :, b])
+    return g
+
+
+def _read_off(run: _Run, matrices: list[np.ndarray], transition: np.ndarray, grads: np.ndarray) -> None:
+    """Add each ``Affine`` occurrence's shift-rule value Im<lambda|P|psi>,
+    taken just after its gate, into ``grads``.
+
+    Walking from the run's last gate to its first with W the product of
+    the gates after the occurrence, the value is coeff * Im sum_ab
+    (W P W^dagger)_ab G_ab, G being the ``transition`` matrix after the run.
+    """
+    w = None
+    for g, m in zip(reversed(run.gates), reversed(matrices)):
+        if isinstance(g.param, Affine):
+            p = GENERATORS[g.kind] if w is None else _matmul(_matmul(w, GENERATORS[g.kind]), _dagger(w))
+            grads[:, g.param.symbol] += g.param.coeff * (p * transition).sum(axis=(-2, -1)).imag
+        w = m if w is None else _matmul(w, m)
 
 
 def _sweep_block(steps: list, n: int, thetas: np.ndarray, cost_qubit: int, grads: np.ndarray) -> None:
     """Forward/backward sweep of one row block; adds its gradients into ``grads``.
 
-    The forward pass caches the final state psi. The backward pass
+    The forward pass applies each run's product to psi. The backward pass
     un-applies each step from the stacked buffer [psi; lambda], lambda
-    starting as Z_cost psi, and reads off each occurrence's shift-rule
-    value as Im<lambda|Pauli|psi> before un-applying its gate.
+    starting as Z_cost psi, and reads off a run's occurrences from its
+    transition matrix before un-applying it. A run's matrices are built
+    again in the backward pass rather than kept, to the same bits.
     """
-    rows = thetas.shape[0]
-    angles: list[np.ndarray | float | None] = []
+    psi = zero_states(thetas.shape[0], n)
     for step in steps:
-        if isinstance(step, tuple) or step.param is None:
-            angles.append(None)
-        elif isinstance(step.param, Affine):
-            angles.append(step.param.coeff * thetas[:, step.param.symbol] + step.param.offset)
+        if isinstance(step, _Run):
+            apply_matrix_1q(psi, n, step.qubit, _product(step, _matrices(step, thetas)))
         else:
-            angles.append(step.param.angle)
+            psi = np.take(psi, step[0], axis=-1)
+    buf = np.stack((psi, apply_pauli(psi, n, "Z", cost_qubit)))
+    del psi
 
-    psi = zero_states(rows, n)
-    for step, angle in zip(steps, angles):
-        if isinstance(step, tuple):
-            psi = psi[:, step[0]]
-        else:
-            psi = apply_kind(psi, n, step.kind, step.qubits, angle)
-    buf = np.concatenate((psi, apply_pauli(psi, n, "Z", cost_qubit)))
-
-    for step, angle in zip(reversed(steps), reversed(angles)):
-        if isinstance(step, tuple):
-            buf = buf[:, step[1]]
+    for step in reversed(steps):
+        if not isinstance(step, _Run):
+            buf = np.take(buf, step[1], axis=-1)
             continue
-        if isinstance(step.param, Affine):
-            psi, lam = buf[:rows], buf[rows:]
-            contrib = np.einsum(
-                "bi,bi->b", np.conj(lam), apply_pauli(psi, n, _PAULI_OF[step.kind], step.qubits[0])
-            ).imag
-            grads[:, step.param.symbol] += step.param.coeff * contrib
-        buf = apply_kind(buf, n, step.kind, step.qubits, _stacked(angle), inverse=True)
+        matrices = _matrices(step, thetas)
+        if any(isinstance(g.param, Affine) for g in step.gates):
+            _read_off(step, matrices, _transition(buf, n, step.qubit), grads)
+        apply_matrix_1q(buf, n, step.qubit, _dagger(_product(step, matrices)))
 
 
 def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) -> np.ndarray:

@@ -12,6 +12,10 @@ and costate into one buffer.
 
 CX, SWAP and X only permute basis indices. ``permutation_sources``
 composes a run of them into one index map, so the run costs one gather.
+``gate_matrix`` is the one definition of each single-qubit gate's 2x2
+matrix (per sample for a batch of angles), and ``apply_matrix_1q``
+multiplies one qubit of a batch by such matrices in one pass; the
+gradient engine fuses each single-qubit run into one product with them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,14 @@ MAX_QUBITS = 24
 
 _SX = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=np.complex128) / 2
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-_FIXED_1Q = {GateKind.SX: _SX, GateKind.H: _H}
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_FIXED_1Q = {GateKind.SX: _SX, GateKind.H: _H, GateKind.X: _PAULI_X}
+# RX, RY and RZ are exp(-i angle/2 P) for these Paulis P.
+GENERATORS = {GateKind.RX: _PAULI_X, GateKind.RY: _PAULI_Y, GateKind.RZ: _PAULI_Z}
+for _m in (*_FIXED_1Q.values(), _PAULI_Y, _PAULI_Z):
+    _m.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +66,6 @@ def _flip_sources(n: int, q: int) -> np.ndarray:
 
 
 _PERMUTATION_SOURCES = {GateKind.CX: _cx_sources, GateKind.SWAP: _swap_sources, GateKind.X: _flip_sources}
-PERMUTATION_KINDS = frozenset(_PERMUTATION_SOURCES)
 
 
 def permutation_sources(n: int, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
@@ -94,56 +104,63 @@ def _as_column(x) -> object:
     return x
 
 
-def _apply_matrix_1q(states: np.ndarray, n: int, q: int, m00, m01, m10, m11) -> None:
-    view = states.reshape(states.shape[0], 1 << (n - 1 - q), 2, 1 << q)
-    s0 = view[:, :, 0, :].copy()
-    s1 = view[:, :, 1, :]
-    view[:, :, 0, :] = _as_column(m00) * s0 + _as_column(m01) * s1
-    view[:, :, 1, :] = _as_column(m10) * s0 + _as_column(m11) * s1
+def gate_matrix(kind: GateKind, angle=None) -> np.ndarray:
+    """The 2x2 matrix of a single-qubit gate, shaped (..., 2, 2).
+
+    ``angle`` is a float or an array of per-sample angles for rotation
+    kinds, ignored otherwise; the result has the angle's shape in front.
+    The result of a fixed gate is shared and read-only.
+    """
+    fixed = _FIXED_1Q.get(kind)
+    if fixed is not None:
+        return fixed
+    half = np.asarray(angle) / 2.0
+    m = np.zeros((*half.shape, 2, 2), dtype=np.complex128)
+    if kind is GateKind.RZ:
+        m[..., 0, 0] = np.exp(-1j * half)
+        m[..., 1, 1] = np.exp(1j * half)
+        return m
+    c, s = np.cos(half), np.sin(half)
+    m[..., 0, 0] = m[..., 1, 1] = c
+    if kind is GateKind.RX:
+        m[..., 0, 1] = m[..., 1, 0] = -1j * s
+    else:
+        m[..., 0, 1] = -s
+        m[..., 1, 0] = s
+    return m
 
 
-def apply_kind(
-    states: np.ndarray,
-    n: int,
-    kind: GateKind,
-    qubits: tuple[int, ...],
-    angle=None,
-    inverse: bool = False,
-) -> np.ndarray:
+def apply_matrix_1q(states: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
+    """Multiply qubit ``q`` of a batch of states (..., B, 2**n) in place by
+    ``m``: one 2x2 matrix, or one per row shaped (B, 2, 2)."""
+    view = states.reshape(*states.shape[:-1], 1 << (n - 1 - q), 2, 1 << q)
+    m00, m01, m10, m11 = (_as_column(m[..., a, b]) for a in (0, 1) for b in (0, 1))
+    v0, v1 = view[..., 0, :], view[..., 1, :]
+    s0 = v0.copy()
+    v0 *= m00
+    v0 += m01 * v1
+    v1 *= m11
+    v1 += m10 * s0
+
+
+def apply_kind(states: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ...], angle=None) -> np.ndarray:
     """Apply one gate to a batch of states (B, 2**n); returns the new batch.
 
     ``angle`` is a float or a length-B array for rotation kinds, ignored
-    otherwise. Rotations and permutation gates mutate in place where
-    possible; callers must treat the input buffer as consumed.
+    otherwise. Single-qubit gates mutate in place; callers must treat the
+    input buffer as consumed.
     """
     sources = _PERMUTATION_SOURCES.get(kind)
     if sources is not None:
         return states[:, sources(n, *qubits)]
     q = qubits[0]
+    m = gate_matrix(kind, angle)
     if kind is GateKind.RZ:
-        half = np.asarray(angle) / 2.0
-        if inverse:
-            half = -half
-        p0 = _as_column(np.exp(-1j * half))
-        p1 = _as_column(np.exp(1j * half))
         view = states.reshape(states.shape[0], 1 << (n - 1 - q), 2, 1 << q)
-        view[:, :, 0, :] *= p0
-        view[:, :, 1, :] *= p1
+        view[:, :, 0, :] *= _as_column(m[..., 0, 0])
+        view[:, :, 1, :] *= _as_column(m[..., 1, 1])
         return states
-    if kind in (GateKind.RX, GateKind.RY):
-        half = np.asarray(angle) / 2.0
-        if inverse:
-            half = -half
-        c, s = np.cos(half), np.sin(half)
-        if kind is GateKind.RX:
-            _apply_matrix_1q(states, n, q, c, -1j * s, -1j * s, c)
-        else:
-            _apply_matrix_1q(states, n, q, c, -s, s, c)
-        return states
-    m = _FIXED_1Q[kind]
-    if inverse:
-        m = m.conj().T
-    _apply_matrix_1q(states, n, q, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+    apply_matrix_1q(states, n, q, m)
     return states
 
 

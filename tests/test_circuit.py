@@ -63,6 +63,21 @@ class TestParamExpr:
         with pytest.raises(ValueError, match="symbol"):
             Affine(-1, 1, 0.0)
 
+    @pytest.mark.parametrize("symbol", [0.0, True, np.float64(1.0)], ids=["float", "bool", "np-float"])
+    def test_affine_rejects_non_integer_symbol(self, symbol):
+        with pytest.raises(ValueError, match="symbol id must be an integer"):
+            Affine(symbol, 1, 0.0)
+
+    @pytest.mark.parametrize("coeff", [True, 1.0, -1.0], ids=["bool", "float", "neg-float"])
+    def test_affine_rejects_non_integer_coeff(self, coeff):
+        with pytest.raises(ValueError, match="affine coeff must be an integer"):
+            Affine(0, coeff, 0.0)
+
+    def test_affine_numpy_integers_become_int(self):
+        a = Affine(np.int64(2), np.int32(-1), 0.0)
+        assert (a.symbol, a.coeff) == (2, -1)
+        assert type(a.symbol) is int and type(a.coeff) is int
+
 
 class TestGate:
     def test_rotation_requires_param(self):
@@ -106,6 +121,20 @@ class TestCircuit:
     def test_symbols_must_all_appear(self):
         with pytest.raises(ValueError, match="symbol ids"):
             Circuit(1, (ry(0, sym=0),), 2)
+
+    @pytest.mark.parametrize("num_qubits", [2.0, True, np.float64(2.0)], ids=["float", "bool", "np-float"])
+    def test_non_integer_qubit_count_rejected(self, num_qubits):
+        with pytest.raises(ValueError, match="num_qubits must be an integer"):
+            Circuit(num_qubits, (Gate(GateKind.X, (0,)),), 0)
+
+    @pytest.mark.parametrize("num_symbols", [1.0, True], ids=["float", "bool"])
+    def test_non_integer_symbol_count_rejected(self, num_symbols):
+        with pytest.raises(ValueError, match="num_symbols must be an integer"):
+            Circuit(1, (ry(0, sym=0),), num_symbols)
+
+    def test_numpy_integer_counts_become_int(self):
+        c = Circuit(np.int64(2), (ry(1, sym=0),), np.int32(1))
+        assert type(c.num_qubits) is int and type(c.num_symbols) is int
 
 
 class TestGateCounts:

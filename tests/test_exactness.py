@@ -1,12 +1,13 @@
 """Bit-for-bit pins on the gradient engine.
 
-The digests below were computed by the light-cone sweep: the blocked
-adjoint sweep run on the gates and qubits of the cost qubit's backward
-light cone. Every exact rewrite of the engine (row blocking, stacked
-state and costate, fused permutation runs) must reproduce them, and must
-give the same bits at any block size. Where the cone is the whole
-circuit (every ttn pin) the bits are those of the full-register sweep;
-elsewhere each grad_var stays within 1e-14 relative of it.
+The digests below were computed by the fused light-cone sweep: the
+blocked adjoint sweep run on the gates and qubits of the cost qubit's
+backward light cone, with each single-qubit run applied as one 2x2
+product and read off from its 2x2 transition matrix. Every exact rewrite
+of the engine must reproduce them, and must give the same bits at any
+block size. Each grad_var stays within 1e-14 relative of the gate-by-gate
+sweep that came before fusion and of the full-register sweep that came
+before the light cone.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vqclab import grad
@@ -39,14 +40,14 @@ def stats_digest(stats) -> str:
 # n=10 runs in several row blocks at the default block size; n=4 runs in one.
 FROZEN = {
     ("efficient_su2", 10, 1): {
-        "logical": ("0x1.b125e98b23736p-7", "3708fdf4981e999b6dd0fe5b4a87588f613052f57692ac22b593c25b62d48dd9"),
-        "all-angles": ("0x1.b129b3f0adefap-7", "a7b37a27756801c7483bbf53edcc8f103424d6088d59efa580729de666953df4"),
-        "symbol-derived": ("0x1.b125e98b23738p-7", "93156d0ebb01411d672ea89611e9503af34c346ef3e86eeca14e8cc5d7895ef2"),
+        "logical": ("0x1.b125e98b23736p-7", "6ddff3ed6b717db5f0290926be591f7557a4c31aa298ea3169016c91f1f2f681"),
+        "all-angles": ("0x1.b129b3f0adefap-7", "aa23468638fce60fe49d5439f0209bd6119e1fa859e550a843e574ebd15585d2"),
+        "symbol-derived": ("0x1.b125e98b23735p-7", "da68e4967b7172b1f5f29f3e00f412c5fbc446bdc524d103ff08455232033257"),
     },
     ("ttn", 4, 2): {
-        "logical": ("0x1.ca4c30ab555bdp-4", "59771dee4aef46dc1d42a347134afabf91c9507b7322a4560718d23abe3b1092"),
-        "all-angles": ("0x1.3e7de162a7cabp-5", "8ca8b1acac80d94562997d757cbf1776120730698741855335c56e4c39045aa7"),
-        "symbol-derived": ("0x1.ca4c30ab555bep-4", "e22bbdb6861a316f1ea540d5e66a8fa039c7c4c4e42ebfa5d7b4368a8275beb1"),
+        "logical": ("0x1.ca4c30ab555bep-4", "cfa4b08357adff76d4c2af64d901c03103addb3a1facb4512d9a4ee2e507a60f"),
+        "all-angles": ("0x1.3e7de162a7caap-5", "bec386ee1f8262f59e1d068cee1277bc8e680eb5c0375eb680a9678e637fff27"),
+        "symbol-derived": ("0x1.ca4c30ab555b8p-4", "13298f9a87f0de62623b001c93fba914f677e4530f747c8c029cf87b97c71c0c"),
     },
 }
 
@@ -80,6 +81,29 @@ FULL_REGISTER_GRAD_VAR = {
 @pytest.mark.parametrize("cell", list(FULL_REGISTER_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
 def test_light_cone_within_rounding_of_full_register(cell):
     for mode, old in FULL_REGISTER_GRAD_VAR[cell].items():
+        new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
+        assert abs(new - old) <= 1e-14 * abs(old)
+
+
+# grad_var.hex() of the cells above as the gate-by-gate light-cone sweep,
+# before single-qubit runs were fused, computed them.
+GATE_BY_GATE_GRAD_VAR = {
+    ("efficient_su2", 10, 1): {
+        "logical": "0x1.b125e98b23736p-7",
+        "all-angles": "0x1.b129b3f0adefap-7",
+        "symbol-derived": "0x1.b125e98b23738p-7",
+    },
+    ("ttn", 4, 2): {
+        "logical": "0x1.ca4c30ab555bdp-4",
+        "all-angles": "0x1.3e7de162a7cabp-5",
+        "symbol-derived": "0x1.ca4c30ab555bep-4",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(GATE_BY_GATE_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
+def test_fusion_within_rounding_of_gate_by_gate(cell):
+    for mode, old in GATE_BY_GATE_GRAD_VAR[cell].items():
         new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
         assert abs(new - old) <= 1e-14 * abs(old)
 
@@ -133,6 +157,36 @@ def random_circuits(draw):
             gates.append(Gate(draw(st.sampled_from(ROTATIONS)), (q,), param))
         else:
             gates.append(Gate(draw(st.sampled_from(ROTATIONS)), (q,), Const(draw(angles))))
+    return _case(draw, n, gates)
+
+
+@st.composite
+def run_heavy_circuits(draw):
+    """One or two qubits in long single-qubit runs (up to 12 gates, one
+    symbol used throughout each run, coeff -1 among them); on two qubits a
+    CX or SWAP ends each run. On one qubit the circuit is a single run."""
+    n = draw(st.integers(1, 2))
+    num_symbols = draw(st.integers(1, 3))
+    gates = []
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(0, n - 1))
+        symbol = draw(st.integers(0, num_symbols - 1))
+        for _ in range(draw(st.integers(1, 12))):
+            kind = draw(st.sampled_from(FIXED_KINDS + ROTATIONS))
+            if kind in FIXED_KINDS:
+                gates.append(Gate(kind, (q,)))
+            elif draw(st.booleans()):
+                gates.append(Gate(kind, (q,), Affine(symbol, draw(st.sampled_from((1, -1))), draw(angles))))
+            else:
+                gates.append(Gate(kind, (q,), Const(draw(angles))))
+        if n == 2:
+            gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (q, 1 - q)))
+    return _case(draw, n, gates)
+
+
+def _case(draw, n, gates):
+    """A random case from a gate list: symbols renumbered densely (RY(theta_0)
+    on qubit 0 added if there are none), a cost qubit, a batch size, a seed."""
     used = sorted({g.param.symbol for g in gates if isinstance(g.param, Affine)})
     if not used:
         gates.append(Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)))
@@ -152,10 +206,33 @@ def random_circuits(draw):
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
+# One qubit, so the whole circuit is one run of 12 gates; symbol 0 occurs
+# four times, twice with coeff -1.
+ONE_RUN = (
+    Circuit(1, tuple(Gate(kind, (0,), param) for kind, param in (
+        (GateKind.SX, None), (GateKind.RZ, Affine(0, 1, 0.3)), (GateKind.H, None),
+        (GateKind.RY, Affine(0, -1, 1.1)), (GateKind.X, None), (GateKind.RX, Const(2.0)),
+        (GateKind.RZ, Affine(1, 1, 0.0)), (GateKind.SX, None), (GateKind.RX, Affine(0, -1, 4.0)),
+        (GateKind.RZ, Const(math.pi)), (GateKind.RY, Affine(0, 1, 5.5)), (GateKind.H, None),
+    )), 2),
+    0, 5, 11,
+)
+
 
 @PROPERTY_SETTINGS
 @given(random_circuits())
 def test_batched_equals_literal_shift_rule(case):
+    assert_equals_literal_shift_rule(case)
+
+
+@PROPERTY_SETTINGS
+@given(run_heavy_circuits())
+@example(ONE_RUN)
+def test_fused_runs_equal_literal_shift_rule(case):
+    assert_equals_literal_shift_rule(case)
+
+
+def assert_equals_literal_shift_rule(case):
     circuit, cost_qubit, batch, seed = case
     thetas = grad.sample_thetas(seed, batch, circuit.num_symbols)
     fast = _gradients_batched(circuit, thetas, cost_qubit)
@@ -166,6 +243,17 @@ def test_batched_equals_literal_shift_rule(case):
 @PROPERTY_SETTINGS
 @given(random_circuits())
 def test_block_size_never_changes_bits(case):
+    assert_block_size_never_changes_bits(case)
+
+
+@PROPERTY_SETTINGS
+@given(run_heavy_circuits())
+@example(ONE_RUN)
+def test_fused_runs_block_size_never_changes_bits(case):
+    assert_block_size_never_changes_bits(case)
+
+
+def assert_block_size_never_changes_bits(case):
     circuit, cost_qubit, batch, seed = case
     thetas = grad.sample_thetas(seed, batch, circuit.num_symbols)
     row_bytes = (1 << circuit.num_qubits) * 16

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vqclab import grad
 from vqclab.ansatz import build_efficient_su2, build_real_amplitudes, build_ttn
 from vqclab.backend import make_heavy_hex, make_line
 from vqclab.circuit import Affine, Circuit, Const, Gate, GateKind, bind, structural_metrics
@@ -21,7 +22,7 @@ from vqclab.grad import (
     sample_thetas,
 )
 from vqclab.rng import GOLDEN, SplitMix64, mix64
-from vqclab.sim import expect_z
+from vqclab.sim import expect_z, permutation_sources
 from vqclab.transpiler import TranspiledCircuit, transpile
 
 BUILDERS = [build_real_amplitudes, build_efficient_su2, build_ttn]
@@ -260,6 +261,37 @@ class TestLightCone:
         c = Circuit(4, (Gate(GateKind.X, (0,)), Gate(GateKind.CX, (3, 1)), Gate(GateKind.H, (2,))), 0)
         assert _light_cone(c, 3) == ([Gate(GateKind.CX, (1, 0))], 2, 1)
         assert _light_cone(c, 2) == ([Gate(GateKind.H, (0,))], 1, 0)
+
+
+class TestFusedRuns:
+    def test_runs_are_held_back_until_a_two_qubit_gate_touches_their_wire(self):
+        sx0, rz0, x0, h2 = (
+            Gate(GateKind.SX, (0,)),
+            Gate(GateKind.RZ, (0,), Affine(0, -1, 0.5)),
+            Gate(GateKind.X, (0,)),
+            Gate(GateKind.H, (2,)),
+        )
+        cx12, cx01 = Gate(GateKind.CX, (1, 2)), Gate(GateKind.CX, (0, 1))
+        steps = grad._sweep_steps([sx0, h2, rz0, cx12, x0, cx01], 3)
+        # the CX on (1, 2) flushes H(2); the run on qubit 0 (X included)
+        # waits for CX(0, 1), which starts a new gather
+        assert [type(s) for s in steps] == [grad._Run, tuple, grad._Run, tuple]
+        assert steps[0] == grad._Run(2, (h2,))
+        assert steps[2] == grad._Run(0, (sx0, rz0, x0))
+        assert np.array_equal(steps[1][0], permutation_sources(3, [cx12])[0])
+
+    def test_run_product_has_no_repeating_rounding(self):
+        # a run that opens with two fixed gates: their product alone would
+        # round the same way for every sample and drift the norm by ~1e-16
+        run = grad._Run(0, (
+            Gate(GateKind.RZ, (0,), Const(math.pi)),
+            Gate(GateKind.SX, (0,)),
+            Gate(GateKind.RZ, (0,), Affine(0, 1, 0.0)),
+            Gate(GateKind.SX, (0,)),
+        ))
+        u = grad._product(run, grad._matrices(run, sample_thetas(1, 4096, 1)))
+        drift = (np.abs(u) ** 2).sum(axis=(1, 2)) / 2 - 1
+        assert abs(drift.mean()) < 3e-17
 
 
 class TestGradVariance:
