@@ -18,24 +18,29 @@ The sweep runs on the cost qubit's backward light cone only (Cerezo et
 al., arXiv:2001.00550): the gates that can reach Z_cost, on the qubits
 they touch, renumbered in order. Every other gate cancels out of
 <Z_cost>, so a parameter that occurs only outside the cone reports a
-gradient of exactly 0. When the cone is the whole circuit (as for the
-stock sweep's ttn circuits) the sweep is the full-register one, step for
-step.
+gradient of exactly 0. So do the RZ gates that end the cost wire, which
+commute with Z_cost; they are dropped from the cone too.
 
 The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
 of cone state each, so a block's buffers stay in a per-core L2 cache.
-It works in two kinds of step. Each maximal run of CX/SWAP gates is one
-composed gather. Each maximal run of single-qubit gates on one wire
-(held back until a two-qubit gate touches the wire, or the circuit ends)
-is fused into its per-sample 2x2 product U, applied in one pass. The
-backward pass reads every occurrence in a run from the run's 2x2
+Each maximal run of single-qubit gates on one wire (held back until a
+two-qubit gate touches the wire, or the circuit ends) is fused into its
+per-sample 2x2 product U and acts on the top bit of the amplitude index:
+one batched BLAS matmul of U with the state viewed as (rows, 2,
+2**(n-1)). The qubit gets there inside the gathers the sweep does anyway
+(as Haner & Steiger, arXiv:1704.01127, move qubits to local bits): the
+sweep keeps a qubit -> bit layout, composes CX and SWAP gates on their
+current bits into one index map, and adds to it a SWAP of the run's bit
+with the top bit. The backward pass stacks [psi; conj(lambda)] in one
+buffer and reads every occurrence in a run from the run's 2x2
 transition matrix G[r, a, b] = sum over the other qubits of
-conj(lambda_a) psi_b: occurrence k contributes coeff * Im sum_ab
-(W P_k W^dagger)_ab G_ab, W being the product of the run's gates after
-k. Then it un-applies U^dagger from a stacked [state; costate] buffer in
-one pass. Fusion rounds differently from a gate-by-gate sweep (within
-~1e-14 relative on GradVar); rows never mix and gathers are exact, so
-the results are the same bits at any block size.
+conj(lambda_a) psi_b, one matmul: occurrence k contributes
+coeff * Im sum_ab (W P_k W^dagger)_ab G_ab, W being the product of the
+run's gates after k. One matmul by [U^dagger; conj(U^dagger)] then
+un-applies the run. Fusion and BLAS round differently from a
+gate-by-gate sweep (within ~1e-14 relative on GradVar); rows never mix
+and gathers are exact, so the results are the same bits at any block
+size.
 """
 
 from __future__ import annotations
@@ -47,12 +52,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import TWO_QUBIT_KINDS, Affine, Circuit, Const, Gate, bind, free_all_angles
+from .circuit import TWO_QUBIT_KINDS, Affine, Circuit, Const, Gate, GateKind, bind, free_all_angles
 from .rng import GOLDEN, angles_from_u64, mix64_array
 from .sim import (
     GENERATORS,
     MAX_QUBITS,
-    apply_matrix_1q,
     apply_pauli,
     expect_z,
     gate_matrix,
@@ -65,12 +69,12 @@ from .transpiler import TranspiledCircuit, rebind_symbol_derived
 # is one block). A block holds under twice this, so the stacked
 # [state; costate] buffer stays within a 2 MiB per-core L2. On a 2-vCPU
 # Xeon with 2 MiB L2 per core, the six n = 12, B = 200 GradVar calls of
-# perfbench's gradvar_n12 (fused runs, light cone) took 2.4-3.0 s with
-# 512 KiB blocks, 2.5-3.2 s with 1 MiB, 3.0-3.1 s with 256 KiB (each
-# block rebuilds every run's 2x2 matrices), 3.2 s with 2 MiB and 2.7 s
-# with 4 MiB: best of three, two rounds, on a shared host whose noise
-# exceeds the differences. Before fusion, 0.5-1 MiB blocks were best by
-# ~10 % and unblocked sweeps were ~50 % slower.
+# perfbench's gradvar_n12 (top-bit matmul runs, light cone) took
+# 1.27-1.68 s with 512 KiB blocks, 1.24-1.49 s with 1 MiB, 1.31-1.54 s
+# with 256 KiB, 1.16-1.44 s with 2 MiB and 1.20-1.24 s with 4 MiB: best
+# of three, two to six rounds each, on a shared host whose noise exceeds
+# the differences. Before fusion, 0.5-1 MiB blocks were best by ~10 % and
+# unblocked sweeps were ~50 % slower.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -170,12 +174,17 @@ def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], int, int
     Walking from the last gate to the first, a gate is kept when it
     touches a live qubit, and its qubits then become live. Every other
     gate commutes with the cost observable as conjugated so far and
-    cancels out of <Z_cost>. The live qubits are renumbered in increasing
-    order. Returns (kept gates, live qubit count, new cost qubit index).
+    cancels out of <Z_cost>. So do the RZ gates that end the cost wire,
+    after its last other gate: they commute with Z_cost, and their
+    parameters' gradients are exactly 0. The live qubits are renumbered
+    in increasing order. Returns (kept gates, live qubit count, new cost
+    qubit index).
     """
     live = {cost_qubit}
     kept: list[Gate] = []
     for g in reversed(circuit.gates):
+        if not kept and g.kind is GateKind.RZ and g.qubits == (cost_qubit,):
+            continue
         if not live.isdisjoint(g.qubits):
             live.update(g.qubits)
             kept.append(g)
@@ -186,34 +195,48 @@ def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], int, int
 
 @dataclass(frozen=True)
 class _Run:
-    """A run of single-qubit gates on one wire, fused into one sweep step."""
+    """A run of single-qubit gates on one wire, fused into one sweep step
+    on the top bit of the amplitude index."""
 
     qubit: int
     gates: tuple[Gate, ...]
 
 
-def _sweep_steps(gates: Sequence[Gate], n: int) -> list[_Run | tuple[np.ndarray, np.ndarray]]:
-    """The gates as sweep steps on ``n`` qubits: the (forward, backward)
-    index maps of each maximal run of CX/SWAP, and each maximal run of
-    single-qubit gates on one wire, held back until a two-qubit gate
-    touches that wire or the circuit ends."""
+def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Run | tuple[np.ndarray, np.ndarray]], list[int]]:
+    """The gates as sweep steps on ``n`` qubits, and the qubit -> bit layout
+    they end in. A step is the (forward, backward) index maps of a gather,
+    or a maximal run of single-qubit gates on one wire, held back until a
+    two-qubit gate touches that wire or the circuit ends. CX and SWAP join
+    the pending gather on their current bits; before a run whose qubit is
+    not on bit n-1, a SWAP of the two bits joins it (or opens one)."""
     steps: list[_Run | tuple[np.ndarray, np.ndarray]] = []
-    two_qubit: list[Gate] = []
+    layout = list(range(n))
+    pending: list[Gate] = []
     held: dict[int, list[Gate]] = {}
+
+    def flush(q: int) -> None:
+        bit, top = layout[q], n - 1
+        if bit != top:
+            layout[layout.index(top)], layout[q] = bit, top
+            pending.append(Gate(GateKind.SWAP, (bit, top)))
+        if pending:
+            steps.append(permutation_sources(n, pending))
+            pending.clear()
+        steps.append(_Run(q, tuple(held.pop(q))))
+
     for g in gates:
         if g.kind not in TWO_QUBIT_KINDS:
             held.setdefault(g.qubits[0], []).append(g)
             continue
-        runs = [_Run(q, tuple(held.pop(q))) for q in g.qubits if q in held]
-        if runs and two_qubit:
-            steps.append(permutation_sources(n, two_qubit))
-            two_qubit = []
-        steps.extend(runs)
-        two_qubit.append(g)
-    if two_qubit:
-        steps.append(permutation_sources(n, two_qubit))
-    steps.extend(_Run(q, tuple(run)) for q, run in held.items())
-    return steps
+        for q in g.qubits:
+            if q in held:
+                flush(q)
+        pending.append(Gate(g.kind, tuple(layout[q] for q in g.qubits)))
+    for q in list(held):
+        flush(q)
+    if pending:
+        steps.append(permutation_sources(n, pending))
+    return steps, layout
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,20 +278,6 @@ def _product(run: _Run, matrices: list[np.ndarray]) -> np.ndarray:
     return u
 
 
-def _transition(buf: np.ndarray, n: int, q: int) -> np.ndarray:
-    """G[r, a, b] = sum over the other qubits of conj(lambda_a) psi_b, for
-    qubit ``q`` of the stacked buffer [psi; lambda] shaped (2, rows, 2**n)."""
-    rows = buf.shape[1]
-    shape = (rows, 1 << (n - 1 - q), 2, 1 << q)
-    psi = buf[0].reshape(shape)
-    lam = np.conj(buf[1]).reshape(shape)
-    g = np.empty((rows, 2, 2), dtype=np.complex128)
-    for a in (0, 1):
-        for b in (0, 1):
-            g[:, a, b] = np.einsum("roi,roi->r", lam[:, :, a], psi[:, :, b])
-    return g
-
-
 def _read_off(run: _Run, matrices: list[np.ndarray], transition: np.ndarray, grads: np.ndarray) -> None:
     """Add each ``Affine`` occurrence's shift-rule value Im<lambda|P|psi>,
     taken just after its gate, into ``grads``.
@@ -285,22 +294,23 @@ def _read_off(run: _Run, matrices: list[np.ndarray], transition: np.ndarray, gra
         w = m if w is None else _matmul(w, m)
 
 
-def _sweep_block(steps: list, n: int, thetas: np.ndarray, cost_qubit: int, grads: np.ndarray) -> None:
+def _sweep_block(steps: list, n: int, thetas: np.ndarray, cost_bit: int, grads: np.ndarray) -> None:
     """Forward/backward sweep of one row block; adds its gradients into ``grads``.
 
-    The forward pass applies each run's product to psi. The backward pass
-    un-applies each step from the stacked buffer [psi; lambda], lambda
-    starting as Z_cost psi, and reads off a run's occurrences from its
-    transition matrix before un-applying it. A run's matrices are built
-    again in the backward pass rather than kept, to the same bits.
+    The backward pass un-applies each step from the stacked buffer
+    [psi; conj(lambda)], lambda starting as Z on ``cost_bit`` times psi,
+    and reads off a run's occurrences before un-applying it. A run's
+    matrices are built again in the backward pass rather than kept, to
+    the same bits.
     """
-    psi = zero_states(thetas.shape[0], n)
+    rows = thetas.shape[0]
+    psi = zero_states(rows, n)
     for step in steps:
         if isinstance(step, _Run):
-            apply_matrix_1q(psi, n, step.qubit, _product(step, _matrices(step, thetas)))
+            psi = (_product(step, _matrices(step, thetas)) @ psi.reshape(rows, 2, -1)).reshape(rows, -1)
         else:
             psi = np.take(psi, step[0], axis=-1)
-    buf = np.stack((psi, apply_pauli(psi, n, "Z", cost_qubit)))
+    buf = np.stack((psi, apply_pauli(psi, n, "Z", cost_bit).conj()))
     del psi
 
     for step in reversed(steps):
@@ -308,9 +318,12 @@ def _sweep_block(steps: list, n: int, thetas: np.ndarray, cost_qubit: int, grads
             buf = np.take(buf, step[1], axis=-1)
             continue
         matrices = _matrices(step, thetas)
+        buf = buf.reshape(2, rows, 2, -1)
         if any(isinstance(g.param, Affine) for g in step.gates):
-            _read_off(step, matrices, _transition(buf, n, step.qubit), grads)
-        apply_matrix_1q(buf, n, step.qubit, _dagger(_product(step, matrices)))
+            _read_off(step, matrices, buf[1] @ buf[0].swapaxes(-1, -2), grads)
+        # [U^dagger; conj(U^dagger)] un-applies the run from psi and conj(lambda)
+        u_dagger = _dagger(_product(step, matrices))
+        buf = (np.stack((u_dagger, u_dagger.conj())).reshape(2, -1, 2, 2) @ buf).reshape(2, rows, -1)
 
 
 def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) -> np.ndarray:
@@ -324,7 +337,7 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     if circuit.num_qubits > MAX_QUBITS:
         raise ValueError(f"{circuit.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
     gates, n, cost_qubit = _light_cone(circuit, cost_qubit)
-    steps = _sweep_steps(gates, n)
+    steps, layout = _sweep_steps(gates, n)
     batch = thetas.shape[0]
     # At least two rows per block: numpy multiplies a lone complex element
     # in place without the fused multiply-add of its vector loop, so a
@@ -334,7 +347,7 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     bounds = [batch * i // blocks for i in range(blocks + 1)]
     grads = np.zeros((batch, circuit.num_symbols))
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(steps, n, thetas[start:stop], cost_qubit, grads[start:stop])
+        _sweep_block(steps, n, thetas[start:stop], layout[cost_qubit], grads[start:stop])
     return grads
 
 

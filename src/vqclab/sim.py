@@ -11,11 +11,13 @@ gradient engine cut a batch into cache-sized row blocks and stack state
 and costate into one buffer.
 
 CX, SWAP and X only permute basis indices. ``permutation_sources``
-composes a run of them into one index map, so the run costs one gather.
-``gate_matrix`` is the one definition of each single-qubit gate's 2x2
-matrix (per sample for a batch of angles), and ``apply_matrix_1q``
-multiplies one qubit of a batch by such matrices in one pass; the
-gradient engine fuses each single-qubit run into one product with them.
+composes a run of them into one int32 index map, so the run costs one
+gather; the gradient engine builds its maps with it. ``gate_matrix`` is
+the one definition of each single-qubit gate's 2x2 matrix (per sample
+for a batch of angles): the gradient engine fuses each single-qubit run
+into one product of them, and ``apply_kind`` applies one gate at a time
+with ``apply_matrix_1q``. ``apply_kind`` and ``simulate`` are the
+literal reference that the gradient engine is tested against.
 """
 
 from __future__ import annotations
@@ -41,44 +43,44 @@ for _m in (*_FIXED_1Q.values(), _PAULI_Y, _PAULI_Z):
     _m.setflags(write=False)
 
 
-@lru_cache(maxsize=None)
-def _cx_sources(n: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    src = idx ^ (((idx >> control) & 1) << target)
-    src.setflags(write=False)
-    return src
+def _cx_sources(idx: np.ndarray, control: int, target: int) -> np.ndarray:
+    return idx ^ (((idx >> control) & 1) << target)
 
 
-@lru_cache(maxsize=None)
-def _swap_sources(n: int, a: int, b: int) -> np.ndarray:
-    idx = np.arange(1 << n)
+def _swap_sources(idx: np.ndarray, a: int, b: int) -> np.ndarray:
     diff = ((idx >> a) ^ (idx >> b)) & 1
-    src = idx ^ (diff << a) ^ (diff << b)
-    src.setflags(write=False)
-    return src
+    return idx ^ (diff << a) ^ (diff << b)
 
 
-@lru_cache(maxsize=None)
-def _flip_sources(n: int, q: int) -> np.ndarray:
-    src = np.arange(1 << n) ^ (1 << q)
-    src.setflags(write=False)
-    return src
+def _flip_sources(idx: np.ndarray, q: int) -> np.ndarray:
+    return idx ^ (1 << q)
 
 
+# The source index of every amplitude after a CX, SWAP or X, given the indices.
 _PERMUTATION_SOURCES = {GateKind.CX: _cx_sources, GateKind.SWAP: _swap_sources, GateKind.X: _flip_sources}
 
 
+@lru_cache(maxsize=None)
+def _gate_sources(n: int, kind: GateKind, qubits: tuple[int, ...]) -> np.ndarray:
+    src = _PERMUTATION_SOURCES[kind](np.arange(1 << n), *qubits)
+    src.setflags(write=False)
+    return src
+
+
 def permutation_sources(n: int, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps (forward, backward) of a run of CX/SWAP/X gates.
+    """Index maps (forward, backward) of a run of CX/SWAP/X gates, as int32.
 
     ``states[:, forward]`` equals applying the gates in order and
-    ``states[:, backward]`` un-applies the run; both are exact.
+    ``states[:, backward]`` un-applies the run; both are exact. The maps
+    are composed directly, without filling the per-gate cache of
+    ``apply_kind``.
     """
-    forward = np.arange(1 << n)
+    idx = np.arange(1 << n, dtype=np.int32)
+    forward = idx
     for g in gates:
-        forward = forward[_PERMUTATION_SOURCES[g.kind](n, *g.qubits)]
+        forward = forward[_PERMUTATION_SOURCES[g.kind](idx, *g.qubits)]
     backward = np.empty_like(forward)
-    backward[forward] = np.arange(1 << n)
+    backward[forward] = idx
     return forward, backward
 
 
@@ -87,14 +89,6 @@ def _z_signs(n: int, q: int) -> np.ndarray:
     signs = 1.0 - 2.0 * ((np.arange(1 << n) >> q) & 1)
     signs.setflags(write=False)
     return signs
-
-
-@lru_cache(maxsize=None)
-def _y_phases(n: int, q: int) -> np.ndarray:
-    # Y|0> = i|1>, Y|1> = -i|0>: amplitude landing on bit=1 gains +i
-    phases = np.where((np.arange(1 << n) >> q) & 1, 1j, -1j)
-    phases.setflags(write=False)
-    return phases
 
 
 def _as_column(x) -> object:
@@ -131,11 +125,11 @@ def gate_matrix(kind: GateKind, angle=None) -> np.ndarray:
 
 
 def apply_matrix_1q(states: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
-    """Multiply qubit ``q`` of a batch of states (..., B, 2**n) in place by
+    """Multiply qubit ``q`` of a batch of states (B, 2**n) in place by
     ``m``: one 2x2 matrix, or one per row shaped (B, 2, 2)."""
-    view = states.reshape(*states.shape[:-1], 1 << (n - 1 - q), 2, 1 << q)
+    view = states.reshape(states.shape[0], 1 << (n - 1 - q), 2, 1 << q)
     m00, m01, m10, m11 = (_as_column(m[..., a, b]) for a in (0, 1) for b in (0, 1))
-    v0, v1 = view[..., 0, :], view[..., 1, :]
+    v0, v1 = view[:, :, 0, :], view[:, :, 1, :]
     s0 = v0.copy()
     v0 *= m00
     v0 += m01 * v1
@@ -150,9 +144,8 @@ def apply_kind(states: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ..
     otherwise. Single-qubit gates mutate in place; callers must treat the
     input buffer as consumed.
     """
-    sources = _PERMUTATION_SOURCES.get(kind)
-    if sources is not None:
-        return states[:, sources(n, *qubits)]
+    if kind in _PERMUTATION_SOURCES:
+        return states[:, _gate_sources(n, kind, qubits)]
     q = qubits[0]
     m = gate_matrix(kind, angle)
     if kind is GateKind.RZ:
@@ -165,15 +158,11 @@ def apply_kind(states: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ..
 
 
 def apply_pauli(states: np.ndarray, n: int, pauli: str, q: int) -> np.ndarray:
-    """Return Pauli X, Y or Z applied to a batch of states (input untouched)."""
-    if pauli == "Z":
-        return states * _z_signs(n, q)
-    flipped = states[:, _flip_sources(n, q)]
-    if pauli == "X":
-        return flipped
-    if pauli == "Y":
-        return flipped * _y_phases(n, q)
-    raise ValueError(f"unknown pauli {pauli!r}")
+    """Return Pauli Z applied to qubit ``q`` of a batch of states (input
+    untouched). Z is the only observable; any other ``pauli`` raises."""
+    if pauli != "Z":
+        raise ValueError(f"unsupported pauli {pauli!r}; only 'Z' is applied")
+    return states * _z_signs(n, q)
 
 
 def zero_states(batch: int, n: int) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 The digests below were computed by the fused light-cone sweep: the
 blocked adjoint sweep run on the gates and qubits of the cost qubit's
-backward light cone, with each single-qubit run applied as one 2x2
-product and read off from its 2x2 transition matrix. Every exact rewrite
-of the engine must reproduce them, and must give the same bits at any
-block size. Each grad_var stays within 1e-14 relative of the gate-by-gate
-sweep that came before fusion and of the full-register sweep that came
-before the light cone.
+backward light cone, with each single-qubit run moved to the top bit and
+applied as one 2x2 product by a BLAS matmul, and read off from its 2x2
+transition matrix. Every exact rewrite of the engine must reproduce
+them, and must give the same bits at any block size. Each grad_var stays
+within 1e-14 relative of the elementwise run kernel that came before the
+matmul, of the gate-by-gate sweep that came before fusion and of the
+full-register sweep that came before the light cone.
 """
 
 import hashlib
@@ -40,14 +41,14 @@ def stats_digest(stats) -> str:
 # n=10 runs in several row blocks at the default block size; n=4 runs in one.
 FROZEN = {
     ("efficient_su2", 10, 1): {
-        "logical": ("0x1.b125e98b23736p-7", "6ddff3ed6b717db5f0290926be591f7557a4c31aa298ea3169016c91f1f2f681"),
-        "all-angles": ("0x1.b129b3f0adefap-7", "aa23468638fce60fe49d5439f0209bd6119e1fa859e550a843e574ebd15585d2"),
-        "symbol-derived": ("0x1.b125e98b23735p-7", "da68e4967b7172b1f5f29f3e00f412c5fbc446bdc524d103ff08455232033257"),
+        "logical": ("0x1.b125e98b23736p-7", "07e0482189fe8d337629704324302ac1d96ea70d8e9c335bae1ee3f6cfdcbaf6"),
+        "all-angles": ("0x1.b129b3f0adefap-7", "e9ebde42a678ac1c1161e8e7dfeab0fd095301a235ba8da138b549614c674825"),
+        "symbol-derived": ("0x1.b125e98b23736p-7", "18a3a5c21762ede2d054f3dc6c92e7ebe2b8b5d89e04cb7b35caa2112ef8ef45"),
     },
     ("ttn", 4, 2): {
-        "logical": ("0x1.ca4c30ab555bep-4", "cfa4b08357adff76d4c2af64d901c03103addb3a1facb4512d9a4ee2e507a60f"),
-        "all-angles": ("0x1.3e7de162a7caap-5", "bec386ee1f8262f59e1d068cee1277bc8e680eb5c0375eb680a9678e637fff27"),
-        "symbol-derived": ("0x1.ca4c30ab555b8p-4", "13298f9a87f0de62623b001c93fba914f677e4530f747c8c029cf87b97c71c0c"),
+        "logical": ("0x1.ca4c30ab555bdp-4", "a1cee9ceb2d39fe371270564f60012caef84412c1c940af2984bf891dfc3a41d"),
+        "all-angles": ("0x1.3e7de162a7caap-5", "ea721fb45045a97ca6cf89aaa951d4e6fd45389c684fc735201a4fcb4bbbe5f0"),
+        "symbol-derived": ("0x1.ca4c30ab555b8p-4", "dc40a1604c78683bceb34024b89dbc9223e5b6b7a58540212abc29cefc07fa5a"),
     },
 }
 
@@ -104,6 +105,30 @@ GATE_BY_GATE_GRAD_VAR = {
 @pytest.mark.parametrize("cell", list(GATE_BY_GATE_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
 def test_fusion_within_rounding_of_gate_by_gate(cell):
     for mode, old in GATE_BY_GATE_GRAD_VAR[cell].items():
+        new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
+        assert abs(new - old) <= 1e-14 * abs(old)
+
+
+# grad_var.hex() of the cells above as the fused sweep computed them when
+# each run was applied elementwise on its own qubit's bit, before runs
+# moved to the top bit and became one BLAS matmul.
+ELEMENTWISE_RUN_GRAD_VAR = {
+    ("efficient_su2", 10, 1): {
+        "logical": "0x1.b125e98b23736p-7",
+        "all-angles": "0x1.b129b3f0adefap-7",
+        "symbol-derived": "0x1.b125e98b23735p-7",
+    },
+    ("ttn", 4, 2): {
+        "logical": "0x1.ca4c30ab555bep-4",
+        "all-angles": "0x1.3e7de162a7caap-5",
+        "symbol-derived": "0x1.ca4c30ab555b8p-4",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(ELEMENTWISE_RUN_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
+def test_top_bit_matmul_within_rounding_of_elementwise_runs(cell):
+    for mode, old in ELEMENTWISE_RUN_GRAD_VAR[cell].items():
         new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
         assert abs(new - old) <= 1e-14 * abs(old)
 

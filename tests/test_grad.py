@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vqclab import grad
-from vqclab.ansatz import build_efficient_su2, build_real_amplitudes, build_ttn
+from vqclab.ansatz import build_ansatz, build_efficient_su2, build_real_amplitudes, build_ttn
 from vqclab.backend import make_heavy_hex, make_line
 from vqclab.circuit import Affine, Circuit, Const, Gate, GateKind, bind, structural_metrics
 from vqclab.grad import (
@@ -22,7 +22,7 @@ from vqclab.grad import (
     sample_thetas,
 )
 from vqclab.rng import GOLDEN, SplitMix64, mix64
-from vqclab.sim import expect_z, permutation_sources
+from vqclab.sim import apply_kind, expect_z, permutation_sources, simulate, zero_states
 from vqclab.transpiler import TranspiledCircuit, transpile
 
 BUILDERS = [build_real_amplitudes, build_efficient_su2, build_ttn]
@@ -257,6 +257,26 @@ class TestLightCone:
         c = build_ttn(12, 1)
         assert _light_cone(c, 0) == (list(c.gates), 12, 0)
 
+    def test_rz_ending_the_cost_wire_is_dropped(self):
+        ry, rz = Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.RZ, (0,), Affine(1, 1, 0.0))
+        c = Circuit(2, (ry, Gate(GateKind.CX, (1, 0)), rz, Gate(GateKind.RZ, (0,), Const(0.3))), 2)
+        assert _light_cone(c, 0) == ([ry, Gate(GateKind.CX, (1, 0))], 2, 0)
+
+    def test_rz_followed_by_sx_is_kept(self):
+        ry, rz = Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.RZ, (0,), Affine(1, 1, 0.0))
+        c = Circuit(1, (ry, rz, Gate(GateKind.SX, (0,))), 2)
+        assert _light_cone(c, 0) == (list(c.gates), 1, 0)
+
+    def test_final_rz_layer_reads_exact_zero(self):
+        # efficient_su2 ends in an RZ layer: the cost wire's RZ commutes
+        # with Z_cost, and the others lie outside the light cone
+        c = build_efficient_su2(4, 1)
+        last_rz = [g.param.symbol for g in c.gates[-4:]]
+        assert all(g.kind is GateKind.RZ for g in c.gates[-4:])
+        stats = grad_variance(c, 200, 42)
+        assert [stats.per_param_var[s] for s in last_rz] == [0.0] * 4
+        assert [stats.per_param_mean[s] for s in last_rz] == [0.0] * 4
+
     def test_live_qubits_renumbered_in_order(self):
         c = Circuit(4, (Gate(GateKind.X, (0,)), Gate(GateKind.CX, (3, 1)), Gate(GateKind.H, (2,))), 0)
         assert _light_cone(c, 3) == ([Gate(GateKind.CX, (1, 0))], 2, 1)
@@ -272,13 +292,51 @@ class TestFusedRuns:
             Gate(GateKind.H, (2,)),
         )
         cx12, cx01 = Gate(GateKind.CX, (1, 2)), Gate(GateKind.CX, (0, 1))
-        steps = grad._sweep_steps([sx0, h2, rz0, cx12, x0, cx01], 3)
-        # the CX on (1, 2) flushes H(2); the run on qubit 0 (X included)
-        # waits for CX(0, 1), which starts a new gather
+        steps, layout = grad._sweep_steps([sx0, h2, rz0, cx12, x0, cx01], 3)
+        # the CX on (1, 2) flushes H(2), already on the top bit; the run on
+        # qubit 0 (X included) waits for CX(0, 1), the SWAP that brings it
+        # to the top bit joins the pending gather, and CX(0, 1) then acts
+        # on bits (2, 1) in a new gather
         assert [type(s) for s in steps] == [grad._Run, tuple, grad._Run, tuple]
         assert steps[0] == grad._Run(2, (h2,))
         assert steps[2] == grad._Run(0, (sx0, rz0, x0))
-        assert np.array_equal(steps[1][0], permutation_sources(3, [cx12])[0])
+        assert np.array_equal(steps[1][0], permutation_sources(3, [cx12, Gate(GateKind.SWAP, (0, 2))])[0])
+        assert np.array_equal(steps[3][0], permutation_sources(3, [Gate(GateKind.CX, (2, 1))])[0])
+        assert layout == [2, 1, 0]
+
+    @pytest.mark.parametrize("family", ["efficient_su2", "ttn"])
+    def test_every_run_acts_on_the_top_bit(self, family):
+        # replaying the gathers and applying each run gate by gate on bit
+        # n-1 reproduces the circuit, its qubits placed by the final layout
+        t = transpile(build_ansatz(family, 4, 2), make_heavy_hex(2, 3))
+        bound = bind(t.physical, np.random.default_rng(5).uniform(0, 2 * math.pi, t.physical.num_symbols))
+        n = bound.num_qubits
+        steps, layout = grad._sweep_steps(bound.gates, n)
+        assert sorted(layout) == list(range(n))
+        state = zero_states(1, n)
+        for step in steps:
+            if isinstance(step, grad._Run):
+                for g in step.gates:
+                    assert g.qubits == (step.qubit,)
+                    state = apply_kind(state, n, g.kind, (n - 1,), None if g.param is None else g.param.angle)
+            else:
+                state = state[:, step[0]]
+        placed = [sum(((i >> q) & 1) << layout[q] for q in range(n)) for i in range(1 << n)]
+        np.testing.assert_allclose(state[0, placed], simulate(bound), rtol=0, atol=1e-12)
+
+    def test_a_run_after_a_cx_adds_no_gather(self):
+        def counts(gates):
+            steps = grad._sweep_steps(gates, 3)[0]
+            return sum(isinstance(s, tuple) for s in steps), sum(isinstance(s, grad._Run) for s in steps)
+
+        cx01, sx0, h1 = Gate(GateKind.CX, (0, 1)), Gate(GateKind.SX, (0,)), Gate(GateKind.H, (1,))
+        assert counts([cx01]) == (1, 0)
+        # the SWAP that moves qubit 0 to the top bit joins the CX's gather
+        assert counts([cx01, sx0]) == (1, 1)
+        # two runs back to back: the second SWAP opens one more gather
+        assert counts([cx01, sx0, h1]) == (2, 2)
+        # a run whose qubit is on the top bit already needs no SWAP
+        assert counts([Gate(GateKind.CX, (0, 2)), Gate(GateKind.SX, (2,))]) == (1, 1)
 
     def test_run_product_has_no_repeating_rounding(self):
         # a run that opens with two fixed gates: their product alone would

@@ -5,7 +5,7 @@ import pytest
 
 from vqclab.ansatz import build_efficient_su2, build_real_amplitudes, build_ttn
 from vqclab.circuit import Circuit, Const, Gate, GateKind, bind
-from vqclab.sim import MAX_QUBITS, expect_z, simulate, state_expect_z
+from vqclab.sim import MAX_QUBITS, apply_pauli, expect_z, simulate, state_expect_z
 
 
 def concrete(num_qubits, *gates):
@@ -87,6 +87,17 @@ class TestExpectZ:
             expect_z(concrete(2), 2)
         with pytest.raises(ValueError, match="out of range"):
             state_expect_z(simulate(concrete(2)), 2, -1)
+
+
+class TestApplyPauli:
+    def test_z_flips_the_sign_of_its_bit(self):
+        states = np.arange(1, 9, dtype=np.complex128).reshape(2, 4)
+        np.testing.assert_array_equal(apply_pauli(states, 2, "Z", 1), states * [1, 1, -1, -1])
+
+    @pytest.mark.parametrize("pauli", ["X", "Y", "I", "z"])
+    def test_other_paulis_raise(self, pauli):
+        with pytest.raises(ValueError, match="only 'Z'"):
+            apply_pauli(np.ones((1, 2), dtype=np.complex128), 1, pauli, 0)
 
 
 class TestSwapPermutation:
