@@ -9,17 +9,28 @@ them, and must give the same bits at any block size. Each grad_var stays
 within 1e-14 relative of the elementwise run kernel that came before the
 matmul, of the gate-by-gate sweep that came before fusion and of the
 full-register sweep that came before the light cone.
+
+The bits depend on the zgemm kernel that numpy's bundled OpenBLAS picks
+for the CPU. So the pins are computed in a child interpreter started with
+``OPENBLAS_CORETYPE=Haswell``, a kernel that every x86-64-v3 CPU runs,
+and the kernel loaded here only has to agree within 1e-14 relative.
 """
 
 import hashlib
 import importlib.util
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
 from vqclab import grad
 from vqclab.ansatz import build_ansatz
@@ -37,35 +48,94 @@ def stats_digest(stats) -> str:
     return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()
 
 
-# (family, n, reps) on heavy-hex:5,11 at B=200, seed 42 -> mode -> (grad_var.hex(), digest).
-# n=10 runs in several row blocks at the default block size; n=4 runs in one.
+# (family, n, reps) on heavy-hex:5,11 at B=200, seed 42 -> mode -> (grad_var.hex(), digest),
+# under OpenBLAS's Haswell kernel. n=10 runs in several row blocks at the
+# default block size; n=4 runs in one.
 FROZEN = {
     ("efficient_su2", 10, 1): {
-        "logical": ("0x1.b125e98b23736p-7", "07e0482189fe8d337629704324302ac1d96ea70d8e9c335bae1ee3f6cfdcbaf6"),
-        "all-angles": ("0x1.b129b3f0adefap-7", "e9ebde42a678ac1c1161e8e7dfeab0fd095301a235ba8da138b549614c674825"),
-        "symbol-derived": ("0x1.b125e98b23736p-7", "18a3a5c21762ede2d054f3dc6c92e7ebe2b8b5d89e04cb7b35caa2112ef8ef45"),
+        "logical": ("0x1.b125e98b23736p-7", "2a06746bdb4a48b13ee84c5e147e29f7c23bab01ba7f8c2851b5ff397d977c0b"),
+        "all-angles": ("0x1.b129b3f0adefap-7", "f9db1d25b3e0f52cdff87f50b78326269d0c3e4a868ea90ddae456ee1d513a59"),
+        "symbol-derived": ("0x1.b125e98b23736p-7", "1daee719e44280d5fa6aba6e17797f8636bf37f21b60a63af6885c07fd3a319a"),
     },
     ("ttn", 4, 2): {
         "logical": ("0x1.ca4c30ab555bdp-4", "a1cee9ceb2d39fe371270564f60012caef84412c1c940af2984bf891dfc3a41d"),
-        "all-angles": ("0x1.3e7de162a7caap-5", "ea721fb45045a97ca6cf89aaa951d4e6fd45389c684fc735201a4fcb4bbbe5f0"),
+        "all-angles": ("0x1.3e7de162a7caap-5", "199daff79470170c45b9d7babb97e002f5934001e9376205665c4848c7f587f3"),
         "symbol-derived": ("0x1.ca4c30ab555b8p-4", "dc40a1604c78683bceb34024b89dbc9223e5b6b7a58540212abc29cefc07fa5a"),
     },
 }
 
+PINNED_KERNEL = "Haswell"
+
+
+def frozen_rows() -> list[dict[str, list[str]]]:
+    """The FROZEN rows, in order, as this interpreter computes them."""
+    rows = []
+    for family, n, reps in FROZEN:
+        logical = build_ansatz(family, n, reps)
+        t = transpile(logical, resolve_backend("heavy-hex:5,11"))
+        circuits = {"logical": (logical, 0)}
+        for mode in ReparamMode:
+            circuits[mode.value] = (reparameterize(t, mode), t.cost_qubit)
+        row = {}
+        for mode, (circuit, cost_qubit) in circuits.items():
+            stats = grad_variance(circuit, 200, 42, cost_qubit)
+            row[mode] = [stats.grad_var.hex(), stats_digest(stats)]
+        rows.append(row)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def pinned_kernel_rows():
+    """The FROZEN rows computed by a child interpreter on the pinned kernel.
+
+    Fails, rather than skips, where that kernel cannot run: OpenBLAS's
+    Haswell kernel needs an x86-64 CPU with the x86-64-v3 features (AVX2,
+    FMA3, BMI2), and numpy's own complex loops round the same way only
+    from x86-64-v3 up.
+    """
+    machine = platform.machine()
+    if machine.lower() not in ("x86_64", "amd64"):
+        pytest.fail(f"the pins need OpenBLAS's {PINNED_KERNEL} kernel, which runs on x86-64 only; this is {machine}")
+    missing = [f for f in ("X86_V3", "AVX2", "FMA3", "BMI2") if not __cpu_features__.get(f)]
+    if missing:
+        pytest.fail(f"the pins need an x86-64-v3 CPU for OpenBLAS's {PINNED_KERNEL} kernel; missing {missing}")
+    src = str(Path(grad.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": PINNED_KERNEL,
+        "OPENBLAS_VERBOSE": "2",
+        "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    }
+    proc = subprocess.run(
+        [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=600, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    # OPENBLAS_VERBOSE=2 makes OpenBLAS name the core it loaded
+    assert f"Core: {PINNED_KERNEL}" in proc.stdout + proc.stderr, (
+        f"the child did not run OpenBLAS's {PINNED_KERNEL} kernel:\n{proc.stderr}"
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 @pytest.mark.parametrize("cell", list(FROZEN), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
-def test_gradstats_frozen_digests(cell):
-    family, n, reps = cell
-    logical = build_ansatz(family, n, reps)
-    t = transpile(logical, resolve_backend("heavy-hex:5,11"))
-    circuits = {"logical": (logical, 0)}
-    for mode in ReparamMode:
-        circuits[mode.value] = (reparameterize(t, mode), t.cost_qubit)
-    got = {}
-    for mode, (circuit, cost_qubit) in circuits.items():
-        stats = grad_variance(circuit, 200, 42, cost_qubit)
-        got[mode] = (stats.grad_var.hex(), stats_digest(stats))
-    assert got == FROZEN[cell]
+def test_gradstats_frozen_digests(cell, pinned_kernel_rows):
+    got = pinned_kernel_rows[list(FROZEN).index(cell)]
+    assert {mode: tuple(v) for mode, v in got.items()} == FROZEN[cell]
+
+
+@pytest.fixture(scope="module")
+def loaded_kernel_rows():
+    return frozen_rows()
+
+
+@pytest.mark.parametrize("cell", list(FROZEN), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
+def test_loaded_kernel_within_rounding_of_pins(cell, loaded_kernel_rows):
+    # whatever zgemm kernel this process loaded, its grad_var stays within
+    # 1e-14 relative of the pinned kernel's
+    got = loaded_kernel_rows[list(FROZEN).index(cell)]
+    for mode, (pinned, _) in FROZEN[cell].items():
+        new, old = float.fromhex(got[mode][0]), float.fromhex(pinned)
+        assert abs(new - old) <= 1e-14 * abs(old)
 
 
 # grad_var.hex() of the cells above that the light cone moved, as the
@@ -294,3 +364,8 @@ def assert_block_size_never_changes_bits(case):
             grad._BLOCK_BYTES = original
     for other in results[1:]:
         assert np.array_equal(results[0], other)
+
+
+if __name__ == "__main__":
+    # the child interpreter of ``pinned_kernel_rows``
+    print(json.dumps(frozen_rows()))
