@@ -25,22 +25,27 @@ The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
 of cone state each, so a block's buffers stay in a per-core L2 cache.
 Each maximal run of single-qubit gates on one wire (held back until a
 two-qubit gate touches the wire, or the circuit ends) is fused into its
-per-sample 2x2 product U and acts on the top bit of the amplitude index:
-one batched BLAS matmul of U with the state viewed as (rows, 2,
-2**(n-1)). The qubit gets there inside the gathers the sweep does anyway
+per-sample 2x2 product. A CX or SWAP that meets held runs on both its
+wires is fused with them into one block, whose per-sample 4x4 is
+CX.(U_hi kron U_lo): a Kronecker product, one rounding per entry, with
+its rows permuted. Every other run acts on the top bit of the amplitude
+index and every block on the top two, so each step is one batched BLAS
+matmul with the state viewed as (rows, 2, 2**(n-1)) or (rows, 4,
+2**(n-2)). The qubits get there inside the gathers the sweep does anyway
 (as Haner & Steiger, arXiv:1704.01127, move qubits to local bits): the
-sweep keeps a qubit -> bit layout, composes CX and SWAP gates on their
-current bits into one index map, and adds to it a SWAP of the run's bit
-with the top bit. The backward pass stacks [psi; conj(lambda)] in one
-buffer and reads every occurrence in a run from the run's 2x2
-transition matrix G[r, a, b] = sum over the other qubits of
-conj(lambda_a) psi_b, one matmul: occurrence k contributes
-coeff * Im sum_ab (W P_k W^dagger)_ab G_ab, W being the product of the
-run's gates after k. One matmul by [U^dagger; conj(U^dagger)] then
-un-applies the run. Fusion and BLAS round differently from a
-gate-by-gate sweep (within ~1e-14 relative on GradVar); rows never mix
-and gathers are exact, so the results are the same bits at any block
-size.
+sweep keeps a qubit -> bit layout, composes the other CX and SWAP gates
+on their current bits into one index map, and adds to it the SWAPs that
+bring a step's qubits to the top bits. The backward pass stacks [psi;
+conj(lambda)] in one buffer and forms a step's transition matrix
+G[r, a, b] = sum over the other qubits of conj(lambda_a) psi_b, one
+matmul. A block's 4x4 G is taken back to before its gate by an exact
+index permutation and summed over the other wire, which gives each
+wire's 2x2 G. Occurrence k of a run contributes coeff * Im sum_ab
+(W P_k W^dagger)_ab G_ab, W being the product of the run's gates after k.
+One matmul by [U^dagger; conj(U^dagger)] then un-applies the step.
+Fusion and BLAS round differently from a gate-by-gate sweep (within
+~1e-14 relative on GradVar); rows never mix and gathers are exact, so
+the results are the same bits at any block size, down to one row.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum, unique
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -69,12 +75,13 @@ from .transpiler import TranspiledCircuit, rebind_symbol_derived
 # is one block). A block holds under twice this, so the stacked
 # [state; costate] buffer stays within a 2 MiB per-core L2. On a 2-vCPU
 # Xeon with 2 MiB L2 per core, the six n = 12, B = 200 GradVar calls of
-# perfbench's gradvar_n12 (top-bit matmul runs, light cone) took
-# 1.27-1.68 s with 512 KiB blocks, 1.24-1.49 s with 1 MiB, 1.31-1.54 s
-# with 256 KiB, 1.16-1.44 s with 2 MiB and 1.20-1.24 s with 4 MiB: best
-# of three, two to six rounds each, on a shared host whose noise exceeds
-# the differences. Before fusion, 0.5-1 MiB blocks were best by ~10 % and
-# unblocked sweeps were ~50 % slower.
+# perfbench's gradvar_n12 (4x4 blocks, top-bit runs, light cone), best of
+# three in each of six rounds that interleave the sizes, took a median
+# 0.78 s (range 0.68-0.88 s) with 512 KiB blocks, 0.79 s (0.69-0.85 s)
+# with 1 MiB, 0.86 s (0.77-1.02 s) with 256 KiB, 0.76 s (0.67-0.78 s)
+# with 2 MiB and 0.76 s (0.72-0.85 s) with 4 MiB: only 256 KiB is slower
+# beyond the shared host's noise. Before fusion, 0.5-1 MiB blocks were
+# best by ~10 % and unblocked sweeps were ~50 % slower.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -195,48 +202,86 @@ def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], int, int
 
 @dataclass(frozen=True)
 class _Run:
-    """A run of single-qubit gates on one wire, fused into one sweep step
-    on the top bit of the amplitude index."""
+    """A run of single-qubit gates on one wire, fused into its per-sample
+    2x2 product. Alone, it is a sweep step on the top bit of the amplitude
+    index."""
 
     qubit: int
     gates: tuple[Gate, ...]
 
 
-def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Run | tuple[np.ndarray, np.ndarray]], list[int]]:
+@dataclass(frozen=True)
+class _Block:
+    """A CX or SWAP fused with the runs held on its two wires into one
+    sweep step on the top two bits: ``runs`` act on bits n-1 and n-2, then
+    ``gate`` on those bits numbered 1 and 0."""
+
+    runs: tuple[_Run, _Run]
+    gate: Gate
+
+
+# A sweep step: a run, a block, or the (forward, backward) index maps of a gather.
+_Step = _Run | _Block | tuple[np.ndarray, np.ndarray]
+
+
+def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step], list[int]]:
     """The gates as sweep steps on ``n`` qubits, and the qubit -> bit layout
     they end in. A step is the (forward, backward) index maps of a gather,
-    or a maximal run of single-qubit gates on one wire, held back until a
-    two-qubit gate touches that wire or the circuit ends. CX and SWAP join
-    the pending gather on their current bits; before a run whose qubit is
-    not on bit n-1, a SWAP of the two bits joins it (or opens one)."""
-    steps: list[_Run | tuple[np.ndarray, np.ndarray]] = []
+    a maximal run of single-qubit gates on one wire, held back until a
+    two-qubit gate touches that wire or the circuit ends, or a block: a
+    two-qubit gate that meets held runs on both its wires, with those runs.
+    Other CX and SWAP gates join the pending gather on their current bits.
+    Before a step whose qubits are not on the top bits, SWAPs that bring
+    them there join the gather (or open one)."""
+    steps: list[_Step] = []
     layout = list(range(n))
     pending: list[Gate] = []
     held: dict[int, list[Gate]] = {}
 
-    def flush(q: int) -> None:
-        bit, top = layout[q], n - 1
-        if bit != top:
-            layout[layout.index(top)], layout[q] = bit, top
-            pending.append(Gate(GateKind.SWAP, (bit, top)))
+    def flush(*qubits: int) -> list[_Run]:
+        for q, bit in zip(qubits, (n - 1, n - 2)):
+            if layout[q] != bit:
+                pending.append(Gate(GateKind.SWAP, (layout[q], bit)))
+                layout[layout.index(bit)], layout[q] = layout[q], bit
         if pending:
             steps.append(permutation_sources(n, pending))
             pending.clear()
-        steps.append(_Run(q, tuple(held.pop(q))))
+        return [_Run(q, tuple(held.pop(q))) for q in qubits]
 
     for g in gates:
         if g.kind not in TWO_QUBIT_KINDS:
             held.setdefault(g.qubits[0], []).append(g)
             continue
+        a, b = g.qubits
+        if a in held and b in held:
+            # a qubit already on one of the top two bits stays there
+            hi, lo = (b, a) if n - 1 == layout[b] or n - 2 == layout[a] else (a, b)
+            steps.append(_Block(tuple(flush(hi, lo)), Gate(g.kind, tuple(int(q == hi) for q in g.qubits))))
+            continue
         for q in g.qubits:
             if q in held:
-                flush(q)
+                steps.extend(flush(q))
         pending.append(Gate(g.kind, tuple(layout[q] for q in g.qubits)))
     for q in list(held):
-        flush(q)
+        steps.extend(flush(q))
     if pending:
         steps.append(permutation_sources(n, pending))
     return steps, layout
+
+
+@lru_cache(maxsize=None)
+def _block_maps(gate: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """The 4x4 row permutation of a block's ``gate``, and the flat indices
+    that read each wire's 2x2 transition matrix off the block's 4x4 one.
+
+    With G' = G[back][:, back] the 4x4 transition matrix before the gate,
+    an exact permutation, the top bit's is sum_c G'[2a + c, 2b + c] and
+    the lower bit's sum_c G'[2c + a, 2c + b]: indices shaped (wire, c, a, b).
+    """
+    forward, back = permutation_sources(2, [gate])
+    c, a, b = np.indices((2, 2, 2))
+    wires = np.stack([back[2 * a + c] * 4 + back[2 * b + c], back[2 * c + a] * 4 + back[2 * c + b]])
+    return forward, wires
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,40 +335,69 @@ def _read_off(run: _Run, matrices: list[np.ndarray], transition: np.ndarray, gra
     for g, m in zip(reversed(run.gates), reversed(matrices)):
         if isinstance(g.param, Affine):
             p = GENERATORS[g.kind] if w is None else _matmul(_matmul(w, GENERATORS[g.kind]), _dagger(w))
-            grads[:, g.param.symbol] += g.param.coeff * (p * transition).sum(axis=(-2, -1)).imag
+            # two sums of two terms each add in one order whatever the rows;
+            # one sum over both axes adds a one-row block in another order
+            grads[:, g.param.symbol] += g.param.coeff * (p * transition).sum(axis=-1).sum(axis=-1).imag
         w = m if w is None else _matmul(w, m)
 
 
-def _sweep_block(steps: list, n: int, thetas: np.ndarray, cost_bit: int, grads: np.ndarray) -> None:
+def _runs(step: _Run | _Block) -> tuple[_Run, ...]:
+    return step.runs if isinstance(step, _Block) else (step,)
+
+
+def _unitary(step: _Run | _Block, matrices: list[list[np.ndarray]]) -> np.ndarray:
+    """A step's per-sample unitary on its top bits: a run's 2x2 product, or a
+    block's 4x4 gate * (U_hi kron U_lo), one rounding per entry and then an
+    exact row permutation."""
+    products = [_product(run, m) for run, m in zip(_runs(step), matrices)]
+    if isinstance(step, _Run):
+        return products[0]
+    hi, lo = products
+    kron = hi[..., :, None, :, None] * lo[..., None, :, None, :]
+    return kron.reshape(kron.shape[:-4] + (4, 4))[..., _block_maps(step.gate)[0], :]
+
+
+def _sweep_block(steps: list[_Step], n: int, thetas: np.ndarray, cost_bit: int, grads: np.ndarray) -> None:
     """Forward/backward sweep of one row block; adds its gradients into ``grads``.
 
     The backward pass un-applies each step from the stacked buffer
     [psi; conj(lambda)], lambda starting as Z on ``cost_bit`` times psi,
-    and reads off a run's occurrences before un-applying it. A run's
-    matrices are built again in the backward pass rather than kept, to
-    the same bits.
+    and reads off a step's occurrences before un-applying it, each from the
+    2x2 transition matrix of its own wire. A step's matrices are built
+    again in the backward pass rather than kept, to the same bits.
     """
     rows = thetas.shape[0]
     psi = zero_states(rows, n)
     for step in steps:
-        if isinstance(step, _Run):
-            psi = (_product(step, _matrices(step, thetas)) @ psi.reshape(rows, 2, -1)).reshape(rows, -1)
-        else:
+        if isinstance(step, tuple):
             psi = np.take(psi, step[0], axis=-1)
+            continue
+        u = _unitary(step, [_matrices(run, thetas) for run in _runs(step)])
+        psi = (u @ psi.reshape(rows, u.shape[-1], -1)).reshape(rows, -1)
     buf = np.stack((psi, apply_pauli(psi, n, "Z", cost_bit).conj()))
     del psi
 
     for step in reversed(steps):
-        if not isinstance(step, _Run):
+        if isinstance(step, tuple):
             buf = np.take(buf, step[1], axis=-1)
             continue
-        matrices = _matrices(step, thetas)
-        buf = buf.reshape(2, rows, 2, -1)
-        if any(isinstance(g.param, Affine) for g in step.gates):
-            _read_off(step, matrices, buf[1] @ buf[0].swapaxes(-1, -2), grads)
-        # [U^dagger; conj(U^dagger)] un-applies the run from psi and conj(lambda)
-        u_dagger = _dagger(_product(step, matrices))
-        buf = (np.stack((u_dagger, u_dagger.conj())).reshape(2, -1, 2, 2) @ buf).reshape(2, rows, -1)
+        runs = _runs(step)
+        matrices = [_matrices(run, thetas) for run in runs]
+        u_dagger = _dagger(_unitary(step, matrices))
+        dim = u_dagger.shape[-1]
+        buf = buf.reshape(2, rows, dim, -1)
+        sampled = [wire for wire, run in enumerate(runs) if any(isinstance(g.param, Affine) for g in run.gates)]
+        if sampled:
+            transition = buf[1] @ buf[0].swapaxes(-1, -2)
+            for wire in sampled:
+                if isinstance(step, _Block):
+                    # the wire's 2x2 transition matrix, before the block's gate
+                    wire_transition = transition.reshape(rows, 16)[:, _block_maps(step.gate)[1][wire]].sum(axis=1)
+                else:
+                    wire_transition = transition
+                _read_off(runs[wire], matrices[wire], wire_transition, grads)
+        # [U^dagger; conj(U^dagger)] un-applies the step from psi and conj(lambda)
+        buf = (np.stack((u_dagger, u_dagger.conj())).reshape(2, -1, dim, dim) @ buf).reshape(2, rows, -1)
 
 
 def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) -> np.ndarray:
@@ -339,10 +413,7 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     gates, n, cost_qubit = _light_cone(circuit, cost_qubit)
     steps, layout = _sweep_steps(gates, n)
     batch = thetas.shape[0]
-    # At least two rows per block: numpy multiplies a lone complex element
-    # in place without the fused multiply-add of its vector loop, so a
-    # one-row block at n = 1 would round differently from a larger one.
-    rows = max(2, _BLOCK_BYTES // ((1 << n) * 16))
+    rows = max(1, _BLOCK_BYTES // ((1 << n) * 16))
     blocks = max(1, batch // rows)
     bounds = [batch * i // blocks for i in range(blocks + 1)]
     grads = np.zeros((batch, circuit.num_symbols))

@@ -2,13 +2,16 @@
 
 The digests below were computed by the fused light-cone sweep: the
 blocked adjoint sweep run on the gates and qubits of the cost qubit's
-backward light cone, with each single-qubit run moved to the top bit and
-applied as one 2x2 product by a BLAS matmul, and read off from its 2x2
-transition matrix. Every exact rewrite of the engine must reproduce
-them, and must give the same bits at any block size. Each grad_var stays
-within 1e-14 relative of the elementwise run kernel that came before the
-matmul, of the gate-by-gate sweep that came before fusion and of the
-full-register sweep that came before the light cone.
+backward light cone. Each CX or SWAP that meets single-qubit runs on both
+its wires is fused with them into one 4x4 on the top two bits, each other
+run into one 2x2 on the top bit; each is applied by a BLAS matmul, and
+every occurrence is read off the 2x2 transition matrix of its own wire.
+Every exact rewrite of the engine must reproduce them, and must give the
+same bits at any block size. Each grad_var stays within 1e-14 relative
+of the 2x2-only sweep that came before blocks, of the elementwise run
+kernel that came before the matmul, of the gate-by-gate sweep that came
+before fusion and of the full-register sweep that came before the light
+cone.
 
 The bits depend on the zgemm kernel that numpy's bundled OpenBLAS picks
 for the CPU. So the pins are computed in a child interpreter started with
@@ -53,14 +56,14 @@ def stats_digest(stats) -> str:
 # default block size; n=4 runs in one.
 FROZEN = {
     ("efficient_su2", 10, 1): {
-        "logical": ("0x1.b125e98b23736p-7", "2a06746bdb4a48b13ee84c5e147e29f7c23bab01ba7f8c2851b5ff397d977c0b"),
-        "all-angles": ("0x1.b129b3f0adefap-7", "f9db1d25b3e0f52cdff87f50b78326269d0c3e4a868ea90ddae456ee1d513a59"),
-        "symbol-derived": ("0x1.b125e98b23736p-7", "1daee719e44280d5fa6aba6e17797f8636bf37f21b60a63af6885c07fd3a319a"),
+        "logical": ("0x1.b125e98b23738p-7", "f4621f08fdfc0032c880492f6da693a625a00b5efd69ff56d08e75ce1a58cb37"),
+        "all-angles": ("0x1.b129b3f0adefap-7", "917c518f8123b3671077d4f6eb64ef7fd782cb1786be4ae244ae8f6251f1bd40"),
+        "symbol-derived": ("0x1.b125e98b23736p-7", "8c836b48a55f58af37674a0bc10facb11a0d3ed3087f6a3e6e2e7b18032c68f3"),
     },
     ("ttn", 4, 2): {
-        "logical": ("0x1.ca4c30ab555bdp-4", "a1cee9ceb2d39fe371270564f60012caef84412c1c940af2984bf891dfc3a41d"),
-        "all-angles": ("0x1.3e7de162a7caap-5", "199daff79470170c45b9d7babb97e002f5934001e9376205665c4848c7f587f3"),
-        "symbol-derived": ("0x1.ca4c30ab555b8p-4", "dc40a1604c78683bceb34024b89dbc9223e5b6b7a58540212abc29cefc07fa5a"),
+        "logical": ("0x1.ca4c30ab555bdp-4", "26e09d5f67c2fbc983d5c892bcb216a159d9b9959a116b6579c1cd12670f83c2"),
+        "all-angles": ("0x1.3e7de162a7caap-5", "1763e8fa942bca21fd82ef5ab3f97efd68d05c0aa83220ed1ff1cde8774834b7"),
+        "symbol-derived": ("0x1.ca4c30ab555b9p-4", "670323fec2c04da602ab70159a3f9a6cc069efd27cd683e10d775677f99efd44"),
     },
 }
 
@@ -203,6 +206,31 @@ def test_top_bit_matmul_within_rounding_of_elementwise_runs(cell):
         assert abs(new - old) <= 1e-14 * abs(old)
 
 
+# grad_var.hex() of the cells above as the sweep computed them when every
+# run was its own 2x2 step on the top bit, before a CX and the runs on its
+# two wires became one 4x4 block (the same under the SkylakeX and Haswell
+# kernels).
+TOP_BIT_RUN_GRAD_VAR = {
+    ("efficient_su2", 10, 1): {
+        "logical": "0x1.b125e98b23736p-7",
+        "all-angles": "0x1.b129b3f0adefap-7",
+        "symbol-derived": "0x1.b125e98b23736p-7",
+    },
+    ("ttn", 4, 2): {
+        "logical": "0x1.ca4c30ab555bdp-4",
+        "all-angles": "0x1.3e7de162a7caap-5",
+        "symbol-derived": "0x1.ca4c30ab555b8p-4",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(TOP_BIT_RUN_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
+def test_blocks_within_rounding_of_top_bit_runs(cell):
+    for mode, old in TOP_BIT_RUN_GRAD_VAR[cell].items():
+        new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
+        assert abs(new - old) <= 1e-14 * abs(old)
+
+
 def test_block_size_engages_at_ten_qubits():
     # the n=10 pins above must run in more than one row block, the n=4 pin
     # in one; their light cones span every qubit of each circuit
@@ -255,6 +283,16 @@ def random_circuits(draw):
     return _case(draw, n, gates)
 
 
+def one_qubit_gate(draw, q, symbol):
+    """SX, H, X, or a rotation at a ``Const`` angle or ``Affine`` in ``symbol`` (coeff +-1)."""
+    kind = draw(st.sampled_from(FIXED_KINDS + ROTATIONS))
+    if kind in FIXED_KINDS:
+        return Gate(kind, (q,))
+    if draw(st.booleans()):
+        return Gate(kind, (q,), Affine(symbol, draw(st.sampled_from((1, -1))), draw(angles)))
+    return Gate(kind, (q,), Const(draw(angles)))
+
+
 @st.composite
 def run_heavy_circuits(draw):
     """One or two qubits in long single-qubit runs (up to 12 gates, one
@@ -266,16 +304,26 @@ def run_heavy_circuits(draw):
     for _ in range(draw(st.integers(1, 4))):
         q = draw(st.integers(0, n - 1))
         symbol = draw(st.integers(0, num_symbols - 1))
-        for _ in range(draw(st.integers(1, 12))):
-            kind = draw(st.sampled_from(FIXED_KINDS + ROTATIONS))
-            if kind in FIXED_KINDS:
-                gates.append(Gate(kind, (q,)))
-            elif draw(st.booleans()):
-                gates.append(Gate(kind, (q,), Affine(symbol, draw(st.sampled_from((1, -1))), draw(angles))))
-            else:
-                gates.append(Gate(kind, (q,), Const(draw(angles))))
+        gates.extend(one_qubit_gate(draw, q, symbol) for _ in range(draw(st.integers(1, 12))))
         if n == 2:
             gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (q, 1 - q)))
+    return _case(draw, n, gates)
+
+
+@st.composite
+def block_heavy_circuits(draw):
+    """Two to four qubits where every CX or SWAP sits after runs (up to four
+    gates) on both its wires, so each is one 4x4 block; symbols repeat
+    within and across runs, coeff -1 among them."""
+    n = draw(st.integers(2, 4))
+    num_symbols = draw(st.integers(1, 3))
+    gates = []
+    for _ in range(draw(st.integers(1, 5))):
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        for q in (a, b):
+            for _ in range(draw(st.integers(1, 4))):
+                gates.append(one_qubit_gate(draw, q, draw(st.integers(0, num_symbols - 1))))
+        gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (a, b)))
     return _case(draw, n, gates)
 
 
@@ -335,6 +383,34 @@ def assert_equals_literal_shift_rule(case):
     np.testing.assert_allclose(fast, literal, rtol=0, atol=1e-12)
 
 
+# Two blocks: CX(1, 0) after runs on both wires, then SWAP(0, 2) after a
+# run on qubit 2 and another on qubit 0; symbol 0 occurs on three wires.
+TWO_BLOCKS = (
+    Circuit(3, (
+        Gate(GateKind.RY, (0,), Affine(0, 1, 0.2)), Gate(GateKind.SX, (1,)),
+        Gate(GateKind.RZ, (1,), Affine(0, -1, 1.3)), Gate(GateKind.CX, (1, 0)),
+        Gate(GateKind.RX, (2,), Const(0.7)), Gate(GateKind.RY, (2,), Affine(1, -1, 2.0)),
+        Gate(GateKind.H, (0,)), Gate(GateKind.RZ, (0,), Affine(0, 1, 3.1)), Gate(GateKind.SWAP, (0, 2)),
+        Gate(GateKind.RY, (1,), Affine(1, 1, 0.0)),
+    ), 2),
+    1, 5, 7,
+)
+
+
+@PROPERTY_SETTINGS
+@given(block_heavy_circuits())
+@example(TWO_BLOCKS)
+def test_blocks_equal_literal_shift_rule(case):
+    assert_equals_literal_shift_rule(case)
+
+
+@PROPERTY_SETTINGS
+@given(block_heavy_circuits())
+@example(TWO_BLOCKS)
+def test_blocks_block_size_never_changes_bits(case):
+    assert_block_size_never_changes_bits(case)
+
+
 @PROPERTY_SETTINGS
 @given(random_circuits())
 def test_block_size_never_changes_bits(case):
@@ -353,8 +429,8 @@ def assert_block_size_never_changes_bits(case):
     thetas = grad.sample_thetas(seed, batch, circuit.num_symbols)
     row_bytes = (1 << circuit.num_qubits) * 16
     results = []
-    # the smallest blocks (a 1-row request gives 2 rows), blocks of 3 rows
-    # or more (unequal sizes unless 3 divides B), one block
+    # one row per block, blocks of 3 rows or more (unequal sizes unless 3
+    # divides B), one block
     for block_bytes in (row_bytes, 3 * row_bytes, batch * row_bytes):
         original = grad._BLOCK_BYTES
         grad._BLOCK_BYTES = block_bytes

@@ -304,25 +304,37 @@ class TestFusedRuns:
         assert np.array_equal(steps[3][0], permutation_sources(3, [Gate(GateKind.CX, (2, 1))])[0])
         assert layout == [2, 1, 0]
 
+    def test_a_cx_between_two_held_runs_is_one_block(self):
+        ry0, sx2 = Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.SX, (2,))
+        steps, layout = grad._sweep_steps([ry0, sx2, Gate(GateKind.CX, (2, 0))], 3)
+        # qubit 2 is on the top bit already and stays; qubit 0 joins it on
+        # bit 1 by a SWAP in a gather, and the CX's control is bit 1 of the 4x4
+        assert [type(s) for s in steps] == [tuple, grad._Block]
+        assert np.array_equal(steps[0][0], permutation_sources(3, [Gate(GateKind.SWAP, (0, 1))])[0])
+        assert steps[1] == grad._Block((grad._Run(2, (sx2,)), grad._Run(0, (ry0,))), Gate(GateKind.CX, (1, 0)))
+        assert layout == [1, 0, 2]
+
     @pytest.mark.parametrize("family", ["efficient_su2", "ttn"])
     def test_every_run_acts_on_the_top_bit(self, family):
-        # replaying the gathers and applying each run gate by gate on bit
-        # n-1 reproduces the circuit, its qubits placed by the final layout
         t = transpile(build_ansatz(family, 4, 2), make_heavy_hex(2, 3))
         bound = bind(t.physical, np.random.default_rng(5).uniform(0, 2 * math.pi, t.physical.num_symbols))
-        n = bound.num_qubits
-        steps, layout = grad._sweep_steps(bound.gates, n)
-        assert sorted(layout) == list(range(n))
-        state = zero_states(1, n)
-        for step in steps:
-            if isinstance(step, grad._Run):
-                for g in step.gates:
-                    assert g.qubits == (step.qubit,)
-                    state = apply_kind(state, n, g.kind, (n - 1,), None if g.param is None else g.param.angle)
-            else:
-                state = state[:, step[0]]
-        placed = [sum(((i >> q) & 1) << layout[q] for q in range(n)) for i in range(1 << n)]
-        np.testing.assert_allclose(state[0, placed], simulate(bound), rtol=0, atol=1e-12)
+        steps, layout = grad._sweep_steps(bound.gates, bound.num_qubits)
+        assert any(isinstance(s, grad._Block) for s in steps)
+        assert_replay_reproduces_circuit(steps, layout, bound)
+
+    def test_ttn_logical_blocks_halve_the_steps(self):
+        # each RY(a) RY(b) CX(b, a) of the tree is one block on the top two
+        # bits; it took two runs and two gathers before blocks
+        logical = build_ansatz("ttn", 12, 1)
+        t = transpile(logical, make_line(12))
+        bound = bind(logical, np.random.default_rng(3).uniform(0, 2 * math.pi, logical.num_symbols))
+        gates, n, _ = _light_cone(bound, 0)
+        steps, layout = grad._sweep_steps(gates, n)
+        assert len(steps) <= 24
+        assert sum(isinstance(s, grad._Block) for s in steps) == 11
+        assert_replay_reproduces_circuit(steps, layout, bound)
+        physical = reparameterize(t, ReparamMode.ALL_ANGLES)
+        assert len(grad._sweep_steps(*_light_cone(physical, t.cost_qubit)[:2])[0]) <= 34
 
     def test_a_run_after_a_cx_adds_no_gather(self):
         def counts(gates):
@@ -350,6 +362,27 @@ class TestFusedRuns:
         u = grad._product(run, grad._matrices(run, sample_thetas(1, 4096, 1)))
         drift = (np.abs(u) ** 2).sum(axis=(1, 2)) / 2 - 1
         assert abs(drift.mean()) < 3e-17
+
+
+def assert_replay_reproduces_circuit(steps, layout, bound):
+    """Replaying the gathers, each run gate by gate on bit n-1 (a block's
+    runs on bits n-1 and n-2, then its gate on those bits) reproduces the
+    circuit, its qubits placed by the final layout."""
+    n = bound.num_qubits
+    assert sorted(layout) == list(range(n))
+    state = zero_states(1, n)
+    for step in steps:
+        if isinstance(step, tuple):
+            state = state[:, step[0]]
+            continue
+        for run, bit in zip(grad._runs(step), (n - 1, n - 2)):
+            for g in run.gates:
+                assert g.qubits == (run.qubit,)
+                state = apply_kind(state, n, g.kind, (bit,), None if g.param is None else g.param.angle)
+        if isinstance(step, grad._Block):
+            state = apply_kind(state, n, step.gate.kind, tuple(n - 2 + b for b in step.gate.qubits))
+    placed = [sum(((i >> q) & 1) << layout[q] for q in range(n)) for i in range(1 << n)]
+    np.testing.assert_allclose(state[0, placed], simulate(bound), rtol=0, atol=1e-12)
 
 
 class TestGradVariance:
