@@ -206,7 +206,12 @@ def run_cell(config: SweepConfig, backend: BackendModel, kind: str, n: int, reps
         )
     except Exception as e:  # noqa: BLE001 - cell isolation is the contract
         return SweepRecord(
-            ansatz=kind, n=n, reps=reps, seed=seed, wall_time=time.perf_counter() - start, error=str(e)
+            ansatz=kind,
+            n=n,
+            reps=reps,
+            seed=seed,
+            wall_time=time.perf_counter() - start,
+            error=f"{type(e).__name__}: {e}",
         )
 
 

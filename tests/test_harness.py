@@ -123,6 +123,15 @@ class TestRunSweep:
         assert records[0].error is not None and "does not fit" in records[0].error
         assert records[1].error is None
 
+    def test_error_names_its_exception_type(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise KeyError("x")
+
+        monkeypatch.setattr(harness, "grad_variance", failing)
+        assert run_cell(tiny_config(), make_line(3), "ttn", 2, 1, 9).error == "KeyError: 'x'"
+        unfit = run_cell(tiny_config(), make_line(3), "efficient_su2", 10, 2, 9)
+        assert unfit.error.startswith("ValueError: ") and "does not fit" in unfit.error
+
     def test_unfit_cell_runs_no_gradient(self, monkeypatch):
         calls = []
 
