@@ -6,9 +6,8 @@ parameter samples evolve through the same circuit in one vectorized pass;
 ``simulate`` wraps the batch of one. Rows never mix, and a kernel gives a
 row the same bits whatever batch it sits in, as long as the operand has
 more than one element (numpy multiplies a lone complex element in place
-without the fused multiply-add of its vector loop). That lets the
-gradient engine cut a batch into cache-sized row blocks and stack state
-and costate into one buffer.
+without the fused multiply-add of its vector loop). The gradient engine
+multiplies nothing in place, so its row blocks may hold a single row.
 
 CX, SWAP and X only permute basis indices. ``permutation_sources``
 composes a run of them into one int32 index map, so the run costs one

@@ -33,7 +33,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from numpy._core._multiarray_umath import __cpu_features__
 
 from vqclab import grad
 from vqclab.ansatz import build_ansatz
@@ -96,6 +95,8 @@ def pinned_kernel_rows():
     FMA3, BMI2), and numpy's own complex loops round the same way only
     from x86-64-v3 up.
     """
+    from numpy._core._multiarray_umath import __cpu_features__  # the pins need numpy 2
+
     machine = platform.machine()
     if machine.lower() not in ("x86_64", "amd64"):
         pytest.fail(f"the pins need OpenBLAS's {PINNED_KERNEL} kernel, which runs on x86-64 only; this is {machine}")
