@@ -43,6 +43,9 @@ index permutation and summed over the other wire, which gives each
 wire's 2x2 G. Occurrence k of a run contributes coeff * Im sum_ab
 (W P_k W^dagger)_ab G_ab, W being the product of the run's gates after k.
 One matmul by [U^dagger; conj(U^dagger)] then un-applies the step.
+Each run's and block's per-sample U, and each occurrence's W P_k W^dagger,
+are built once per call for the whole batch; a row block takes its rows
+of them, and a matrix shared by every sample as it is.
 Fusion and BLAS round differently from a gate-by-gate sweep (within
 ~1e-14 relative on GradVar); rows never mix and gathers are exact, so
 the results are the same bits at any block size, down to one row.
@@ -75,13 +78,13 @@ from .transpiler import TranspiledCircuit, rebind_symbol_derived
 # is one block). A block holds under twice this, so the stacked
 # [state; costate] buffer stays within a 2 MiB per-core L2. On a 2-vCPU
 # Xeon with 2 MiB L2 per core, the six n = 12, B = 200 GradVar calls of
-# perfbench's gradvar_n12 (4x4 blocks, top-bit runs, light cone), best of
-# three in each of six rounds that interleave the sizes, took a median
-# 0.78 s (range 0.68-0.88 s) with 512 KiB blocks, 0.79 s (0.69-0.85 s)
-# with 1 MiB, 0.86 s (0.77-1.02 s) with 256 KiB, 0.76 s (0.67-0.78 s)
-# with 2 MiB and 0.76 s (0.72-0.85 s) with 4 MiB: only 256 KiB is slower
-# beyond the shared host's noise. Before fusion, 0.5-1 MiB blocks were
-# best by ~10 % and unblocked sweeps were ~50 % slower.
+# perfbench's gradvar_n12 (step matrices built once per call), best of
+# three in each of eight rounds that interleave the sizes, took a median
+# 0.73 s (range 0.62-0.85 s) with 512 KiB blocks, 0.74 s (0.56-0.85 s)
+# with 256 KiB, 0.69 s (0.61-0.83 s) with 1 MiB and 0.84 s (0.73-0.94 s)
+# with 2 MiB: no size wins beyond the shared host's noise, and larger
+# blocks hold larger buffers. Before fusion, 0.5-1 MiB blocks were best by
+# ~10 % and unblocked sweeps were ~50 % slower.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -151,6 +154,18 @@ def sample_thetas(seed: int, samples: int, num_params: int) -> np.ndarray:
 # Gradients
 
 
+def _check_int(name: str, value: object) -> None:
+    # bool is an int subclass, and a float or numpy integer would run too
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_cost_qubit(circuit: Circuit, cost_qubit: int) -> None:
+    _check_int("cost_qubit", cost_qubit)
+    if not 0 <= cost_qubit < circuit.num_qubits:
+        raise ValueError(f"cost qubit {cost_qubit} out of range")
+
+
 def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: int = 0) -> np.ndarray:
     """Exact gradient of <Z_cost> via the parameter-shift rule.
 
@@ -158,9 +173,8 @@ def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: i
     that one gate's angle shifted by +-pi/2 and the expectations
     differenced; occurrences are summed with their affine coefficients.
     """
+    _check_cost_qubit(circuit, cost_qubit)
     bound = bind(circuit, theta)
-    if not 0 <= cost_qubit < circuit.num_qubits:
-        raise ValueError(f"cost qubit {cost_qubit} out of range")
     grad = np.zeros(circuit.num_symbols)
     for idx, g in enumerate(circuit.gates):
         if not isinstance(g.param, Affine):
@@ -323,22 +337,20 @@ def _product(run: _Run, matrices: list[np.ndarray]) -> np.ndarray:
     return u
 
 
-def _read_off(run: _Run, matrices: list[np.ndarray], transition: np.ndarray, grads: np.ndarray) -> None:
-    """Add each ``Affine`` occurrence's shift-rule value Im<lambda|P|psi>,
-    taken just after its gate, into ``grads``.
-
-    Walking from the run's last gate to its first with W the product of
-    the gates after the occurrence, the value is coeff * Im sum_ab
-    (W P W^dagger)_ab G_ab, G being the ``transition`` matrix after the run.
-    """
+def _read_offs(run: _Run, matrices: list[np.ndarray]) -> list[tuple[int, float, np.ndarray]]:
+    """(symbol, coeff, W P W^dagger) of each ``Affine`` occurrence of the run,
+    from its last gate to its first, W being the product of the gates after
+    the occurrence: its shift-rule value Im<lambda|P|psi>, taken just after
+    its gate, is coeff * Im sum_ab (W P W^dagger)_ab G_ab, G being the
+    transition matrix after the run."""
+    out = []
     w = None
     for g, m in zip(reversed(run.gates), reversed(matrices)):
         if isinstance(g.param, Affine):
             p = GENERATORS[g.kind] if w is None else _matmul(_matmul(w, GENERATORS[g.kind]), _dagger(w))
-            # two sums of two terms each add in one order whatever the rows;
-            # one sum over both axes adds a one-row block in another order
-            grads[:, g.param.symbol] += g.param.coeff * (p * transition).sum(axis=-1).sum(axis=-1).imag
+            out.append((g.param.symbol, g.param.coeff, p))
         w = m if w is None else _matmul(w, m)
+    return out
 
 
 def _runs(step: _Run | _Block) -> tuple[_Run, ...]:
@@ -357,45 +369,67 @@ def _unitary(step: _Run | _Block, matrices: list[list[np.ndarray]]) -> np.ndarra
     return kron.reshape(kron.shape[:-4] + (4, 4))[..., _block_maps(step.gate)[0], :]
 
 
-def _sweep_block(steps: list[_Step], n: int, thetas: np.ndarray, cost_bit: int, grads: np.ndarray) -> None:
-    """Forward/backward sweep of one row block; adds its gradients into ``grads``.
+# A run's or block's matrices for the whole batch: its unitary U, and each
+# wire's read-offs. An array of one matrix is shared by every sample.
+_StepMatrices = tuple[np.ndarray, list[list[tuple[int, float, np.ndarray]]]]
 
-    The backward pass un-applies each step from the stacked buffer
+
+def _step_matrices(step: _Run | _Block, thetas: np.ndarray) -> _StepMatrices:
+    matrices = [_matrices(run, thetas) for run in _runs(step)]
+    return _unitary(step, matrices), [_read_offs(run, m) for run, m in zip(_runs(step), matrices)]
+
+
+def _rows(m: np.ndarray, block: slice) -> np.ndarray:
+    """The block's rows of a per-sample matrix; a shared one as it is."""
+    return m if m.ndim == 2 else m[block]
+
+
+def _sweep_block(
+    steps: list[_Step], matrices: list[_StepMatrices | None], n: int, block: slice, cost_bit: int, grads: np.ndarray
+) -> None:
+    """Forward/backward sweep of the rows ``block`` of the batch; adds their
+    gradients into ``grads``, the block's rows of the gradient array.
+
+    ``matrices`` holds each run's and block's matrices, built once for the
+    whole batch (None for a gather); the sweep takes the block's rows of
+    them. The backward pass un-applies each step from the stacked buffer
     [psi; conj(lambda)], lambda starting as Z on ``cost_bit`` times psi,
     and reads off a step's occurrences before un-applying it, each from the
-    2x2 transition matrix of its own wire. A step's matrices are built
-    again in the backward pass rather than kept, to the same bits.
+    2x2 transition matrix of its own wire.
     """
-    rows = thetas.shape[0]
+    rows = grads.shape[0]
     psi = zero_states(rows, n)
-    for step in steps:
-        if isinstance(step, tuple):
+    for step, built in zip(steps, matrices):
+        if built is None:
             psi = np.take(psi, step[0], axis=-1)
             continue
-        u = _unitary(step, [_matrices(run, thetas) for run in _runs(step)])
+        u = _rows(built[0], block)
         psi = (u @ psi.reshape(rows, u.shape[-1], -1)).reshape(rows, -1)
     buf = np.stack((psi, apply_pauli(psi, n, "Z", cost_bit).conj()))
     del psi
 
-    for step in reversed(steps):
-        if isinstance(step, tuple):
+    for step, built in zip(reversed(steps), reversed(matrices)):
+        if built is None:
             buf = np.take(buf, step[1], axis=-1)
             continue
-        runs = _runs(step)
-        matrices = [_matrices(run, thetas) for run in runs]
-        u_dagger = _dagger(_unitary(step, matrices))
+        u, read_offs = built
+        u_dagger = _dagger(_rows(u, block))
         dim = u_dagger.shape[-1]
         buf = buf.reshape(2, rows, dim, -1)
-        sampled = [wire for wire, run in enumerate(runs) if any(isinstance(g.param, Affine) for g in run.gates)]
-        if sampled:
+        if any(read_offs):
             transition = buf[1] @ buf[0].swapaxes(-1, -2)
-            for wire in sampled:
+            for wire, occurrences in enumerate(read_offs):
+                if not occurrences:
+                    continue
                 if isinstance(step, _Block):
                     # the wire's 2x2 transition matrix, before the block's gate
                     wire_transition = transition.reshape(rows, 16)[:, _block_maps(step.gate)[1][wire]].sum(axis=1)
                 else:
                     wire_transition = transition
-                _read_off(runs[wire], matrices[wire], wire_transition, grads)
+                for symbol, coeff, p in occurrences:
+                    # two sums of two terms each add in one order whatever the rows;
+                    # one sum over both axes adds a one-row block in another order
+                    grads[:, symbol] += coeff * (_rows(p, block) * wire_transition).sum(axis=-1).sum(axis=-1).imag
         # [U^dagger; conj(U^dagger)] un-applies the step from psi and conj(lambda)
         buf = (np.stack((u_dagger, u_dagger.conj())).reshape(2, -1, dim, dim) @ buf).reshape(2, rows, -1)
 
@@ -416,21 +450,21 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     rows = max(1, _BLOCK_BYTES // ((1 << n) * 16))
     blocks = max(1, batch // rows)
     bounds = [batch * i // blocks for i in range(blocks + 1)]
+    matrices = [None if isinstance(step, tuple) else _step_matrices(step, thetas) for step in steps]
     grads = np.zeros((batch, circuit.num_symbols))
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(steps, n, thetas[start:stop], layout[cost_qubit], grads[start:stop])
+        _sweep_block(steps, matrices, n, slice(start, stop), layout[cost_qubit], grads[start:stop])
     return grads
 
 
 def grad_variance(circuit: Circuit, samples: int, seed: int, cost_qubit: int = 0) -> GradStats:
     """GradVar of a circuit: mean per-parameter gradient variance under
     uniform parameter draws. Deterministic in (circuit, samples, seed)."""
-    if type(samples) is not int:
-        raise ValueError(f"samples must be an int, got {samples!r}")
+    _check_int("samples", samples)
+    _check_int("seed", seed)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if not 0 <= cost_qubit < circuit.num_qubits:
-        raise ValueError(f"cost qubit {cost_qubit} out of range")
+    _check_cost_qubit(circuit, cost_qubit)
     if circuit.num_symbols == 0:
         return GradStats(
             per_param_var=(),

@@ -363,8 +363,37 @@ ONE_RUN = (
 )
 
 
+# Runs with no ``Affine`` gate, whose 2x2 is shared by every sample: a lone
+# X, SX.H in a block with a sampled RY, and a lone H. B = 5, so one-row
+# blocks reach rows past a shared matrix's two.
+FIXED_RUNS = (
+    Circuit(2, (
+        Gate(GateKind.X, (0,)), Gate(GateKind.CX, (0, 1)),
+        Gate(GateKind.RY, (1,), Affine(0, 1, 0.4)), Gate(GateKind.SX, (0,)), Gate(GateKind.H, (0,)),
+        Gate(GateKind.SWAP, (1, 0)),
+        Gate(GateKind.H, (1,)), Gate(GateKind.CX, (1, 0)), Gate(GateKind.RX, (0,), Affine(0, -1, 2.0)),
+    ), 1),
+    0, 5, 3,
+)
+
+# Blocks with a fixed run: SX.H beside a sampled RY, and RX(0.8) beside X,
+# a block whose 4x4 is shared by every sample.
+FIXED_RUN_BLOCKS = (
+    Circuit(3, (
+        Gate(GateKind.SX, (1,)), Gate(GateKind.H, (1,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.4)),
+        Gate(GateKind.CX, (1, 0)),
+        Gate(GateKind.X, (2,)), Gate(GateKind.RX, (0,), Const(0.8)), Gate(GateKind.SWAP, (0, 2)),
+        Gate(GateKind.RZ, (1,), Affine(1, -1, 1.7)), Gate(GateKind.H, (2,)), Gate(GateKind.CX, (2, 1)),
+        Gate(GateKind.RY, (1,), Affine(1, 1, 0.3)),
+    ), 2),
+    1, 4, 5,
+)
+
+
 @PROPERTY_SETTINGS
 @given(random_circuits())
+@example(FIXED_RUNS)
+@example(FIXED_RUN_BLOCKS)
 def test_batched_equals_literal_shift_rule(case):
     assert_equals_literal_shift_rule(case)
 
@@ -372,6 +401,7 @@ def test_batched_equals_literal_shift_rule(case):
 @PROPERTY_SETTINGS
 @given(run_heavy_circuits())
 @example(ONE_RUN)
+@example(FIXED_RUNS)
 def test_fused_runs_equal_literal_shift_rule(case):
     assert_equals_literal_shift_rule(case)
 
@@ -379,9 +409,21 @@ def test_fused_runs_equal_literal_shift_rule(case):
 def assert_equals_literal_shift_rule(case):
     circuit, cost_qubit, batch, seed = case
     thetas = grad.sample_thetas(seed, batch, circuit.num_symbols)
-    fast = _gradients_batched(circuit, thetas, cost_qubit)
     literal = np.array([param_shift_gradient(circuit, th, cost_qubit) for th in thetas])
-    np.testing.assert_allclose(fast, literal, rtol=0, atol=1e-12)
+    # at the default block size, and in one-row blocks
+    for block_bytes in (grad._BLOCK_BYTES, 1):
+        fast = gradients_in_blocks(block_bytes, circuit, thetas, cost_qubit)
+        np.testing.assert_allclose(fast, literal, rtol=0, atol=1e-12)
+
+
+def gradients_in_blocks(block_bytes, circuit, thetas, cost_qubit):
+    """``_gradients_batched`` with ``grad._BLOCK_BYTES`` set to ``block_bytes``."""
+    original = grad._BLOCK_BYTES
+    grad._BLOCK_BYTES = block_bytes
+    try:
+        return _gradients_batched(circuit, thetas, cost_qubit)
+    finally:
+        grad._BLOCK_BYTES = original
 
 
 # Two blocks: CX(1, 0) after runs on both wires, then SWAP(0, 2) after a
@@ -401,6 +443,7 @@ TWO_BLOCKS = (
 @PROPERTY_SETTINGS
 @given(block_heavy_circuits())
 @example(TWO_BLOCKS)
+@example(FIXED_RUN_BLOCKS)
 def test_blocks_equal_literal_shift_rule(case):
     assert_equals_literal_shift_rule(case)
 
@@ -408,12 +451,15 @@ def test_blocks_equal_literal_shift_rule(case):
 @PROPERTY_SETTINGS
 @given(block_heavy_circuits())
 @example(TWO_BLOCKS)
+@example(FIXED_RUN_BLOCKS)
 def test_blocks_block_size_never_changes_bits(case):
     assert_block_size_never_changes_bits(case)
 
 
 @PROPERTY_SETTINGS
 @given(random_circuits())
+@example(FIXED_RUNS)
+@example(FIXED_RUN_BLOCKS)
 def test_block_size_never_changes_bits(case):
     assert_block_size_never_changes_bits(case)
 
@@ -421,6 +467,7 @@ def test_block_size_never_changes_bits(case):
 @PROPERTY_SETTINGS
 @given(run_heavy_circuits())
 @example(ONE_RUN)
+@example(FIXED_RUNS)
 def test_fused_runs_block_size_never_changes_bits(case):
     assert_block_size_never_changes_bits(case)
 
@@ -428,17 +475,13 @@ def test_fused_runs_block_size_never_changes_bits(case):
 def assert_block_size_never_changes_bits(case):
     circuit, cost_qubit, batch, seed = case
     thetas = grad.sample_thetas(seed, batch, circuit.num_symbols)
-    row_bytes = (1 << circuit.num_qubits) * 16
-    results = []
+    row_bytes = (1 << grad._light_cone(circuit, cost_qubit)[1]) * 16
     # one row per block, blocks of 3 rows or more (unequal sizes unless 3
     # divides B), one block
-    for block_bytes in (row_bytes, 3 * row_bytes, batch * row_bytes):
-        original = grad._BLOCK_BYTES
-        grad._BLOCK_BYTES = block_bytes
-        try:
-            results.append(_gradients_batched(circuit, thetas, cost_qubit))
-        finally:
-            grad._BLOCK_BYTES = original
+    results = [
+        gradients_in_blocks(block_bytes, circuit, thetas, cost_qubit)
+        for block_bytes in (row_bytes, 3 * row_bytes, batch * row_bytes)
+    ]
     for other in results[1:]:
         assert np.array_equal(results[0], other)
 

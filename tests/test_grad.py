@@ -22,7 +22,7 @@ from vqclab.grad import (
     sample_thetas,
 )
 from vqclab.rng import GOLDEN, SplitMix64, mix64
-from vqclab.sim import apply_kind, expect_z, permutation_sources, simulate, zero_states
+from vqclab.sim import apply_kind, expect_z, gate_matrix, permutation_sources, simulate, zero_states
 from vqclab.transpiler import TranspiledCircuit, transpile
 
 BUILDERS = [build_real_amplitudes, build_efficient_su2, build_ttn]
@@ -89,6 +89,11 @@ class TestParamShiftGradient:
     def test_length_check(self):
         with pytest.raises(ValueError, match="parameter count mismatch"):
             param_shift_gradient(ry_circuit(), [0.1, 0.2])
+
+    @pytest.mark.parametrize("cost_qubit", [True, 0.0], ids=["bool", "float"])
+    def test_cost_qubit_must_be_an_int(self, cost_qubit):
+        with pytest.raises(ValueError, match="cost_qubit must be an int"):
+            param_shift_gradient(build_ttn(2, 1), [0.1, 0.2, 0.3], cost_qubit)
 
     def finite_difference(self, circuit, theta, cost_qubit=0, h=1e-5):
         grad = np.zeros(circuit.num_symbols)
@@ -364,6 +369,27 @@ class TestFusedRuns:
         assert abs(drift.mean()) < 3e-17
 
 
+    def test_matrices_are_built_once_per_call(self, monkeypatch):
+        # one-row blocks build no more gate matrices than one block does
+        calls = 0
+
+        def counting_gate_matrix(*args):
+            nonlocal calls
+            calls += 1
+            return gate_matrix(*args)
+
+        monkeypatch.setattr(grad, "gate_matrix", counting_gate_matrix)
+        circuit = build_ttn(10, 1)
+        thetas = sample_thetas(3, 200, circuit.num_symbols)
+        counts = []
+        for rows in (1, 200):
+            monkeypatch.setattr(grad, "_BLOCK_BYTES", rows * (1 << 10) * 16)
+            calls = 0
+            _gradients_batched(circuit, thetas, 0)
+            counts.append(calls)
+        assert counts[0] == counts[1] > 0
+
+
 def assert_replay_reproduces_circuit(steps, layout, bound):
     """Replaying the gathers, each run gate by gate on bit n-1 (a block's
     runs on bits n-1 and n-2, then its gate on those bits) reproduces the
@@ -431,6 +457,19 @@ class TestGradVariance:
     def test_cost_qubit_range(self):
         with pytest.raises(ValueError, match="cost qubit"):
             grad_variance(ry_circuit(), 10, 0, cost_qubit=1)
+
+    # True would run as seed 1 and be stored as seed=True; 1.5 would fail
+    # deep in the sampler
+    @pytest.mark.parametrize("seed", [True, 1.5], ids=["bool", "float"])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            grad_variance(build_ttn(2, 1), 10, seed)
+
+    # True would silently mean qubit 1
+    @pytest.mark.parametrize("cost_qubit", [True, 0.0], ids=["bool", "float"])
+    def test_cost_qubit_must_be_an_int(self, cost_qubit):
+        with pytest.raises(ValueError, match="cost_qubit must be an int"):
+            grad_variance(build_ttn(2, 1), 10, 1, cost_qubit)
 
     def test_invariant_under_disjoint_reordering(self):
         # swapping commuting disjoint-qubit gates keeps the DAG, the symbol
