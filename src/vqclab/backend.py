@@ -17,6 +17,7 @@ backend is configured.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -155,9 +156,9 @@ def load_backend(path: str | Path) -> BackendModel:
 
 def resolve_backend(ref: str) -> BackendModel:
     """Build a backend from ``line:n``, ``heavy-hex:R,C`` or a JSON file path."""
-    if ref.startswith("line:"):
-        return make_line(int(ref.split(":", 1)[1]))
-    if ref.startswith("heavy-hex:"):
-        r, c = ref.split(":", 1)[1].split(",")
-        return make_heavy_hex(int(r), int(c))
+    if ref.startswith(("line:", "heavy-hex:")):
+        m = re.fullmatch(r"line:(\d+)|heavy-hex:(\d+),(\d+)", ref)
+        if m is None:
+            raise ValueError(f"bad backend {ref!r}: expected line:n, heavy-hex:R,C or a JSON file path")
+        return make_line(int(m[1])) if m[1] else make_heavy_hex(int(m[2]), int(m[3]))
     return load_backend(ref)

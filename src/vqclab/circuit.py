@@ -286,8 +286,8 @@ def circuit_from_text(text: str) -> Circuit:
             kind = GateKind(parts[0])
         except ValueError:
             raise ValueError(f"line {i}: unknown gate kind {parts[0]!r}") from None
-        qubits = tuple(int(q) for q in parts[1].split(","))
         try:
+            qubits = tuple(int(q) for q in parts[1].split(","))
             gates.append(Gate(kind, qubits, parse_expr(parts[2]) if len(parts) == 3 else None))
         except ValueError as e:
             raise ValueError(f"line {i}: {e}") from None

@@ -85,7 +85,7 @@ def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
         payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise TypeError(f"a sweep config must be a JSON object, got {type(payload).__name__}")
-        flags = {"out_csv": args.out_csv, "out_dir": args.out_dir, "meta_seeds": args.meta_seeds}
+        flags = {"out_csv": args.out_csv, "out_dir": args.out_dir}
         payload.update({name: value for name, value in flags.items() if value is not None})
         return SweepConfig(**payload)
     except (TypeError, ValueError) as e:  # bad JSON, an unknown or missing field, or a bad value
@@ -159,7 +159,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--config", required=True)
     p.add_argument("--out-csv")
     p.add_argument("--out-dir")
-    p.add_argument("--meta-seeds", type=int, default=None)
     p.add_argument("--resume", action="store_true", help="reuse cells from the JSONL checkpoint")
     p.set_defaults(func=_cmd_sweep)
 

@@ -23,13 +23,14 @@ commute with Z_cost; they are dropped from the cone too.
 
 The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
 of cone state each, so a block's buffers stay in a per-core L2 cache.
+It has two kinds of step: gathers, and matrix steps of one or two runs.
 Each maximal run of single-qubit gates on one wire (held back until a
 two-qubit gate touches the wire, or the circuit ends) is fused into its
 per-sample 2x2 product. A CX or SWAP that meets held runs on both its
-wires is fused with them into one block, whose per-sample 4x4 is
+wires is fused with them into one step, whose per-sample 4x4 is
 CX.(U_hi kron U_lo): a Kronecker product, one rounding per entry, with
-its rows permuted. Every other run acts on the top bit of the amplitude
-index and every block on the top two, so each step is one batched BLAS
+its rows permuted; any other run is a step alone. A step acts on the top
+bit of the amplitude index, or the top two, so each is one batched BLAS
 matmul with the state viewed as (rows, 2, 2**(n-1)) or (rows, 4,
 2**(n-2)). The qubits get there inside the gathers the sweep does anyway
 (as Haner & Steiger, arXiv:1704.01127, move qubits to local bits): the
@@ -38,14 +39,15 @@ on their current bits into one index map, and adds to it the SWAPs that
 bring a step's qubits to the top bits. The backward pass stacks [psi;
 conj(lambda)] in one buffer and forms a step's transition matrix
 G[r, a, b] = sum over the other qubits of conj(lambda_a) psi_b, one
-matmul. A block's 4x4 G is taken back to before its gate by an exact
-index permutation and summed over the other wire, which gives each
-wire's 2x2 G. Occurrence k of a run contributes coeff * Im sum_ab
+matmul. Each wire's 2x2 G is read off the step's through one index map:
+a lone run's is the whole G, and a two-run step's 4x4 G is taken back to
+before its gate by an exact index permutation and summed over the other
+wire. Occurrence k of a run contributes coeff * Im sum_ab
 (W P_k W^dagger)_ab G_ab, W being the product of the run's gates after k.
 One matmul by [U^dagger; conj(U^dagger)] then un-applies the step.
-Each run's and block's per-sample U, and each occurrence's W P_k W^dagger,
-are built once per call for the whole batch; a row block takes its rows
-of them, and a matrix shared by every sample as it is.
+Each step's per-sample U, and each occurrence's W P_k W^dagger, are
+built once per call for the whole batch; a row block takes its rows of
+them, and a matrix shared by every sample as it is.
 Fusion and BLAS round differently from a gate-by-gate sweep (within
 ~1e-14 relative on GradVar); rows never mix and gathers are exact, so
 the results are the same bits at any block size, down to one row.
@@ -217,42 +219,41 @@ def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], int, int
 @dataclass(frozen=True)
 class _Run:
     """A run of single-qubit gates on one wire, fused into its per-sample
-    2x2 product. Alone, it is a sweep step on the top bit of the amplitude
-    index."""
+    2x2 product."""
 
     qubit: int
     gates: tuple[Gate, ...]
 
 
 @dataclass(frozen=True)
-class _Block:
-    """A CX or SWAP fused with the runs held on its two wires into one
-    sweep step on the top two bits: ``runs`` act on bits n-1 and n-2, then
-    ``gate`` on those bits numbered 1 and 0."""
+class _Step:
+    """A sweep step on the top bits of the amplitude index: one or two
+    ``runs`` on bits n-1 and n-2, then ``gate``, a CX or SWAP fused with two
+    runs, on those bits numbered 1 and 0."""
 
-    runs: tuple[_Run, _Run]
-    gate: Gate
-
-
-# A sweep step: a run, a block, or the (forward, backward) index maps of a gather.
-_Step = _Run | _Block | tuple[np.ndarray, np.ndarray]
+    runs: tuple[_Run, ...]
+    gate: Gate | None
 
 
-def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step], list[int]]:
+# The (forward, backward) index maps of a gather.
+_Gather = tuple[np.ndarray, np.ndarray]
+
+
+def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], list[int]]:
     """The gates as sweep steps on ``n`` qubits, and the qubit -> bit layout
-    they end in. A step is the (forward, backward) index maps of a gather,
-    a maximal run of single-qubit gates on one wire, held back until a
-    two-qubit gate touches that wire or the circuit ends, or a block: a
-    two-qubit gate that meets held runs on both its wires, with those runs.
-    Other CX and SWAP gates join the pending gather on their current bits.
-    Before a step whose qubits are not on the top bits, SWAPs that bring
-    them there join the gather (or open one)."""
-    steps: list[_Step] = []
+    they end in. A step is a gather, or a matrix step: a maximal run of
+    single-qubit gates on one wire, held back until a two-qubit gate touches
+    that wire or the circuit ends, or a two-qubit gate that meets held runs
+    on both its wires, with those runs. Other CX and SWAP gates join the
+    pending gather on their current bits. Before a step whose qubits are not
+    on the top bits, SWAPs that bring them there join the gather (or open
+    one)."""
+    steps: list[_Step | _Gather] = []
     layout = list(range(n))
     pending: list[Gate] = []
     held: dict[int, list[Gate]] = {}
 
-    def flush(*qubits: int) -> list[_Run]:
+    def flush(*qubits: int, gate: Gate | None = None) -> None:
         for q, bit in zip(qubits, (n - 1, n - 2)):
             if layout[q] != bit:
                 pending.append(Gate(GateKind.SWAP, (layout[q], bit)))
@@ -260,7 +261,7 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step], list[int]]
         if pending:
             steps.append(permutation_sources(n, pending))
             pending.clear()
-        return [_Run(q, tuple(held.pop(q))) for q in qubits]
+        steps.append(_Step(tuple(_Run(q, tuple(held.pop(q))) for q in qubits), gate))
 
     for g in gates:
         if g.kind not in TWO_QUBIT_KINDS:
@@ -270,28 +271,31 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step], list[int]]
         if a in held and b in held:
             # a qubit already on one of the top two bits stays there
             hi, lo = (b, a) if n - 1 == layout[b] or n - 2 == layout[a] else (a, b)
-            steps.append(_Block(tuple(flush(hi, lo)), Gate(g.kind, tuple(int(q == hi) for q in g.qubits))))
+            flush(hi, lo, gate=Gate(g.kind, tuple(int(q == hi) for q in g.qubits)))
             continue
         for q in g.qubits:
             if q in held:
-                steps.extend(flush(q))
+                flush(q)
         pending.append(Gate(g.kind, tuple(layout[q] for q in g.qubits)))
     for q in list(held):
-        steps.extend(flush(q))
+        flush(q)
     if pending:
         steps.append(permutation_sources(n, pending))
     return steps, layout
 
 
 @lru_cache(maxsize=None)
-def _block_maps(gate: Gate) -> tuple[np.ndarray, np.ndarray]:
-    """The 4x4 row permutation of a block's ``gate``, and the flat indices
-    that read each wire's 2x2 transition matrix off the block's 4x4 one.
+def _block_maps(gate: Gate | None) -> tuple[np.ndarray | None, np.ndarray]:
+    """The 4x4 row permutation of a step's ``gate``, and the flat indices
+    that read each wire's 2x2 transition matrix off the step's one.
 
-    With G' = G[back][:, back] the 4x4 transition matrix before the gate,
-    an exact permutation, the top bit's is sum_c G'[2a + c, 2b + c] and
-    the lower bit's sum_c G'[2c + a, 2c + b]: indices shaped (wire, c, a, b).
+    Indices are shaped (wire, c, a, b), to be summed over c. A lone run's
+    2x2 is one wire of one term. With G' = G[back][:, back] the 4x4 before
+    the gate, an exact permutation, the top bit's is sum_c G'[2a + c, 2b + c]
+    and the lower bit's sum_c G'[2c + a, 2c + b].
     """
+    if gate is None:
+        return None, np.arange(4).reshape(1, 1, 2, 2)
     forward, back = permutation_sources(2, [gate])
     c, a, b = np.indices((2, 2, 2))
     wires = np.stack([back[2 * a + c] * 4 + back[2 * b + c], back[2 * c + a] * 4 + back[2 * c + b]])
@@ -353,30 +357,23 @@ def _read_offs(run: _Run, matrices: list[np.ndarray]) -> list[tuple[int, float, 
     return out
 
 
-def _runs(step: _Run | _Block) -> tuple[_Run, ...]:
-    return step.runs if isinstance(step, _Block) else (step,)
-
-
-def _unitary(step: _Run | _Block, matrices: list[list[np.ndarray]]) -> np.ndarray:
-    """A step's per-sample unitary on its top bits: a run's 2x2 product, or a
-    block's 4x4 gate * (U_hi kron U_lo), one rounding per entry and then an
-    exact row permutation."""
-    products = [_product(run, m) for run, m in zip(_runs(step), matrices)]
-    if isinstance(step, _Run):
-        return products[0]
-    hi, lo = products
-    kron = hi[..., :, None, :, None] * lo[..., None, :, None, :]
-    return kron.reshape(kron.shape[:-4] + (4, 4))[..., _block_maps(step.gate)[0], :]
-
-
-# A run's or block's matrices for the whole batch: its unitary U, and each
-# wire's read-offs. An array of one matrix is shared by every sample.
+# A step's matrices for the whole batch: its unitary U, and each wire's
+# read-offs. An array of one matrix is shared by every sample.
 _StepMatrices = tuple[np.ndarray, list[list[tuple[int, float, np.ndarray]]]]
 
 
-def _step_matrices(step: _Run | _Block, thetas: np.ndarray) -> _StepMatrices:
-    matrices = [_matrices(run, thetas) for run in _runs(step)]
-    return _unitary(step, matrices), [_read_offs(run, m) for run, m in zip(_runs(step), matrices)]
+def _step_matrices(step: _Step, thetas: np.ndarray) -> _StepMatrices:
+    """A step's per-sample unitary on its top bits, with its read-offs: a lone
+    run's 2x2 product, or gate * (U_hi kron U_lo), one rounding per entry
+    and then an exact row permutation."""
+    matrices = [_matrices(run, thetas) for run in step.runs]
+    products = [_product(run, m) for run, m in zip(step.runs, matrices)]
+    u = products[0]
+    if step.gate is not None:
+        hi, lo = products
+        kron = hi[..., :, None, :, None] * lo[..., None, :, None, :]
+        u = kron.reshape(kron.shape[:-4] + (4, 4))[..., _block_maps(step.gate)[0], :]
+    return u, [_read_offs(run, m) for run, m in zip(step.runs, matrices)]
 
 
 def _rows(m: np.ndarray, block: slice) -> np.ndarray:
@@ -385,21 +382,21 @@ def _rows(m: np.ndarray, block: slice) -> np.ndarray:
 
 
 def _sweep_block(
-    steps: list[_Step], matrices: list[_StepMatrices | None], n: int, block: slice, cost_bit: int, grads: np.ndarray
+    plan: list[tuple[_Step | _Gather, _StepMatrices | None]], n: int, block: slice, cost_bit: int, grads: np.ndarray
 ) -> None:
     """Forward/backward sweep of the rows ``block`` of the batch; adds their
     gradients into ``grads``, the block's rows of the gradient array.
 
-    ``matrices`` holds each run's and block's matrices, built once for the
-    whole batch (None for a gather); the sweep takes the block's rows of
-    them. The backward pass un-applies each step from the stacked buffer
+    ``plan`` pairs each step with its matrices, built once for the whole
+    batch (None for a gather); the sweep takes the block's rows of them.
+    The backward pass un-applies each step from the stacked buffer
     [psi; conj(lambda)], lambda starting as Z on ``cost_bit`` times psi,
     and reads off a step's occurrences before un-applying it, each from the
     2x2 transition matrix of its own wire.
     """
     rows = grads.shape[0]
     psi = zero_states(rows, n)
-    for step, built in zip(steps, matrices):
+    for step, built in plan:
         if built is None:
             psi = np.take(psi, step[0], axis=-1)
             continue
@@ -408,7 +405,7 @@ def _sweep_block(
     buf = np.stack((psi, apply_pauli(psi, n, "Z", cost_bit).conj()))
     del psi
 
-    for step, built in zip(reversed(steps), reversed(matrices)):
+    for step, built in reversed(plan):
         if built is None:
             buf = np.take(buf, step[1], axis=-1)
             continue
@@ -421,11 +418,8 @@ def _sweep_block(
             for wire, occurrences in enumerate(read_offs):
                 if not occurrences:
                     continue
-                if isinstance(step, _Block):
-                    # the wire's 2x2 transition matrix, before the block's gate
-                    wire_transition = transition.reshape(rows, 16)[:, _block_maps(step.gate)[1][wire]].sum(axis=1)
-                else:
-                    wire_transition = transition
+                # the wire's 2x2 transition matrix, before the step's gate
+                wire_transition = transition.reshape(rows, dim * dim)[:, _block_maps(step.gate)[1][wire]].sum(axis=1)
                 for symbol, coeff, p in occurrences:
                     # two sums of two terms each add in one order whatever the rows;
                     # one sum over both axes adds a one-row block in another order
@@ -450,10 +444,10 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     rows = max(1, _BLOCK_BYTES // ((1 << n) * 16))
     blocks = max(1, batch // rows)
     bounds = [batch * i // blocks for i in range(blocks + 1)]
-    matrices = [None if isinstance(step, tuple) else _step_matrices(step, thetas) for step in steps]
+    plan = [(step, None if isinstance(step, tuple) else _step_matrices(step, thetas)) for step in steps]
     grads = np.zeros((batch, circuit.num_symbols))
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(steps, matrices, n, slice(start, stop), layout[cost_qubit], grads[start:stop])
+        _sweep_block(plan, n, slice(start, stop), layout[cost_qubit], grads[start:stop])
     return grads
 
 

@@ -17,7 +17,6 @@ captured per cell and never abort the sweep.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 import warnings
@@ -29,8 +28,7 @@ from typing import Callable, Sequence
 
 from .ansatz import AnsatzKind, build_ansatz
 from .backend import BackendModel, resolve_backend
-from .circuit import Circuit
-from .grad import ReparamMode, grad_variance, reparameterize
+from .grad import ReparamMode, delta_gradvar, grad_variance, reparameterize
 from .transpiler import overhead, transpile
 
 CELL_SEED_STRIDE = 1000003
@@ -56,7 +54,6 @@ class SweepConfig:
     base_seed: int = 42
     backend: str = "heavy-hex:5,11"
     mode: str = ReparamMode.ALL_ANGLES.value
-    meta_seeds: int = 1
     out_csv: str | None = None
     out_dir: str | None = None
     out_jsonl: str | None = None
@@ -73,8 +70,8 @@ class SweepConfig:
             raise ValueError("repetition counts must be >= 1")
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
-        if self.meta_seeds < 1:
-            raise ValueError("meta_seeds must be >= 1")
+        for name in self.ansatz:
+            AnsatzKind(name)
         ReparamMode(self.mode)
 
     @property
@@ -130,30 +127,8 @@ CSV_HEADER = ",".join({"p_log": "P_log", "p_phys": "P_phys"}.get(name, name) for
 
 _RECORD_FIELDS = {f.name for f in fields(SweepRecord)}
 
-# Config fields that decide a cell's result beyond its own (ansatz, n, reps,
-# seed), with the value a checkpoint line that lacks the field stands for.
-_RUN_FIELDS = {"samples": None, "mode": None, "backend": None, "meta_seeds": 1}
-
-
-def _gradvar_with_meta(
-    circuit: Circuit, samples: int, seed: int, cost_qubit: int, meta_seeds: int
-) -> tuple[float, float]:
-    """GradVar and its standard error, averaging over meta seeds when asked.
-
-    With one meta seed the stderr falls back to the analytic
-    grad_var * sqrt(2/(samples-1)) approximation; with several it is the
-    empirical standard error of the per-seed GradVar values.
-    """
-    stats = grad_variance(circuit, samples, seed, cost_qubit)
-    if meta_seeds == 1:
-        return stats.grad_var, stats.stderr
-    values = [stats.grad_var]
-    values += [
-        grad_variance(circuit, samples, seed + r, cost_qubit).grad_var for r in range(1, meta_seeds)
-    ]
-    mean = sum(values) / len(values)
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(var / len(values))
+# Config fields that decide a cell's result beyond its own (ansatz, n, reps, seed).
+_RUN_FIELDS = ("samples", "mode", "backend")
 
 
 def cell_seed(base_seed: int, cell_index: int) -> int:
@@ -178,10 +153,8 @@ def run_cell(config: SweepConfig, backend: BackendModel, kind: str, n: int, reps
         logical = build_ansatz(kind, n, reps)
         t = transpile(logical, backend)
         physical = reparameterize(t, ReparamMode(config.mode))
-        gv_log, se_log = _gradvar_with_meta(logical, config.samples, seed, 0, config.meta_seeds)
-        gv_phys, se_phys = _gradvar_with_meta(
-            physical, config.samples, seed, t.cost_qubit, config.meta_seeds
-        )
+        log = grad_variance(logical, config.samples, seed, 0)
+        phys = grad_variance(physical, config.samples, seed, t.cost_qubit)
         before, after = t.metrics_before, t.metrics_after
         return SweepRecord(
             ansatz=kind,
@@ -196,11 +169,11 @@ def run_cell(config: SweepConfig, backend: BackendModel, kind: str, n: int, reps
             depth_log=before.dag_depth,
             depth_phys=after.dag_depth,
             **asdict(overhead(t, reps)),
-            gradvar_log=gv_log,
-            gradvar_phys=gv_phys,
-            delta_gradvar=gv_phys - gv_log,
-            stderr_log=se_log,
-            stderr_phys=se_phys,
+            gradvar_log=log.grad_var,
+            gradvar_phys=phys.grad_var,
+            delta_gradvar=delta_gradvar(phys, log),
+            stderr_log=log.stderr,
+            stderr_phys=phys.stderr,
             seed=seed,
             wall_time=time.perf_counter() - start,
         )
@@ -255,7 +228,10 @@ def _load_checkpoints(config: SweepConfig, path: Path) -> dict[tuple, SweepRecor
             raise ValueError(f"{path}:{lineno}: malformed checkpoint line: {e}") from e
         if not isinstance(payload, dict) or not isinstance(payload.get("record"), dict):
             raise ValueError(f"{path}:{lineno}: malformed checkpoint line: not an object with a record")
-        if any(payload.get(name, absent) != getattr(config, name) for name, absent in _RUN_FIELDS.items()):
+        if payload.get("meta_seeds", 1) != 1:
+            # written by a sweep that averaged GradVar over several seeds, which no sweep does now
+            raise ValueError(f"{path}:{lineno}: checkpoint line with meta_seeds {payload['meta_seeds']!r}, not 1")
+        if any(payload.get(name) != getattr(config, name) for name in _RUN_FIELDS):
             continue
         if payload["record"].keys() != _RECORD_FIELDS:
             # missing keys would be filled with defaults: reuse only exact records

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -191,3 +192,10 @@ class TestResolveBackend:
         path = tmp_path / "b.json"
         save_backend(make_line(3), path)
         assert resolve_backend(str(path)) == make_line(3)
+
+    @pytest.mark.parametrize(
+        "ref", ["heavy-hex:5", "heavy-hex:5,11,2", "heavy-hex:5,x", "line:x", "line:", "line:4,4", "line:-3"]
+    )
+    def test_bad_ref_names_itself_and_the_forms(self, ref):
+        with pytest.raises(ValueError, match=re.escape(f"bad backend {ref!r}: expected line:n, heavy-hex:R,C")):
+            resolve_backend(ref)

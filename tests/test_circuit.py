@@ -224,6 +224,8 @@ class TestTextFormat:
             ("qubits:2 symbols:0\nRY 0 const:abc\n", "line 2"),
             ("qubits:2 symbols:1\nRY 0 affine:0:+2:0.0\n", "line 2"),
             ("qubits:2 symbols:0\nCX 0\n", "line 2"),
+            ("qubits:2 symbols:0\nH 0\nCX 0,a\n", "line 3: invalid literal"),
+            ("qubits:2 symbols:0\nCX 0,\n", "line 2: invalid literal"),
         ],
     )
     def test_parse_errors(self, text, match):

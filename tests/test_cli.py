@@ -106,6 +106,13 @@ class TestTranspileCommand:
         assert captured.err.startswith("error:") and str(backend_path) in captured.err
         assert not (tmp_path / "p.txt").exists()
 
+    def test_bad_backend_reference_fails_cleanly(self, tmp_path, capsys):
+        circ = tmp_path / "c.txt"
+        run("build", "--ansatz", "ttn", "--qubits", "2", "--reps", "1", "--out", circ)
+        capsys.readouterr()
+        assert run("transpile", "--in", circ, "--backend", "heavy-hex:5", "--out", tmp_path / "p.txt") == 1
+        assert capsys.readouterr().err.startswith("error: bad backend 'heavy-hex:5'")
+
     def test_unfit_backend_fails_cleanly(self, tmp_path, capsys):
         circ = tmp_path / "c.txt"
         run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
@@ -316,14 +323,6 @@ class TestSweepCommand:
         csv_path = tmp_path / "results.csv"
         assert run("sweep", "--config", self.one_cell_config(tmp_path), "--out-csv", csv_path) == 1
         assert "VQCLAB_THREADS" in capsys.readouterr().err
-        assert not csv_path.exists() and not (tmp_path / "results.jsonl").exists()
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_bad_meta_seeds_fails_cleanly(self, tmp_path, capsys, value):
-        csv_path = tmp_path / "results.csv"
-        argv = ["sweep", "--config", self.one_cell_config(tmp_path), "--out-csv", csv_path, "--meta-seeds", value]
-        assert run(*argv) == 1
-        assert "meta_seeds" in capsys.readouterr().err
         assert not csv_path.exists() and not (tmp_path / "results.jsonl").exists()
 
     def test_resume_without_checkpoint_fails(self, tmp_path, capsys):

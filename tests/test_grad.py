@@ -302,9 +302,9 @@ class TestFusedRuns:
         # qubit 0 (X included) waits for CX(0, 1), the SWAP that brings it
         # to the top bit joins the pending gather, and CX(0, 1) then acts
         # on bits (2, 1) in a new gather
-        assert [type(s) for s in steps] == [grad._Run, tuple, grad._Run, tuple]
-        assert steps[0] == grad._Run(2, (h2,))
-        assert steps[2] == grad._Run(0, (sx0, rz0, x0))
+        assert [type(s) for s in steps] == [grad._Step, tuple, grad._Step, tuple]
+        assert steps[0] == grad._Step((grad._Run(2, (h2,)),), None)
+        assert steps[2] == grad._Step((grad._Run(0, (sx0, rz0, x0)),), None)
         assert np.array_equal(steps[1][0], permutation_sources(3, [cx12, Gate(GateKind.SWAP, (0, 2))])[0])
         assert np.array_equal(steps[3][0], permutation_sources(3, [Gate(GateKind.CX, (2, 1))])[0])
         assert layout == [2, 1, 0]
@@ -314,9 +314,9 @@ class TestFusedRuns:
         steps, layout = grad._sweep_steps([ry0, sx2, Gate(GateKind.CX, (2, 0))], 3)
         # qubit 2 is on the top bit already and stays; qubit 0 joins it on
         # bit 1 by a SWAP in a gather, and the CX's control is bit 1 of the 4x4
-        assert [type(s) for s in steps] == [tuple, grad._Block]
+        assert [type(s) for s in steps] == [tuple, grad._Step]
         assert np.array_equal(steps[0][0], permutation_sources(3, [Gate(GateKind.SWAP, (0, 1))])[0])
-        assert steps[1] == grad._Block((grad._Run(2, (sx2,)), grad._Run(0, (ry0,))), Gate(GateKind.CX, (1, 0)))
+        assert steps[1] == grad._Step((grad._Run(2, (sx2,)), grad._Run(0, (ry0,))), Gate(GateKind.CX, (1, 0)))
         assert layout == [1, 0, 2]
 
     @pytest.mark.parametrize("family", ["efficient_su2", "ttn"])
@@ -324,7 +324,7 @@ class TestFusedRuns:
         t = transpile(build_ansatz(family, 4, 2), make_heavy_hex(2, 3))
         bound = bind(t.physical, np.random.default_rng(5).uniform(0, 2 * math.pi, t.physical.num_symbols))
         steps, layout = grad._sweep_steps(bound.gates, bound.num_qubits)
-        assert any(isinstance(s, grad._Block) for s in steps)
+        assert any(is_two_run_step(s) for s in steps)
         assert_replay_reproduces_circuit(steps, layout, bound)
 
     def test_ttn_logical_blocks_halve_the_steps(self):
@@ -336,7 +336,7 @@ class TestFusedRuns:
         gates, n, _ = _light_cone(bound, 0)
         steps, layout = grad._sweep_steps(gates, n)
         assert len(steps) <= 24
-        assert sum(isinstance(s, grad._Block) for s in steps) == 11
+        assert sum(is_two_run_step(s) for s in steps) == 11
         assert_replay_reproduces_circuit(steps, layout, bound)
         physical = reparameterize(t, ReparamMode.ALL_ANGLES)
         assert len(grad._sweep_steps(*_light_cone(physical, t.cost_qubit)[:2])[0]) <= 34
@@ -344,7 +344,7 @@ class TestFusedRuns:
     def test_a_run_after_a_cx_adds_no_gather(self):
         def counts(gates):
             steps = grad._sweep_steps(gates, 3)[0]
-            return sum(isinstance(s, tuple) for s in steps), sum(isinstance(s, grad._Run) for s in steps)
+            return sum(isinstance(s, tuple) for s in steps), sum(isinstance(s, grad._Step) for s in steps)
 
         cx01, sx0, h1 = Gate(GateKind.CX, (0, 1)), Gate(GateKind.SX, (0,)), Gate(GateKind.H, (1,))
         assert counts([cx01]) == (1, 0)
@@ -390,10 +390,18 @@ class TestFusedRuns:
         assert counts[0] == counts[1] > 0
 
 
+def is_two_run_step(step):
+    # a lone run has no gate; a CX or SWAP always comes with a run on each wire
+    if isinstance(step, tuple):
+        return False
+    assert len(step.runs) == (1 if step.gate is None else 2)
+    return step.gate is not None
+
+
 def assert_replay_reproduces_circuit(steps, layout, bound):
-    """Replaying the gathers, each run gate by gate on bit n-1 (a block's
-    runs on bits n-1 and n-2, then its gate on those bits) reproduces the
-    circuit, its qubits placed by the final layout."""
+    """Replaying the gathers, and each step's runs gate by gate on bits n-1
+    and n-2, then its gate, if any, on those bits, reproduces the circuit,
+    its qubits placed by the final layout."""
     n = bound.num_qubits
     assert sorted(layout) == list(range(n))
     state = zero_states(1, n)
@@ -401,11 +409,11 @@ def assert_replay_reproduces_circuit(steps, layout, bound):
         if isinstance(step, tuple):
             state = state[:, step[0]]
             continue
-        for run, bit in zip(grad._runs(step), (n - 1, n - 2)):
+        for run, bit in zip(step.runs, (n - 1, n - 2)):
             for g in run.gates:
                 assert g.qubits == (run.qubit,)
                 state = apply_kind(state, n, g.kind, (bit,), None if g.param is None else g.param.angle)
-        if isinstance(step, grad._Block):
+        if step.gate is not None:
             state = apply_kind(state, n, step.gate.kind, tuple(n - 2 + b for b in step.gate.qubits))
     placed = [sum(((i >> q) & 1) << layout[q] for q in range(n)) for i in range(1 << n)]
     np.testing.assert_allclose(state[0, placed], simulate(bound), rtol=0, atol=1e-12)

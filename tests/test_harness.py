@@ -55,12 +55,16 @@ class TestConfig:
             dict(reps=[0]),
             dict(samples=1),
             dict(mode="nope"),
-            dict(meta_seeds=0),
+            dict(ansatz=["real_amplitudes", "tnn"]),
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+
+    def test_meta_seeds_is_an_unknown_field(self):
+        with pytest.raises(TypeError, match="meta_seeds"):
+            tiny_config(meta_seeds=1)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -68,7 +72,7 @@ class TestConfig:
             (dict(ansatz="ttn"), "ansatz must be list[str]"),
             (dict(qubits=[2, True]), "qubits must be list[int]"),
             (dict(samples=True), "samples must be int"),
-            (dict(meta_seeds=2.0), "meta_seeds must be int"),
+            (dict(base_seed=2.0), "base_seed must be int"),
             (dict(backend=None), "backend must be str"),
             (dict(out_csv=1), "out_csv must be str | None"),
         ],
@@ -216,7 +220,7 @@ class TestRunSweep:
         jsonl = tmp_path / "cells.jsonl"
         run_sweep(tiny_config(out_jsonl=str(jsonl)))
         payload = json.loads(jsonl.read_text())
-        assert sorted(payload) == ["backend", "meta_seeds", "mode", "record", "samples"]
+        assert sorted(payload) == ["backend", "mode", "record", "samples"]
         assert set(payload["record"]) == {
             "ansatz", "n", "reps", "p_log", "p_phys", "g1q_log", "g1q_phys", "g2q_log", "g2q_phys",
             "depth_log", "depth_phys", "delta_g1q", "delta_g2q", "delta_depth_dag", "delta_depth_paper",
@@ -224,24 +228,28 @@ class TestRunSweep:
             "wall_time", "error",
         }
 
-    def test_resume_does_not_reuse_other_meta_seeds(self, tmp_path):
-        jsonl = tmp_path / "cells.jsonl"
-        run_sweep(tiny_config(out_jsonl=str(jsonl), meta_seeds=1))
-        resumed = run_sweep(tiny_config(out_jsonl=str(jsonl), meta_seeds=3), resume=True)
-        fresh = run_sweep(tiny_config(meta_seeds=3))
-        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in fresh]
-        lines = [json.loads(l) for l in jsonl.read_text().splitlines()]
-        assert [l["meta_seeds"] for l in lines] == [1, 3]
-
-    def test_checkpoint_without_meta_seeds_reads_as_one(self, tmp_path):
+    def test_resume_reuses_line_with_one_meta_seed(self, tmp_path):
+        # lines written before meta seeds were removed carry "meta_seeds": 1
         jsonl = tmp_path / "cells.jsonl"
         cfg = tiny_config(out_jsonl=str(jsonl))
         first = run_sweep(cfg)
         payload = json.loads(jsonl.read_text())
-        del payload["meta_seeds"]
+        payload["meta_seeds"] = 1
         jsonl.write_text(json.dumps(payload) + "\n")
         assert run_sweep(cfg, resume=True) == first
         assert len(jsonl.read_text().splitlines()) == 1
+
+    def test_resume_rejects_line_with_other_meta_seeds(self, tmp_path, monkeypatch):
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(qubits=[2, 3], backend="line:3", out_jsonl=str(jsonl))
+        run_sweep(cfg)
+        first, second = jsonl.read_text().splitlines()
+        jsonl.write_text(first + "\n" + json.dumps({**json.loads(second), "meta_seeds": 3}) + "\n")
+        calls = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="cells.jsonl:2: .*meta_seeds 3"):
+            run_sweep(cfg, resume=True)
+        assert calls == []
 
     def test_resume_skips_torn_last_line(self, tmp_path):
         jsonl = tmp_path / "cells.jsonl"
@@ -310,12 +318,6 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="VQCLAB_THREADS"):
             run_sweep(tiny_config(out_jsonl=str(jsonl)), progress=lambda *a: seen.append(a))
         assert seen == [] and not jsonl.exists()
-
-    def test_meta_seeds_average(self):
-        cfg = tiny_config(meta_seeds=3, samples=40)
-        r = run_sweep(cfg)[0]
-        assert r.error is None
-        assert r.stderr_log >= 0.0
 
     def test_progress_callback(self):
         seen = []
