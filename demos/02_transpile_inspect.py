@@ -4,14 +4,16 @@
 The all-pairs entangler of efficient_su2 does not fit a chain topology,
 so routing inserts SWAPs (three CX each after decomposition) and the
 single-qubit layers are rewritten into the RZ/SX native basis. The
-provenance map lets us re-bind the physical circuit from logical angles
-and certify equivalence by statevector fidelity.
+physical circuit keeps the logical symbols, so it binds from the same
+logical angles, and statevector fidelity certifies the equivalence. Freeing
+every native rotation angle gives its physical parameter count.
 """
 
 import numpy as np
 
 from vqclab import (
     build_ansatz,
+    free_all_angles,
     logical_physical_fidelity,
     make_heavy_hex,
     make_line,
@@ -32,7 +34,8 @@ def compile_and_report(kind, n, reps, backend, label):
           f"(delta {rep.delta_g1q:+d}/{rep.delta_g2q:+d})")
     print(f"  depth: {before.dag_depth} -> {after.dag_depth} (delta {rep.delta_depth_dag:+d}, "
           f"vs repetitions {rep.delta_depth_paper:+d})")
-    print(f"  parameters: {before.num_symbols} logical -> {after.num_symbols} physical angles")
+    print(f"  parameters: {before.num_symbols} logical -> "
+          f"{free_all_angles(t.physical).num_symbols} physical angles")
     print(f"  final layout: {list(t.final_layout)} over device qubits {list(t.phys_qubits)}")
 
     rng = np.random.default_rng(SEED)

@@ -55,14 +55,12 @@ from .sim import expect_z, simulate, state_expect_z
 from .transpiler import (
     OverheadReport,
     TranspiledCircuit,
-    bind_through_provenance,
     check_constraints,
     choose_layout,
     decompose_to_native,
     load_provenance,
     optimize,
     overhead,
-    rebind_symbol_derived,
     route,
     save_provenance,
     transpile,
@@ -87,7 +85,6 @@ __all__ = [
     "SweepRecord",
     "TranspiledCircuit",
     "bind",
-    "bind_through_provenance",
     "build_ansatz",
     "build_efficient_su2",
     "build_real_amplitudes",
@@ -117,7 +114,6 @@ __all__ = [
     "overhead",
     "param_shift_gradient",
     "read_csv",
-    "rebind_symbol_derived",
     "reparameterize",
     "resolve_backend",
     "route",

@@ -14,6 +14,7 @@ Text format (one gate per line, used by the CLI):
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -262,6 +263,11 @@ def circuit_to_text(circuit: Circuit) -> str:
         else:
             lines.append(f"{g.kind.value} {qubits} {format_expr(g.param)}")
     return "\n".join(lines) + "\n"
+
+
+def circuit_sha256(circuit: Circuit) -> str:
+    """The hex sha256 of the circuit's text format, which names it exactly."""
+    return hashlib.sha256(circuit_to_text(circuit).encode("utf-8")).hexdigest()
 
 
 def circuit_from_text(text: str) -> Circuit:

@@ -2,8 +2,10 @@
 
 Subcommands: build, transpile, expect, gradvar, sweep. Circuits travel as
 the line-based text format, backends as ``line:n`` / ``heavy-hex:R,C`` /
-JSON path references, and what ``transpile`` decided (the symbol origins,
-the logical symbol count, the cost qubit) as the provenance JSON file.
+JSON path references. A compiled circuit keeps the logical symbols, so it
+binds from the logical parameter file; the cost qubit, which its text
+does not carry, travels as the provenance JSON file, which names the
+circuit it belongs to by digest.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .circuit import bind, free_all_angles, load_circuit, save_circuit
 from .grad import ReparamMode, grad_variance
 from .harness import SweepConfig, emit_csv, emit_heatmap_svg, run_sweep
 from .sim import expect_z
-from .transpiler import load_provenance, overhead, rebind_symbol_derived, save_provenance, transpile
+from .transpiler import load_provenance, overhead, save_provenance, transpile
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -41,7 +43,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
     report = overhead(t, args.reps or 0)
     after = t.metrics_after
     print(f"wrote {args.out}: {after.g1q} 1q + {after.g2q} 2q gates, depth {after.dag_depth}, "
-          f"{after.num_symbols} physical parameters")
+          f"{free_all_angles(t.physical).num_symbols} physical parameters")
     print(f"deltas: g1q {report.delta_g1q:+d}, g2q {report.delta_g2q:+d}, depth {report.delta_depth_dag:+d}")
     if args.reps:
         print(f"depth vs repetitions: {report.delta_depth_paper:+d}")
@@ -61,17 +63,16 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradvar(args: argparse.Namespace) -> int:
-    circuit = free_all_angles(load_circuit(args.inp))
+    circuit = load_circuit(args.inp)
     mode = ReparamMode(args.mode)
     qubit = 0  # the cost qubit unless a provenance file or --cost-qubit names one
     if args.provenance:
-        origins, num_logical, qubit = load_provenance(args.provenance)
-        # the rebind also checks that the file belongs to this circuit
-        derived = rebind_symbol_derived(circuit, origins, num_logical)
-        if mode is ReparamMode.SYMBOL_DERIVED:
-            circuit = derived
+        # raises unless the file was written for this very circuit
+        qubit = load_provenance(args.provenance, circuit)
     elif mode is ReparamMode.SYMBOL_DERIVED:
         raise ValueError("--mode symbol-derived needs --provenance, the file that transpile --provenance writes")
+    if mode is ReparamMode.ALL_ANGLES:
+        circuit = free_all_angles(circuit)
     stats = grad_variance(circuit, args.samples, args.seed, qubit if args.cost_qubit is None else args.cost_qubit)
     payload = asdict(stats)
     payload["stderr"] = stats.stderr
@@ -134,14 +135,15 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--backend", required=True, help="line:n, heavy-hex:R,C or a JSON path")
     p.add_argument("--out", required=True)
-    p.add_argument("--provenance", help="write the symbol origins, symbol count and cost qubit as JSON")
+    p.add_argument("--provenance", help="write the cost qubit and the circuit's digest as JSON")
     p.add_argument("--layout-seed", type=int, default=None)
     p.add_argument("--reps", type=int, default=None, help="repetition count for the depth delta")
     p.set_defaults(func=_cmd_transpile)
 
     p = sub.add_parser("expect", help="evaluate <Z_qubit> for a bound circuit")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--theta", help="whitespace-separated parameter file")
+    p.add_argument("--theta",
+                   help="whitespace-separated parameter file; a compiled circuit takes the logical one")
     p.add_argument("--qubit", type=int, required=True,
                    help="for a compiled circuit, the provenance file's cost_qubit")
     p.set_defaults(func=_cmd_expect)

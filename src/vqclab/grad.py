@@ -74,7 +74,7 @@ from .sim import (
     permutation_sources,
     zero_states,
 )
-from .transpiler import TranspiledCircuit, rebind_symbol_derived
+from .transpiler import TranspiledCircuit
 
 # Least bytes of state per row block of the adjoint sweep (a smaller batch
 # is one block). A block holds under twice this, so the stacked
@@ -125,13 +125,14 @@ def reparameterize(t: TranspiledCircuit, mode: ReparamMode) -> Circuit:
     """Choose the trainable parameter space of a transpiled circuit.
 
     ALL_ANGLES frees every rotation angle, synthesized constants included,
-    as an independent parameter. SYMBOL_DERIVED restores the logical
-    symbol space: angles that came from a logical symbol keep their
-    affine expression, synthesized angles stay constant.
+    as an independent parameter. SYMBOL_DERIVED keeps the logical symbol
+    space that ``t.physical`` is compiled over: angles that came from a
+    logical symbol keep their affine expression, synthesized angles stay
+    constant.
     """
     if mode is ReparamMode.ALL_ANGLES:
         return free_all_angles(t.physical)
-    return rebind_symbol_derived(t.physical, t.provenance, t.metrics_before.num_symbols)
+    return t.physical
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,12 @@ class SweepConfig:
                 raise TypeError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         if not self.ansatz or not self.qubits or not self.reps:
             raise ValueError("ansatz, qubits and reps lists must be non-empty")
+        for name in ("ansatz", "qubits", "reps"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    # a repeat would be a second cell, with its own seed, under the same key
+                    raise ValueError(f"{name} repeats {value!r}")
         if any(n < 2 for n in self.qubits):
             raise ValueError("qubit counts must be >= 2")
         if any(r < 1 for r in self.reps):

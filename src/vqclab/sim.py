@@ -1,13 +1,11 @@
 """Dense statevector simulation.
 
 Convention: qubit 0 is the least-significant bit of the amplitude index.
-All kernels operate on batches of states shaped (B, 2**n) so that many
-parameter samples evolve through the same circuit in one vectorized pass;
-``simulate`` wraps the batch of one. Rows never mix, and a kernel gives a
-row the same bits whatever batch it sits in, as long as the operand has
-more than one element (numpy multiplies a lone complex element in place
-without the fused multiply-add of its vector loop). The gradient engine
-multiplies nothing in place, so its row blocks may hold a single row.
+The kernels act on batches of states shaped (B, 2**n) with one matrix
+or angle for the whole batch, and rows never mix; ``simulate`` runs the
+batch of one. The gradient engine applies its per-sample matrices
+itself: of these kernels its row blocks meet only ``zero_states`` and
+``apply_pauli``.
 
 CX, SWAP and X only permute basis indices. ``permutation_sources``
 composes a run of them into one int32 index map, so the run costs one
@@ -90,13 +88,6 @@ def _z_signs(n: int, q: int) -> np.ndarray:
     return signs
 
 
-def _as_column(x) -> object:
-    """Shape per-batch coefficients for broadcasting over (B, outer, inner)."""
-    if isinstance(x, np.ndarray) and x.ndim == 1:
-        return x[:, None, None]
-    return x
-
-
 def gate_matrix(kind: GateKind, angle=None) -> np.ndarray:
     """The 2x2 matrix of a single-qubit gate, shaped (..., 2, 2).
 
@@ -124,10 +115,10 @@ def gate_matrix(kind: GateKind, angle=None) -> np.ndarray:
 
 
 def apply_matrix_1q(states: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
-    """Multiply qubit ``q`` of a batch of states (B, 2**n) in place by
-    ``m``: one 2x2 matrix, or one per row shaped (B, 2, 2)."""
+    """Multiply qubit ``q`` of a batch of states (B, 2**n) in place by the
+    2x2 matrix ``m``."""
     view = states.reshape(states.shape[0], 1 << (n - 1 - q), 2, 1 << q)
-    m00, m01, m10, m11 = (_as_column(m[..., a, b]) for a in (0, 1) for b in (0, 1))
+    m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     v0, v1 = view[:, :, 0, :], view[:, :, 1, :]
     s0 = v0.copy()
     v0 *= m00
@@ -139,9 +130,9 @@ def apply_matrix_1q(states: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
 def apply_kind(states: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ...], angle=None) -> np.ndarray:
     """Apply one gate to a batch of states (B, 2**n); returns the new batch.
 
-    ``angle`` is a float or a length-B array for rotation kinds, ignored
-    otherwise. Single-qubit gates mutate in place; callers must treat the
-    input buffer as consumed.
+    ``angle`` is a float for rotation kinds, ignored otherwise.
+    Single-qubit gates mutate in place; callers must treat the input
+    buffer as consumed.
     """
     if kind in _PERMUTATION_SOURCES:
         return states[:, _gate_sources(n, kind, qubits)]
@@ -149,8 +140,8 @@ def apply_kind(states: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ..
     m = gate_matrix(kind, angle)
     if kind is GateKind.RZ:
         view = states.reshape(states.shape[0], 1 << (n - 1 - q), 2, 1 << q)
-        view[:, :, 0, :] *= _as_column(m[..., 0, 0])
-        view[:, :, 1, :] *= _as_column(m[..., 1, 1])
+        view[:, :, 0, :] *= m[0, 0]
+        view[:, :, 1, :] *= m[1, 1]
         return states
     apply_matrix_1q(states, n, q, m)
     return states

@@ -3,11 +3,13 @@
 The pipeline is deterministic end to end: trivial (or seeded) layout,
 BFS shortest-path SWAP routing with a fixed tie-break, rewrite of every
 non-native single-qubit gate through the RZ/SX template, and a peephole
-cleanup run to fixpoint. Every surviving rotation angle is re-labeled
-with a fresh physical symbol whose origin is recorded, so a physical
-circuit can always be bound back through the logical parameter vector
-and checked for exact semantic equivalence. The origins, symbol count and
-cost qubit travel as the JSON file of ``save_provenance``/``load_provenance``.
+cleanup run to fixpoint. Every rotation of the physical circuit keeps
+its own angle: an ``Affine`` over a logical symbol, or a ``Const`` the
+compiler synthesized. So the physical circuit binds from the logical
+parameter vector as it is, and a logical symbol that compilation lost
+fails the compile. The cost qubit, which the circuit file does not
+carry, travels as the JSON file of ``save_provenance``/``load_provenance``,
+tied to its circuit by the digest of the circuit's text.
 
 Physical circuits are emitted over the compact set of qubits the routed
 gates actually touch; ``phys_qubits`` maps each compact index back to
@@ -25,7 +27,6 @@ from typing import Sequence
 
 from .backend import BackendModel
 from .circuit import (
-    ROTATION_KINDS,
     Affine,
     Circuit,
     Const,
@@ -33,10 +34,7 @@ from .circuit import (
     GateKind,
     ParamExpr,
     StructuralMetrics,
-    bind,
-    format_expr,
-    free_all_angles,
-    parse_expr,
+    circuit_sha256,
     structural_metrics,
 )
 from .rng import SplitMix64
@@ -48,15 +46,14 @@ Layout = tuple[int, ...]
 class TranspiledCircuit:
     """A compiled circuit and what it came from.
 
-    ``provenance[p]`` is the expression physical symbol ``p`` replaced: an
-    ``Affine`` over a logical symbol, or a ``Const`` the compiler
+    ``physical`` is over the logical symbols: each rotation angle is an
+    ``Affine`` over a logical symbol or a ``Const`` the compiler
     synthesized.
     """
 
     physical: Circuit
     initial_layout: Layout
     final_layout: Layout
-    provenance: tuple[ParamExpr, ...]
     metrics_before: StructuralMetrics
     metrics_after: StructuralMetrics
     phys_qubits: tuple[int, ...]
@@ -71,43 +68,29 @@ class TranspiledCircuit:
 
 
 def save_provenance(t: TranspiledCircuit, path: str | Path) -> None:
-    """Write the origins (text-format tokens), symbol count and cost qubit."""
-    payload = {
-        "format": 2,
-        "num_logical": t.metrics_before.num_symbols,
-        "cost_qubit": t.cost_qubit,
-        "origins": [format_expr(o) for o in t.provenance],
-    }
+    """Write the cost qubit and the digest of the physical circuit's text."""
+    payload = {"format": 3, "cost_qubit": t.cost_qubit, "circuit_sha256": circuit_sha256(t.physical)}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def load_provenance(path: str | Path) -> tuple[tuple[ParamExpr, ...], int, int]:
-    """Read ``(origins, num_logical, cost_qubit)`` written by ``save_provenance``."""
+def load_provenance(path: str | Path, circuit: Circuit) -> int:
+    """The cost qubit that ``save_provenance`` wrote for ``circuit``.
+
+    A file of another format, or one written for another circuit, raises.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(payload, dict) and payload.get("format") != 2:
-        raise ValueError(f"{path}: not a format-2 provenance file; re-run `vqclab transpile --provenance`")
+    rerun = "re-run `vqclab transpile --provenance`"
+    if isinstance(payload, dict) and payload.get("format") != 3:
+        raise ValueError(f"{path}: not a format-3 provenance file; {rerun}")
     try:
-        origins = tuple(parse_expr(o) for o in payload["origins"])
-        num_logical, cost_qubit = payload["num_logical"], payload["cost_qubit"]
-        if type(num_logical) is not int or type(cost_qubit) is not int:
-            raise TypeError(f"num_logical and cost_qubit must be integers, got {num_logical!r}, {cost_qubit!r}")
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        cost_qubit, digest = payload["cost_qubit"], payload["circuit_sha256"]
+    except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed provenance file: {e}") from None
-    return origins, num_logical, cost_qubit
-
-
-def rebind_symbol_derived(physical: Circuit, provenance: Sequence[ParamExpr], num_logical: int) -> Circuit:
-    """Substitute each physical symbol's origin over ``num_logical`` logical
-    symbols."""
-    if physical.num_symbols != len(provenance):
-        raise ValueError(f"provenance has {len(provenance)} entries, circuit has {physical.num_symbols} symbols")
-    missing = set(range(num_logical)) - {o.symbol for o in provenance if isinstance(o, Affine)}
-    if missing:
-        raise ValueError(f"logical symbol(s) {sorted(missing)} did not survive transpilation")
-    gates = [
-        replace(g, param=provenance[g.param.symbol]) if isinstance(g.param, Affine) else g for g in physical.gates
-    ]
-    return Circuit(physical.num_qubits, tuple(gates), num_logical)
+    if type(cost_qubit) is not int:
+        raise ValueError(f"{path}: malformed provenance file: cost_qubit must be an integer, got {cost_qubit!r}")
+    if digest != circuit_sha256(circuit):
+        raise ValueError(f"{path}: provenance file of another circuit; {rerun}")
+    return cost_qubit
 
 
 def _check_fits(circuit: Circuit, backend: BackendModel) -> None:
@@ -366,36 +349,22 @@ def transpile(circuit: Circuit, backend: BackendModel, *, layout_seed: int | Non
         layout = _random_layout(circuit, backend, layout_seed)
     routed, final_layout = route(circuit, backend, layout)
     lowered = optimize(decompose_to_native(routed, backend))
-    # free_all_angles numbers the rotations in gate order, so the rotation
-    # params in that order are the fresh physical symbols' origins
-    full = free_all_angles(lowered)
-    provenance = tuple(g.param for g in lowered.gates if g.kind in ROTATION_KINDS)
 
-    active = sorted({q for g in full.gates for q in g.qubits} | set(layout) | set(final_layout))
+    active = sorted({q for g in lowered.gates for q in g.qubits} | set(layout) | set(final_layout))
     compact = {p: i for i, p in enumerate(active)}
-    gates = tuple(replace(g, qubits=tuple(compact[q] for q in g.qubits)) for g in full.gates)
-    physical = Circuit(len(active), gates, full.num_symbols)
+    gates = tuple(replace(g, qubits=tuple(compact[q] for q in g.qubits)) for g in lowered.gates)
+    physical = Circuit(len(active), gates, lowered.num_symbols)
 
     t = TranspiledCircuit(
         physical=physical,
         initial_layout=layout,
         final_layout=final_layout,
-        provenance=provenance,
         metrics_before=structural_metrics(circuit),
         metrics_after=structural_metrics(physical),
         phys_qubits=tuple(active),
     )
     check_constraints(t, backend)
     return t
-
-
-def bind_through_provenance(t: TranspiledCircuit, theta: Sequence[float]) -> Circuit:
-    """Bind the physical circuit from a logical parameter vector.
-
-    Each physical symbol resolves through its origin: logical origins give
-    ``coeff * theta[symbol] + offset``, synthesized origins their constant.
-    """
-    return bind(rebind_symbol_derived(t.physical, t.provenance, t.metrics_before.num_symbols), theta)
 
 
 @dataclass(frozen=True)

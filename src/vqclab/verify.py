@@ -8,7 +8,7 @@ import numpy as np
 
 from .circuit import Circuit, bind
 from .sim import simulate
-from .transpiler import TranspiledCircuit, bind_through_provenance
+from .transpiler import TranspiledCircuit
 
 
 def embedded_overlap(logical_state: np.ndarray, t: TranspiledCircuit, physical_state: np.ndarray) -> complex:
@@ -26,10 +26,10 @@ def embedded_overlap(logical_state: np.ndarray, t: TranspiledCircuit, physical_s
 def logical_physical_fidelity(logical: Circuit, t: TranspiledCircuit, theta: Sequence[float]) -> float:
     """|<psi_log|psi_phys>|^2 after undoing the final-layout permutation.
 
-    The physical circuit is bound through its parameter provenance, so a
-    fidelity of 1 certifies the whole pipeline preserved the semantics of
-    the logical circuit up to global phase.
+    The physical circuit is over the logical symbols and binds from the
+    same ``theta``, so a fidelity of 1 certifies the whole pipeline
+    preserved the semantics of the logical circuit up to global phase.
     """
     psi_log = simulate(bind(logical, theta))
-    psi_phys = simulate(bind_through_provenance(t, theta))
+    psi_phys = simulate(bind(t.physical, theta))
     return abs(embedded_overlap(psi_log, t, psi_phys)) ** 2

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from vqclab.ansatz import build_ttn
-from vqclab.circuit import bind, load_circuit
+from vqclab.circuit import bind, circuit_sha256, load_circuit
 from vqclab.cli import main
 from vqclab.grad import ReparamMode, free_all_angles, grad_variance, reparameterize
 from vqclab.harness import read_csv
@@ -43,12 +43,12 @@ class TestTranspileCommand:
         assert code == 0
         expected = transpile(load_circuit(circ), make_line(2))
         assert load_circuit(phys) == expected.physical
+        assert expected.physical.num_symbols == 4  # the logical symbols
         payload = json.loads(prov.read_text())
-        assert list(payload) == ["format", "num_logical", "cost_qubit", "origins"]
-        assert (payload["format"], payload["num_logical"], payload["cost_qubit"]) == (2, 4, expected.cost_qubit)
-        assert len(payload["origins"]) == expected.physical.num_symbols
-        assert {token.split(":")[0] for token in payload["origins"]} == {"affine", "const"}
-        assert all(token.split(":")[2] in ("+1", "-1") for token in payload["origins"] if token.startswith("affine"))
+        assert list(payload) == ["format", "cost_qubit", "circuit_sha256"]
+        assert (payload["format"], payload["cost_qubit"]) == (3, expected.cost_qubit)
+        assert payload["circuit_sha256"] == circuit_sha256(expected.physical)
+        assert payload["circuit_sha256"] == hashlib.sha256(phys.read_bytes()).hexdigest()
         assert "final layout" in capsys.readouterr().out
 
     def test_stdout_and_files_pinned(self, tmp_path, capsys):
@@ -68,10 +68,10 @@ class TestTranspileCommand:
             "final layout: [5, 3, 4, 2]\n"
         )
         assert hashlib.sha256(prov.read_bytes()).hexdigest() == (
-            "b11eeab04325215d4feaff03e45e96ed08d79b80da40b46ed2372ed40a76f7b2"
+            "7ffc7c2eb44e33717b4d9d90bf060a6f22eabfee5147baf52e1f118ee432e394"
         )
         assert hashlib.sha256(phys.read_bytes()).hexdigest() == (
-            "2fed5cd6357726c4659919eba730ed1b7a26352b803b7f767eafd3fc15c4a4a9"
+            "7605f558815ee1284bc2368066b989354a41041eaf31bdaf133a4a8b85e118ce"
         )
 
     def test_backend_file_reference(self, tmp_path):
@@ -148,6 +148,21 @@ class TestExpectCommand:
         assert run("expect", "--in", phys, "--theta", theta_file, "--qubit", "7") == 0
         assert float(capsys.readouterr().out) == expect_z(bind(physical, theta), 7)
 
+    def test_compiled_circuit_takes_the_logical_theta(self, tmp_path, capsys):
+        # the compiled file binds from the logical parameter file, and reads
+        # the logical circuit's <Z_0> at the provenance file's cost qubit
+        circ, phys, prov, theta_file = (tmp_path / name for name in ("c.txt", "p.txt", "prov.json", "theta.txt"))
+        run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
+        run("transpile", "--in", circ, "--backend", "line:8", "--out", phys, "--provenance", prov,
+            "--layout-seed", "3")
+        logical = load_circuit(circ)
+        theta = [0.1 + 0.3 * i for i in range(logical.num_symbols)]
+        theta_file.write_text(" ".join(repr(t) for t in theta))
+        cost_qubit = json.loads(prov.read_text())["cost_qubit"]
+        capsys.readouterr()
+        assert run("expect", "--in", phys, "--theta", theta_file, "--qubit", cost_qubit) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(expect_z(bind(logical, theta), 0), abs=1e-12)
+
 
 class TestGradvarCommand:
     def test_all_angles_matches_library(self, tmp_path, capsys):
@@ -219,14 +234,15 @@ class TestGradvarCommand:
 
     @pytest.mark.parametrize(
         "prov_text, message",
-        [('{"format": 2, "num_logical": 1, "cost_qubit": 0}', "malformed provenance"),
+        [('{"format": 3, "cost_qubit": 0}', "malformed provenance"),
          ("[1, 2]", "malformed provenance"),
-         ('{"format": 2, "num_logical": 1, "cost_qubit": 0, "origins": ["affine:0:+2:0.0"]}',
-          "malformed parameter expression 'affine:0:+2:0.0'"),
-         ('{"format": 2, "num_logical": 0, "cost_qubit": 0, "origins": ["const:1.0"]}', "provenance has 1 entries"),
+         ('{"format": 2, "num_logical": 1, "cost_qubit": 0, "origins": ["affine:0:+1:0.0"]}',
+          "not a format-3 provenance file; re-run `vqclab transpile --provenance`"),
+         ('{"format": 3, "cost_qubit": 0, "circuit_sha256": "' + "0" * 64 + '"}',
+          "provenance file of another circuit; re-run `vqclab transpile --provenance`"),
          ('{"0": {"kind": "const", "value": 1.0}}', "re-run `vqclab transpile --provenance`"),
-         ('{"format": 2, "num_logical": true, "cost_qubit": false, "origins": []}', "malformed provenance")],
-        ids=["missing-field", "not-a-map", "malformed-expression", "wrong-length", "format-1", "bool-count"],
+         ('{"format": 3, "cost_qubit": false, "circuit_sha256": "0"}', "malformed provenance")],
+        ids=["missing-field", "not-a-map", "format-2", "other-circuit", "format-1", "bool-count"],
     )
     def test_bad_provenance_fails_cleanly(self, tmp_path, capsys, prov_text, message):
         circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
@@ -237,7 +253,29 @@ class TestGradvarCommand:
         for mode in ReparamMode:
             assert run("gradvar", "--in", phys, "--mode", mode.value, "--provenance", prov) == 1
             captured = capsys.readouterr()
-            assert message in captured.err and captured.out == ""
+            assert captured.err.startswith(f"error: {prov}: ") and message in captured.err
+            assert captured.out == ""
+
+    def test_provenance_file_of_another_compile_fails(self, tmp_path, capsys):
+        # two layouts of ttn n=4 L=1 on line:8: the cost qubits are 7 and 0
+        circ = tmp_path / "c.txt"
+        run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
+        for seed in (3, 5):
+            run("transpile", "--in", circ, "--backend", "line:8", "--out", tmp_path / f"p{seed}.txt",
+                "--provenance", tmp_path / f"prov{seed}.json", "--layout-seed", seed)
+        assert [json.loads((tmp_path / f"prov{seed}.json").read_text())["cost_qubit"] for seed in (3, 5)] == [7, 0]
+        capsys.readouterr()
+        for mode in ReparamMode:
+            for phys, prov in ((tmp_path / "p3.txt", tmp_path / "prov5.json"),
+                               (tmp_path / "p5.txt", tmp_path / "prov3.json")):
+                assert run("gradvar", "--in", phys, "--mode", mode.value, "--provenance", prov,
+                           "--samples", "2") == 1
+                captured = capsys.readouterr()
+                assert captured.err.startswith(f"error: {prov}: provenance file of another circuit")
+                assert captured.out == ""
+            assert run("gradvar", "--in", tmp_path / "p3.txt", "--mode", mode.value,
+                       "--provenance", tmp_path / "prov3.json", "--samples", "2") == 0
+            capsys.readouterr()
 
 
 class TestSweepCommand:
@@ -288,9 +326,11 @@ class TestSweepCommand:
             {"ansatz": ["ttn"], "qubits": [2.0], "reps": [1]},
             {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "samples": 1},
             '{"ansatz": ["ttn"],',
+            {"ansatz": ["ttn"], "qubits": [2, 2], "reps": [1]},
         ],
         ids=["unknown-key", "missing-ansatz", "qubits-not-a-list", "not-an-object", "ansatz-a-string",
-             "fractional-samples", "fractional-base-seed", "float-qubits", "too-few-samples", "not-json"],
+             "fractional-samples", "fractional-base-seed", "float-qubits", "too-few-samples", "not-json",
+             "repeated-qubits"],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, capsys, payload):
         # a string payload is the file's raw text

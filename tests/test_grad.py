@@ -496,18 +496,17 @@ class TestGradVariance:
 def make_transpiled_fixture():
     """Physical circuit [RZ const pi, SX, RZ from-logical(0,+1,pi), SX]."""
     gates = (
-        Gate(GateKind.RZ, (0,), Affine(0, 1, 0.0)),
+        Gate(GateKind.RZ, (0,), Const(math.pi)),
         Gate(GateKind.SX, (0,)),
-        Gate(GateKind.RZ, (0,), Affine(1, 1, 0.0)),
+        Gate(GateKind.RZ, (0,), Affine(0, 1, math.pi)),
         Gate(GateKind.SX, (0,)),
     )
-    physical = Circuit(1, gates, 2)
+    physical = Circuit(1, gates, 1)
     logical = Circuit(1, (Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)),), 1)
     return TranspiledCircuit(
         physical=physical,
         initial_layout=(0,),
         final_layout=(0,),
-        provenance=(Const(math.pi), Affine(0, 1, math.pi)),
         metrics_before=structural_metrics(logical),
         metrics_after=structural_metrics(physical),
         phys_qubits=(0,),
@@ -524,6 +523,7 @@ class TestReparameterize:
     def test_symbol_derived_restores_logical_space(self):
         t = make_transpiled_fixture()
         c = reparameterize(t, ReparamMode.SYMBOL_DERIVED)
+        assert c is t.physical
         assert c.num_symbols == 1
         params = [g.param for g in c.gates if g.param is not None]
         assert params == [Const(math.pi), Affine(0, 1, math.pi)]
@@ -535,7 +535,6 @@ class TestReparameterize:
             physical=physical,
             initial_layout=(0, 1),
             final_layout=(0, 1),
-            provenance=(),
             metrics_before=structural_metrics(physical),
             metrics_after=structural_metrics(physical),
             phys_qubits=(0, 1),
@@ -544,18 +543,12 @@ class TestReparameterize:
         assert reparameterize(t, ReparamMode.SYMBOL_DERIVED).num_symbols == 0
 
     def test_vanished_symbol_errors(self):
-        t = make_transpiled_fixture()
-        broken = TranspiledCircuit(
-            physical=t.physical,
-            initial_layout=t.initial_layout,
-            final_layout=t.final_layout,
-            provenance=(Const(math.pi), Const(0.5)),
-            metrics_before=t.metrics_before,
-            metrics_after=t.metrics_after,
-            phys_qubits=t.phys_qubits,
-        )
-        with pytest.raises(ValueError, match="did not survive"):
-            reparameterize(broken, ReparamMode.SYMBOL_DERIVED)
+        # RZ(theta) RZ(-theta) merges to the identity: the compile fails
+        # instead of handing back a circuit over fewer symbols
+        gates = (Gate(GateKind.RZ, (0,), Affine(0, 1, 0.0)), Gate(GateKind.RZ, (0,), Affine(0, -1, 0.0)),
+                 Gate(GateKind.RY, (1,), Affine(1, 1, 0.0)))
+        with pytest.raises(ValueError, match="removed every occurrence"):
+            transpile(Circuit(2, gates, 2), make_line(2))
 
     def test_free_all_angles_on_logical(self):
         c = build_real_amplitudes(2, 1)

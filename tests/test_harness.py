@@ -62,6 +62,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(**bad)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (dict(ansatz=["ttn", "ttn"], qubits=[2, 2]), "ansatz repeats 'ttn'"),
+            (dict(qubits=[2, 4, 2]), "qubits repeats 2"),
+            (dict(reps=[1, 2, 1]), "reps repeats 1"),
+        ],
+        ids=["ansatz", "qubits", "reps"],
+    )
+    def test_repeated_grid_value_is_rejected(self, grid, message):
+        # a repeat would run the same cell again under another seed, and the
+        # heatmap would keep only the last of them
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_config(**grid)
+
     def test_meta_seeds_is_an_unknown_field(self):
         with pytest.raises(TypeError, match="meta_seeds"):
             tiny_config(meta_seeds=1)

@@ -29,7 +29,6 @@ from vqclab.circuit import (
 from vqclab.grad import ReparamMode, grad_variance, reparameterize
 from vqclab.sim import apply_kind, simulate
 from vqclab.transpiler import (
-    bind_through_provenance,
     check_constraints,
     choose_layout,
     decompose_to_native,
@@ -459,20 +458,24 @@ class TestTranspile:
         assert transpile(c, backend) == transpile(c, backend)
 
     def test_provenance_total_and_typed(self):
+        # each rotation keeps its angle's origin: a logical symbol or a synthesized constant
         c = build_real_amplitudes(2, 1)
         t = transpile(c, make_line(2))
-        assert len(t.provenance) == t.physical.num_symbols
-        logical = [o for o in t.provenance if isinstance(o, Affine)]
-        synth = [o for o in t.provenance if isinstance(o, Const)]
-        assert len(logical) + len(synth) == len(t.provenance)
+        params = [g.param for g in t.physical.gates if g.kind in ROTATION_KINDS]
+        logical = [o for o in params if isinstance(o, Affine)]
+        synth = [o for o in params if isinstance(o, Const)]
+        assert len(logical) + len(synth) == len(params)
         assert {o.symbol for o in logical} == set(range(c.num_symbols))
         assert all(o.angle == pytest.approx(math.pi) for o in synth)
 
-    def test_physical_circuit_is_freshly_symbolized(self):
-        t = transpile(build_ttn(4, 1), make_line(4))
-        syms = [g.param for g in t.physical.gates if g.param is not None]
-        assert [s.symbol for s in syms] == list(range(len(syms)))
-        assert all(s.coeff == 1 and s.offset == 0.0 for s in syms)
+    def test_physical_circuit_keeps_logical_symbols(self):
+        c = build_ttn(4, 1)
+        t = transpile(c, make_line(4))
+        assert t.physical.num_symbols == c.num_symbols
+        syms = [g.param for g in t.physical.gates if isinstance(g.param, Affine)]
+        assert sorted({s.symbol for s in syms}) == list(range(c.num_symbols))
+        assert any(s.offset != 0.0 for s in syms)  # the RZ/SX template shifts RY angles by pi
+        assert free_all_angles(t.physical).num_symbols > c.num_symbols
 
     def test_ancilla_bridge_compaction(self):
         # routing across heavy-hex rows passes through a bridge qubit that
@@ -489,10 +492,11 @@ class TestTranspile:
         t = transpile(build_efficient_su2(5, 1), backend)
         assert t.phys_qubits[t.cost_qubit] == t.final_layout[0]
 
-    def test_bind_through_provenance_length_check(self):
-        t = transpile(build_real_amplitudes(2, 1), make_line(2))
+    def test_fidelity_length_check(self):
+        c = build_real_amplitudes(2, 1)
+        t = transpile(c, make_line(2))
         with pytest.raises(ValueError, match="parameter count mismatch"):
-            bind_through_provenance(t, [0.0])
+            logical_physical_fidelity(c, t, [0.0])
 
 
 class TestSemanticEquivalence:
@@ -589,7 +593,8 @@ def test_transpile_properties_on_random_backends(case):
     t = transpile(circuit, backend, layout_seed=layout_seed)
     assert logical_physical_fidelity(circuit, t, theta) >= 1 - 1e-10
     check_constraints(t, backend)
-    assert free_all_angles(t.physical) == t.physical
+    assert t.physical.num_symbols == circuit.num_symbols
+    assert reparameterize(t, ReparamMode.SYMBOL_DERIVED) is t.physical
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         save_provenance(t, d / "lib.json")
@@ -602,7 +607,7 @@ def test_transpile_properties_on_random_backends(case):
             argv += ["--layout-seed", layout_seed]
         assert cli.main([str(a) for a in argv]) == 0
         assert (d / "cli.json").read_bytes() == (d / "lib.json").read_bytes()
-        assert load_provenance(d / "cli.json") == (t.provenance, t.metrics_before.num_symbols, t.cost_qubit)
+        assert load_provenance(d / "cli.json", t.physical) == t.cost_qubit
         assert load_circuit(d / "p.txt") == t.physical
         for mode in ReparamMode:
             out = io.StringIO()
