@@ -29,20 +29,28 @@ two-qubit gate touches the wire, or the circuit ends) is fused into its
 per-sample 2x2 product. A CX or SWAP that meets held runs on both its
 wires is fused with them into one step, whose per-sample 4x4 is
 CX.(U_hi kron U_lo): a Kronecker product, one rounding per entry, with
-its rows permuted; any other run is a step alone. A step acts on the top
-bit of the amplitude index, or the top two, so each is one batched BLAS
-matmul with the state viewed as (rows, 2, 2**(n-1)) or (rows, 4,
-2**(n-2)). The qubits get there inside the gathers the sweep does anyway
-(as Haner & Steiger, arXiv:1704.01127, move qubits to local bits): the
-sweep keeps a qubit -> bit layout, composes the other CX and SWAP gates
-on their current bits into one index map, and adds to it the SWAPs that
-bring a step's qubits to the top bits. The backward pass stacks [psi;
+its rows permuted. A run flushed alone, by a CX or SWAP that meets no
+run on its other wire or by the end of the circuit, takes a second held
+run into its step if one is complete (no single-qubit gate follows it on
+its wire, so no run is split): a gateless pair, whose 4x4 is U_hi kron
+U_lo with no permutation. Of the complete runs it takes the one whose
+next two-qubit gate comes first. A run with no partner is a step alone.
+Routing puts its SWAPs beside one held wire at a time, so pairs halve
+the lone steps of compiled circuits, and the gathers in front of them.
+A step acts on the top bit of the amplitude index, or the top two, so
+each is one batched BLAS matmul with the state viewed as (rows, 2,
+2**(n-1)) or (rows, 4, 2**(n-2)). The qubits get there inside the
+gathers the sweep does anyway (as Haner & Steiger, arXiv:1704.01127,
+move qubits to local bits): the sweep keeps a qubit -> bit layout,
+composes the other CX and SWAP gates on their current bits into one
+index map, and adds to it the SWAPs that bring a step's qubits to the
+top bits. The backward pass stacks [psi;
 conj(lambda)] in one buffer and forms a step's transition matrix
 G[r, a, b] = sum over the other qubits of conj(lambda_a) psi_b, one
 matmul. Each wire's 2x2 G is read off the step's through one index map:
 a lone run's is the whole G, and a two-run step's 4x4 G is taken back to
-before its gate by an exact index permutation and summed over the other
-wire. Occurrence k of a run contributes coeff * Im sum_ab
+before its gate, if it has one, by an exact index permutation and summed
+over the other wire. Occurrence k of a run contributes coeff * Im sum_ab
 (W P_k W^dagger)_ab G_ab, W being the product of the run's gates after k.
 One matmul by [U^dagger; conj(U^dagger)] then un-applies the step.
 Each step's per-sample U, and each occurrence's W P_k W^dagger, are
@@ -242,10 +250,14 @@ _Gather = tuple[np.ndarray, np.ndarray]
 
 def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], list[int]]:
     """The gates as sweep steps on ``n`` qubits, and the qubit -> bit layout
-    they end in. A step is a gather, or a matrix step: a maximal run of
-    single-qubit gates on one wire, held back until a two-qubit gate touches
-    that wire or the circuit ends, or a two-qubit gate that meets held runs
-    on both its wires, with those runs. Other CX and SWAP gates join the
+    they end in. A step is a gather, or a matrix step. Each maximal run of
+    single-qubit gates on one wire is held back until a two-qubit gate
+    touches that wire or the circuit ends. A two-qubit gate that meets held
+    runs on both its wires is one step with those runs. A run flushed alone
+    (its two-qubit gate meets no run on the other wire, or the circuit ends)
+    takes a second held run into its step if one is complete: no
+    single-qubit gate follows it on its wire. Of those, it takes the one
+    whose next two-qubit gate comes first. Other CX and SWAP gates join the
     pending gather on their current bits. Before a step whose qubits are not
     on the top bits, SWAPs that bring them there join the gather (or open
     one)."""
@@ -253,8 +265,24 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], 
     layout = list(range(n))
     pending: list[Gate] = []
     held: dict[int, list[Gate]] = {}
+    # follows[i]: the index of the two-qubit gate after single-qubit gate i
+    # on its wire, len(gates) if the wire has no more gates, None if a
+    # single-qubit gate comes next; run_end[q]: that of the held run's last
+    # gate, so a held run is complete unless it is None
+    run_end: dict[int, int | None] = {}
+    follows: list[int | None] = [None] * len(gates)
+    next_gate: dict[int, int] = {}
+    for i in reversed(range(len(gates))):
+        g = gates[i]
+        if g.kind not in TWO_QUBIT_KINDS:
+            j = next_gate.get(g.qubits[0], len(gates))
+            follows[i] = j if j == len(gates) or gates[j].kind in TWO_QUBIT_KINDS else None
+        for q in g.qubits:
+            next_gate[q] = i
 
-    def flush(*qubits: int, gate: Gate | None = None) -> None:
+    def flush(a: int, b: int | None = None, kind: GateKind | None = None) -> None:
+        # a qubit already on one of the top two bits stays there
+        qubits = (a,) if b is None else (b, a) if n - 1 == layout[b] or n - 2 == layout[a] else (a, b)
         for q, bit in zip(qubits, (n - 1, n - 2)):
             if layout[q] != bit:
                 pending.append(Gate(GateKind.SWAP, (layout[q], bit)))
@@ -262,42 +290,47 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], 
         if pending:
             steps.append(permutation_sources(n, pending))
             pending.clear()
+        gate = None if kind is None else Gate(kind, tuple(int(q == qubits[0]) for q in (a, b)))
         steps.append(_Step(tuple(_Run(q, tuple(held.pop(q))) for q in qubits), gate))
 
-    for g in gates:
+    def flush_lone(q: int) -> None:
+        partners = [p for p in held if p != q and run_end[p] is not None]
+        flush(q, min(partners, key=run_end.__getitem__) if partners else None)
+
+    for i, g in enumerate(gates):
         if g.kind not in TWO_QUBIT_KINDS:
             held.setdefault(g.qubits[0], []).append(g)
+            run_end[g.qubits[0]] = follows[i]
             continue
         a, b = g.qubits
         if a in held and b in held:
-            # a qubit already on one of the top two bits stays there
-            hi, lo = (b, a) if n - 1 == layout[b] or n - 2 == layout[a] else (a, b)
-            flush(hi, lo, gate=Gate(g.kind, tuple(int(q == hi) for q in g.qubits)))
+            flush(a, b, g.kind)
             continue
         for q in g.qubits:
             if q in held:
-                flush(q)
+                flush_lone(q)
         pending.append(Gate(g.kind, tuple(layout[q] for q in g.qubits)))
-    for q in list(held):
-        flush(q)
+    while held:
+        flush_lone(next(iter(held)))
     if pending:
         steps.append(permutation_sources(n, pending))
     return steps, layout
 
 
 @lru_cache(maxsize=None)
-def _block_maps(gate: Gate | None) -> tuple[np.ndarray | None, np.ndarray]:
-    """The 4x4 row permutation of a step's ``gate``, and the flat indices
-    that read each wire's 2x2 transition matrix off the step's one.
+def _block_maps(gate: Gate | None, runs: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The 4x4 row permutation of a two-run step's ``gate`` (the identity
+    if it has none), and the flat indices that read each wire's 2x2
+    transition matrix off the step's one.
 
     Indices are shaped (wire, c, a, b), to be summed over c. A lone run's
     2x2 is one wire of one term. With G' = G[back][:, back] the 4x4 before
     the gate, an exact permutation, the top bit's is sum_c G'[2a + c, 2b + c]
     and the lower bit's sum_c G'[2c + a, 2c + b].
     """
-    if gate is None:
+    if runs == 1:
         return None, np.arange(4).reshape(1, 1, 2, 2)
-    forward, back = permutation_sources(2, [gate])
+    forward, back = permutation_sources(2, [] if gate is None else [gate])
     c, a, b = np.indices((2, 2, 2))
     wires = np.stack([back[2 * a + c] * 4 + back[2 * b + c], back[2 * c + a] * 4 + back[2 * c + b]])
     return forward, wires
@@ -365,15 +398,17 @@ _StepMatrices = tuple[np.ndarray, list[list[tuple[int, float, np.ndarray]]]]
 
 def _step_matrices(step: _Step, thetas: np.ndarray) -> _StepMatrices:
     """A step's per-sample unitary on its top bits, with its read-offs: a lone
-    run's 2x2 product, or gate * (U_hi kron U_lo), one rounding per entry
-    and then an exact row permutation."""
+    run's 2x2 product, or U_hi kron U_lo, one rounding per entry, and then
+    the exact row permutation of the step's gate, if it has one."""
     matrices = [_matrices(run, thetas) for run in step.runs]
     products = [_product(run, m) for run, m in zip(step.runs, matrices)]
     u = products[0]
-    if step.gate is not None:
+    if len(products) == 2:
         hi, lo = products
         kron = hi[..., :, None, :, None] * lo[..., None, :, None, :]
-        u = kron.reshape(kron.shape[:-4] + (4, 4))[..., _block_maps(step.gate)[0], :]
+        u = kron.reshape(kron.shape[:-4] + (4, 4))
+        if step.gate is not None:
+            u = u[..., _block_maps(step.gate, 2)[0], :]
     return u, [_read_offs(run, m) for run, m in zip(step.runs, matrices)]
 
 
@@ -420,7 +455,8 @@ def _sweep_block(
                 if not occurrences:
                     continue
                 # the wire's 2x2 transition matrix, before the step's gate
-                wire_transition = transition.reshape(rows, dim * dim)[:, _block_maps(step.gate)[1][wire]].sum(axis=1)
+                index = _block_maps(step.gate, len(step.runs))[1][wire]
+                wire_transition = transition.reshape(rows, dim * dim)[:, index].sum(axis=1)
                 for symbol, coeff, p in occurrences:
                     # two sums of two terms each add in one order whatever the rows;
                     # one sum over both axes adds a one-row block in another order

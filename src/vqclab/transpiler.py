@@ -78,7 +78,10 @@ def load_provenance(path: str | Path, circuit: Circuit) -> int:
 
     A file of another format, or one written for another circuit, raises.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"{path}: not a provenance file: {e}") from None
     rerun = "re-run `vqclab transpile --provenance`"
     if isinstance(payload, dict) and payload.get("format") != 3:
         raise ValueError(f"{path}: not a format-3 provenance file; {rerun}")

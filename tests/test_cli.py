@@ -241,8 +241,9 @@ class TestGradvarCommand:
          ('{"format": 3, "cost_qubit": 0, "circuit_sha256": "' + "0" * 64 + '"}',
           "provenance file of another circuit; re-run `vqclab transpile --provenance`"),
          ('{"0": {"kind": "const", "value": 1.0}}', "re-run `vqclab transpile --provenance`"),
-         ('{"format": 3, "cost_qubit": false, "circuit_sha256": "0"}', "malformed provenance")],
-        ids=["missing-field", "not-a-map", "format-2", "other-circuit", "format-1", "bool-count"],
+         ('{"format": 3, "cost_qubit": false, "circuit_sha256": "0"}', "malformed provenance"),
+         ("{", "not a provenance file: Expecting property name")],
+        ids=["missing-field", "not-a-map", "format-2", "other-circuit", "format-1", "bool-count", "not-json"],
     )
     def test_bad_provenance_fails_cleanly(self, tmp_path, capsys, prov_text, message):
         circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"

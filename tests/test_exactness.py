@@ -3,15 +3,17 @@
 The digests below were computed by the fused light-cone sweep: the
 blocked adjoint sweep run on the gates and qubits of the cost qubit's
 backward light cone. Each CX or SWAP that meets single-qubit runs on both
-its wires is fused with them into one 4x4 on the top two bits, each other
-run into one 2x2 on the top bit; each is applied by a BLAS matmul, and
-every occurrence is read off the 2x2 transition matrix of its own wire.
-Every exact rewrite of the engine must reproduce them, and must give the
-same bits at any block size. Each grad_var stays within 1e-14 relative
-of the 2x2-only sweep that came before blocks, of the elementwise run
-kernel that came before the matmul, of the gate-by-gate sweep that came
-before fusion and of the full-register sweep that came before the light
-cone.
+its wires is fused with them into one 4x4 on the top two bits. A run
+flushed alone takes a second complete run into its step, a 4x4 U_hi kron
+U_lo with no gate; a run left without one is a 2x2 on the top bit. Each
+step is applied by a BLAS matmul, and every occurrence is read off the
+2x2 transition matrix of its own wire. Every exact rewrite of the engine
+must reproduce them, and must give the same bits at any block size. Each
+grad_var stays within 1e-14 relative of the sweep that fused only a CX
+or SWAP with two runs, of the 2x2-only sweep that came before blocks, of
+the elementwise run kernel that came before the matmul, of the
+gate-by-gate sweep that came before fusion and of the full-register
+sweep that came before the light cone.
 
 The bits depend on the zgemm kernel that numpy's bundled OpenBLAS picks
 for the CPU. So the pins are computed in a child interpreter started with
@@ -55,14 +57,14 @@ def stats_digest(stats) -> str:
 # default block size; n=4 runs in one.
 FROZEN = {
     ("efficient_su2", 10, 1): {
-        "logical": ("0x1.b125e98b23738p-7", "f4621f08fdfc0032c880492f6da693a625a00b5efd69ff56d08e75ce1a58cb37"),
-        "all-angles": ("0x1.b129b3f0adefap-7", "917c518f8123b3671077d4f6eb64ef7fd782cb1786be4ae244ae8f6251f1bd40"),
-        "symbol-derived": ("0x1.b125e98b23736p-7", "8c836b48a55f58af37674a0bc10facb11a0d3ed3087f6a3e6e2e7b18032c68f3"),
+        "logical": ("0x1.b125e98b23736p-7", "92d1add4bee19676a0ead484502eb47adda487b9e813163d3620b9548aa920da"),
+        "all-angles": ("0x1.b129b3f0adefap-7", "2e32aab81d971b2dd9f4968f15d3f271d8fb427c608cf4b9e0b5c483c24d6d2c"),
+        "symbol-derived": ("0x1.b125e98b23736p-7", "24a6b235387fcaf66365be10f1050a8861cb49fe54019f0b5a011adc7236b7d6"),
     },
     ("ttn", 4, 2): {
         "logical": ("0x1.ca4c30ab555bdp-4", "26e09d5f67c2fbc983d5c892bcb216a159d9b9959a116b6579c1cd12670f83c2"),
-        "all-angles": ("0x1.3e7de162a7caap-5", "1763e8fa942bca21fd82ef5ab3f97efd68d05c0aa83220ed1ff1cde8774834b7"),
-        "symbol-derived": ("0x1.ca4c30ab555b9p-4", "670323fec2c04da602ab70159a3f9a6cc069efd27cd683e10d775677f99efd44"),
+        "all-angles": ("0x1.3e7de162a7caap-5", "6684f1f905f315b767c9e353c1d1c79b2a0ffdf2843023c65774627e89cf14fe"),
+        "symbol-derived": ("0x1.ca4c30ab555b7p-4", "7482b878c56edaaa4d18f75851df44ddd5958996ff1ed74118b2dd86dd49a714"),
     },
 }
 
@@ -232,6 +234,30 @@ def test_blocks_within_rounding_of_top_bit_runs(cell):
         assert abs(new - old) <= 1e-14 * abs(old)
 
 
+# grad_var.hex() of the cells above as the sweep computed them when only a
+# CX or SWAP fused two runs into one step, before two runs with no gate
+# between them became one U_hi kron U_lo step (under the Haswell kernel).
+FUSED_CX_GRAD_VAR = {
+    ("efficient_su2", 10, 1): {
+        "logical": "0x1.b125e98b23738p-7",
+        "all-angles": "0x1.b129b3f0adefap-7",
+        "symbol-derived": "0x1.b125e98b23736p-7",
+    },
+    ("ttn", 4, 2): {
+        "logical": "0x1.ca4c30ab555bdp-4",
+        "all-angles": "0x1.3e7de162a7caap-5",
+        "symbol-derived": "0x1.ca4c30ab555b9p-4",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(FUSED_CX_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
+def test_gateless_pairs_within_rounding_of_fused_cx_steps(cell):
+    for mode, old in FUSED_CX_GRAD_VAR[cell].items():
+        new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
+        assert abs(new - old) <= 1e-14 * abs(old)
+
+
 def test_block_size_engages_at_ten_qubits():
     # the n=10 pins above must run in more than one row block, the n=4 pin
     # in one; their light cones span every qubit of each circuit
@@ -390,10 +416,26 @@ FIXED_RUN_BLOCKS = (
 )
 
 
+# Two gateless pairs: CX(0, 1) meets a held run on qubit 0 only, and takes
+# the complete run on qubit 2 into its step; CX(2, 0) then meets RY on
+# qubit 0 only, and takes RX on qubit 1. Both symbols occur on both wires
+# of a pair.
+GATELESS_PAIRS = (
+    Circuit(3, (
+        Gate(GateKind.RY, (2,), Affine(0, 1, 0.6)), Gate(GateKind.SX, (2,)),
+        Gate(GateKind.RZ, (0,), Affine(1, -1, 1.2)), Gate(GateKind.H, (0,)), Gate(GateKind.CX, (0, 1)),
+        Gate(GateKind.RX, (1,), Affine(0, 1, 2.5)), Gate(GateKind.RY, (0,), Affine(1, 1, 0.9)),
+        Gate(GateKind.CX, (2, 0)), Gate(GateKind.CX, (1, 0)),
+    ), 2),
+    0, 5, 13,
+)
+
+
 @PROPERTY_SETTINGS
 @given(random_circuits())
 @example(FIXED_RUNS)
 @example(FIXED_RUN_BLOCKS)
+@example(GATELESS_PAIRS)
 def test_batched_equals_literal_shift_rule(case):
     assert_equals_literal_shift_rule(case)
 
@@ -460,6 +502,7 @@ def test_blocks_block_size_never_changes_bits(case):
 @given(random_circuits())
 @example(FIXED_RUNS)
 @example(FIXED_RUN_BLOCKS)
+@example(GATELESS_PAIRS)
 def test_block_size_never_changes_bits(case):
     assert_block_size_never_changes_bits(case)
 
