@@ -22,7 +22,8 @@ gradient of exactly 0. So do the RZ gates that end the cost wire, which
 commute with Z_cost; they are dropped from the cone too.
 
 The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
-of cone state each, so a block's buffers stay in a per-core L2 cache.
+of complex cone state each (a real cone's takes half), so a block's
+buffers stay in a per-core L2 cache.
 It has two kinds of step: gathers, and matrix steps of one or two runs.
 Each maximal run of single-qubit gates on one wire (held back until a
 two-qubit gate touches the wire, or the circuit ends) is fused into its
@@ -56,9 +57,19 @@ One matmul by [U^dagger; conj(U^dagger)] then un-applies the step.
 Each step's per-sample U, and each occurrence's W P_k W^dagger, are
 built once per call for the whole batch; a row block takes its rows of
 them, and a matrix shared by every sample as it is.
+A call allocates two flat state buffers, each 2 x (largest block's rows)
+x 2**n amplitudes. A row block views both as (2, rows, 2**n), and every
+gather and matmul writes into the one it did not read, so the sweep
+allocates no state. If every step's U is exactly real, as in the RY and
+CX circuits of logical ttn and real_amplitudes, so are the states: the
+sweep takes the U's real parts and runs in float64, dgemm on half the
+bytes. The read-off matrices stay complex, as RY's generator is
+imaginary. The rule reads the matrices, not the gate kinds, so a
+``Const`` RZ(0) leaves a cone real.
 Fusion and BLAS round differently from a gate-by-gate sweep (within
-~1e-14 relative on GradVar); rows never mix and gathers are exact, so
-the results are the same bits at any block size, down to one row.
+~1e-14 relative on GradVar), and dgemm differently from zgemm; rows
+never mix and gathers are exact, so the results are the same bits at any
+block size, down to one row.
 """
 
 from __future__ import annotations
@@ -73,28 +84,20 @@ import numpy as np
 
 from .circuit import TWO_QUBIT_KINDS, Affine, Circuit, Const, Gate, GateKind, bind, free_all_angles
 from .rng import GOLDEN, angles_from_u64, mix64_array
-from .sim import (
-    GENERATORS,
-    MAX_QUBITS,
-    apply_pauli,
-    expect_z,
-    gate_matrix,
-    permutation_sources,
-    zero_states,
-)
+from .sim import GENERATORS, MAX_QUBITS, _z_signs, expect_z, gate_matrix, permutation_sources
 from .transpiler import TranspiledCircuit
 
-# Least bytes of state per row block of the adjoint sweep (a smaller batch
-# is one block). A block holds under twice this, so the stacked
-# [state; costate] buffer stays within a 2 MiB per-core L2. On a 2-vCPU
-# Xeon with 2 MiB L2 per core, the six n = 12, B = 200 GradVar calls of
-# perfbench's gradvar_n12 (step matrices built once per call), best of
-# three in each of eight rounds that interleave the sizes, took a median
-# 0.73 s (range 0.62-0.85 s) with 512 KiB blocks, 0.74 s (0.56-0.85 s)
-# with 256 KiB, 0.69 s (0.61-0.83 s) with 1 MiB and 0.84 s (0.73-0.94 s)
-# with 2 MiB: no size wins beyond the shared host's noise, and larger
-# blocks hold larger buffers. Before fusion, 0.5-1 MiB blocks were best by
-# ~10 % and unblocked sweeps were ~50 % slower.
+# Least bytes of complex state per row block of the adjoint sweep (a
+# smaller batch is one block). A block holds under twice this, so each of
+# the two stacked [state; costate] buffers stays within a 2 MiB per-core
+# L2. On a 2-vCPU Xeon with 2 MiB L2 per core, the six n = 12, B = 200
+# GradVar calls of perfbench's gradvar_n12 (step matrices built once per
+# call), best of three in each of eight rounds that interleave the sizes,
+# took a median 0.73 s (range 0.62-0.85 s) with 512 KiB blocks, 0.74 s
+# (0.56-0.85 s) with 256 KiB, 0.69 s (0.61-0.83 s) with 1 MiB and 0.84 s
+# (0.73-0.94 s) with 2 MiB: no size wins beyond the shared host's noise,
+# and larger blocks hold larger buffers. Before fusion, 0.5-1 MiB blocks
+# were best by ~10 % and unblocked sweeps were ~50 % slower.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -418,7 +421,12 @@ def _rows(m: np.ndarray, block: slice) -> np.ndarray:
 
 
 def _sweep_block(
-    plan: list[tuple[_Step | _Gather, _StepMatrices | None]], n: int, block: slice, cost_bit: int, grads: np.ndarray
+    plan: list[tuple[_Step | _Gather, _StepMatrices | None]],
+    n: int,
+    block: slice,
+    cost_bit: int,
+    grads: np.ndarray,
+    buffers: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """Forward/backward sweep of the rows ``block`` of the batch; adds their
     gradients into ``grads``, the block's rows of the gradient array.
@@ -429,26 +437,37 @@ def _sweep_block(
     [psi; conj(lambda)], lambda starting as Z on ``cost_bit`` times psi,
     and reads off a step's occurrences before un-applying it, each from the
     2x2 transition matrix of its own wire.
+
+    ``buffers`` are the call's two flat state buffers, viewed here as
+    (2, rows, 2**n): each step reads one and writes the other, so the
+    sweep allocates no state. The forward pass uses their psi halves.
     """
     rows = grads.shape[0]
-    psi = zero_states(rows, n)
+    cur, spare = (b[: 2 * rows << n].reshape(2, rows, -1) for b in buffers)
+    cur[0].fill(0)
+    cur[0, :, 0] = 1
     for step, built in plan:
         if built is None:
-            psi = np.take(psi, step[0], axis=-1)
-            continue
-        u = _rows(built[0], block)
-        psi = (u @ psi.reshape(rows, u.shape[-1], -1)).reshape(rows, -1)
-    buf = np.stack((psi, apply_pauli(psi, n, "Z", cost_bit).conj()))
-    del psi
+            # mode="clip" lets take write into out= unbuffered; the maps are
+            # permutations of range(2**n), so it never clips
+            np.take(cur[0], step[0], axis=-1, out=spare[0], mode="clip")
+        else:
+            u = _rows(built[0], block)
+            dim = u.shape[-1]
+            np.matmul(u, cur[0].reshape(rows, dim, -1), out=spare[0].reshape(rows, dim, -1))
+        cur, spare = spare, cur
+    np.multiply(cur[0], _z_signs(n, cost_bit), out=cur[1])
+    np.conjugate(cur[1], out=cur[1])
 
     for step, built in reversed(plan):
         if built is None:
-            buf = np.take(buf, step[1], axis=-1)
+            np.take(cur, step[1], axis=-1, out=spare, mode="clip")
+            cur, spare = spare, cur
             continue
         u, read_offs = built
         u_dagger = _dagger(_rows(u, block))
         dim = u_dagger.shape[-1]
-        buf = buf.reshape(2, rows, dim, -1)
+        buf = cur.reshape(2, rows, dim, -1)
         if any(read_offs):
             transition = buf[1] @ buf[0].swapaxes(-1, -2)
             for wire, occurrences in enumerate(read_offs):
@@ -462,7 +481,9 @@ def _sweep_block(
                     # one sum over both axes adds a one-row block in another order
                     grads[:, symbol] += coeff * (_rows(p, block) * wire_transition).sum(axis=-1).sum(axis=-1).imag
         # [U^dagger; conj(U^dagger)] un-applies the step from psi and conj(lambda)
-        buf = (np.stack((u_dagger, u_dagger.conj())).reshape(2, -1, dim, dim) @ buf).reshape(2, rows, -1)
+        stacked = np.stack((u_dagger, u_dagger.conj())).reshape(2, -1, dim, dim)
+        np.matmul(stacked, buf, out=spare.reshape(2, rows, dim, -1))
+        cur, spare = spare, cur
 
 
 def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) -> np.ndarray:
@@ -470,8 +491,16 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
 
     Only the cost qubit's backward light cone is swept; a symbol with no
     occurrence in it keeps gradient 0. The batch is split into near-equal
-    row blocks of at least ``_BLOCK_BYTES`` of cone state each (the whole
-    batch if it is smaller), swept one block at a time.
+    row blocks of at least ``_BLOCK_BYTES`` of complex cone state each (the
+    whole batch if it is smaller), swept one block at a time through two
+    state buffers allocated once here, each 2 x (largest block's rows) x
+    2**n amplitudes.
+
+    If every step's unitary has an imaginary part of exactly zero (RY, CX,
+    SWAP, X, H, and any rotation whose angle makes it real), the states stay
+    real: the plan takes the unitaries' real parts and the buffers are
+    float64, so the matmuls run on half the bytes. The read-off matrices
+    stay complex, as RY's generator is imaginary.
     """
     if circuit.num_qubits > MAX_QUBITS:
         raise ValueError(f"{circuit.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
@@ -482,9 +511,15 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     blocks = max(1, batch // rows)
     bounds = [batch * i // blocks for i in range(blocks + 1)]
     plan = [(step, None if isinstance(step, tuple) else _step_matrices(step, thetas)) for step in steps]
+    dtype = np.complex128
+    if not any(built[0].imag.any() for _, built in plan if built is not None):
+        plan = [(step, None if built is None else (np.ascontiguousarray(built[0].real), built[1])) for step, built in plan]
+        dtype = np.float64
+    most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
+    buffers = (np.empty(2 * most << n, dtype), np.empty(2 * most << n, dtype))
     grads = np.zeros((batch, circuit.num_symbols))
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(plan, n, slice(start, stop), layout[cost_qubit], grads[start:stop])
+        _sweep_block(plan, n, slice(start, stop), layout[cost_qubit], grads[start:stop], buffers)
     return grads
 
 

@@ -4,8 +4,9 @@ Convention: qubit 0 is the least-significant bit of the amplitude index.
 The kernels act on batches of states shaped (B, 2**n) with one matrix
 or angle for the whole batch, and rows never mix; ``simulate`` runs the
 batch of one. The gradient engine applies its per-sample matrices
-itself: of these kernels its row blocks meet only ``zero_states`` and
-``apply_pauli``.
+itself, in its own state buffers: its row blocks meet none of these
+kernels, only the index maps of ``permutation_sources`` and the Z signs
+that start its costate.
 
 CX, SWAP and X only permute basis indices. ``permutation_sources``
 composes a run of them into one int32 index map, so the run costs one

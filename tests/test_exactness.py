@@ -15,10 +15,14 @@ the elementwise run kernel that came before the matmul, of the
 gate-by-gate sweep that came before fusion and of the full-register
 sweep that came before the light cone.
 
-The bits depend on the zgemm kernel that numpy's bundled OpenBLAS picks
-for the CPU. So the pins are computed in a child interpreter started with
-``OPENBLAS_CORETYPE=Haswell``, a kernel that every x86-64-v3 CPU runs,
-and the kernel loaded here only has to agree within 1e-14 relative.
+A cone whose every step is real (the logical ttn and real_amplitudes
+circuits) is swept in float64 with dgemm; any other in complex128 with
+zgemm. So the bits depend on the zgemm and the dgemm kernel that numpy's
+bundled OpenBLAS picks for the CPU. The pins are computed in a child
+interpreter started with ``OPENBLAS_CORETYPE=Haswell``, a kernel that
+every x86-64-v3 CPU runs, and the kernel loaded here only has to agree
+within 1e-14 relative. The logical ttn n=10 L=1 row pins dgemm across
+several row blocks.
 """
 
 import hashlib
@@ -54,12 +58,17 @@ def stats_digest(stats) -> str:
 
 # (family, n, reps) on heavy-hex:5,11 at B=200, seed 42 -> mode -> (grad_var.hex(), digest),
 # under OpenBLAS's Haswell kernel. n=10 runs in several row blocks at the
-# default block size; n=4 runs in one.
+# default block size; n=4 runs in one. Every logical ttn row is a real cone.
 FROZEN = {
     ("efficient_su2", 10, 1): {
         "logical": ("0x1.b125e98b23736p-7", "92d1add4bee19676a0ead484502eb47adda487b9e813163d3620b9548aa920da"),
         "all-angles": ("0x1.b129b3f0adefap-7", "2e32aab81d971b2dd9f4968f15d3f271d8fb427c608cf4b9e0b5c483c24d6d2c"),
         "symbol-derived": ("0x1.b125e98b23736p-7", "24a6b235387fcaf66365be10f1050a8861cb49fe54019f0b5a011adc7236b7d6"),
+    },
+    ("ttn", 10, 1): {
+        "logical": ("0x1.73a5165790126p-5", "148631e2a6ef3fec93363f181c6e3bf228510ede462053b877d0b5c9aac44fc5"),
+        "all-angles": ("0x1.ddf1e661e2c23p-8", "e3cd503549b52aab10c6e5cc320db8fc0dbd4f06d2f1e2da6efe9391da624851"),
+        "symbol-derived": ("0x1.73a5165790123p-5", "03876461d62ceaf8ad02d8e3e744e7540624220babfe6bf88d5d64d68d4204cd"),
     },
     ("ttn", 4, 2): {
         "logical": ("0x1.ca4c30ab555bdp-4", "26e09d5f67c2fbc983d5c892bcb216a159d9b9959a116b6579c1cd12670f83c2"),

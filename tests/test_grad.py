@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -558,6 +560,99 @@ class TestGradVariance:
         s2 = grad_variance(c2, 64, 13)
         assert s1.grad_var == pytest.approx(s2.grad_var, abs=1e-12)
         assert s1.per_param_var == pytest.approx(s2.per_param_var, abs=1e-12)
+
+
+def sweep_buffers(circuit, thetas, cost_qubit):
+    """``_gradients_batched``'s gradients, and the (block, buffers) arguments
+    of each of its ``_sweep_block`` calls."""
+    with mock.patch.object(grad, "_sweep_block", wraps=grad._sweep_block) as spy:
+        grads = _gradients_batched(circuit, thetas, cost_qubit)
+    return grads, [(call.args[2], call.args[5]) for call in spy.call_args_list]
+
+
+@st.composite
+def real_circuits(draw):
+    """Random circuits of RY (``Affine`` and ``Const``), CX, SWAP, X and H on
+    n <= 4 qubits with P <= 6 symbols: every step of their sweep is real."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.integers(1, 6))
+    gates = []
+    for _ in range(draw(st.integers(1, 24))):
+        choice = draw(st.sampled_from(("2q", "fixed", "affine", "const") if n > 1 else ("fixed", "affine", "const")))
+        if choice == "2q":
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (a, b)))
+            continue
+        q = draw(st.integers(0, n - 1))
+        if choice == "fixed":
+            gates.append(Gate(draw(st.sampled_from((GateKind.X, GateKind.H))), (q,)))
+            continue
+        angle = draw(st.floats(0.0, 2 * math.pi, allow_nan=False))
+        if choice == "affine":
+            param = Affine(draw(st.integers(0, pool - 1)), draw(st.sampled_from((1, -1))), angle)
+        else:
+            param = Const(angle)
+        gates.append(Gate(GateKind.RY, (q,), param))
+    used = sorted({g.param.symbol for g in gates if isinstance(g.param, Affine)})
+    if not used:
+        gates.append(Gate(GateKind.RY, (n - 1,), Affine(0, 1, 0.0)))
+        used = [0]
+    renumber = {s: i for i, s in enumerate(used)}
+    gates = [
+        Gate(g.kind, g.qubits, Affine(renumber[g.param.symbol], g.param.coeff, g.param.offset))
+        if isinstance(g.param, Affine)
+        else g
+        for g in gates
+    ]
+    cost_qubit = draw(st.integers(0, n - 1))
+    return Circuit(n, tuple(gates), len(used)), cost_qubit, draw(st.integers(2, 6)), draw(st.integers(0, 2**32))
+
+
+class TestStateBuffers:
+    @pytest.mark.parametrize("physical", [False, True], ids=["logical", "all-angles"])
+    def test_one_pair_of_buffers_serves_every_block(self, physical):
+        # ttn n=10 at B=200 runs in row blocks of 33 and 34 rows; its
+        # logical arm is swept in float64, its physical arm in complex128
+        circuit, cost_qubit = build_ttn(10, 1), 0
+        if physical:
+            t = transpile(circuit, make_heavy_hex(5, 11))
+            circuit, cost_qubit = reparameterize(t, ReparamMode.ALL_ANGLES), t.cost_qubit
+        n = _light_cone(circuit, cost_qubit)[1]
+        _, calls = sweep_buffers(circuit, sample_thetas(42, 200, circuit.num_symbols), cost_qubit)
+        rows = [block.stop - block.start for block, _ in calls]
+        assert len(set(rows)) > 1
+        first = calls[0][1]
+        assert len(first) == 2 and first[0] is not first[1]
+        for _, buffers in calls:
+            assert len(buffers) == 2 and all(b is f for b, f in zip(buffers, first))
+        for b in first:
+            assert b.size == 2 * max(rows) << n
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        real_circuits(),
+        st.sampled_from((GateKind.RZ, GateKind.SX, GateKind.RX)),
+        st.floats(0.1, 3.0, allow_nan=False),
+    )
+    def test_real_cones_sweep_in_float64(self, case, kind, angle):
+        circuit, cost_qubit, batch, seed = case
+        thetas = sample_thetas(seed, batch, circuit.num_symbols)
+
+        def assert_sweeps_in(dtype, c):
+            grads, calls = sweep_buffers(c, thetas, cost_qubit)
+            assert all(b.dtype == dtype for _, buffers in calls for b in buffers)
+            literal = np.array([param_shift_gradient(c, th, cost_qubit) for th in thetas])
+            np.testing.assert_allclose(grads, literal, rtol=0, atol=1e-12)
+
+        assert_sweeps_in(np.float64, circuit)
+        # one complex gate inside the cone (an H follows it, so a final RZ
+        # on the cost wire is not dropped from the cone) makes the sweep
+        # complex; an RZ whose matrix is real, at angle 0, leaves it real
+        h = Gate(GateKind.H, (cost_qubit,))
+        extra = Gate(kind, (cost_qubit,), None if kind is GateKind.SX else Const(angle))
+        assert_sweeps_in(np.complex128, replace(circuit, gates=(*circuit.gates, extra, h)))
+        rz0 = Gate(GateKind.RZ, (cost_qubit,), Const(0.0))
+        assert_sweeps_in(np.float64, replace(circuit, gates=(*circuit.gates, rz0, h)))
 
 
 def make_transpiled_fixture():
