@@ -502,9 +502,9 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     float64, so the matmuls run on half the bytes. The read-off matrices
     stay complex, as RY's generator is imaginary.
     """
-    if circuit.num_qubits > MAX_QUBITS:
-        raise ValueError(f"{circuit.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
     gates, n, cost_qubit = _light_cone(circuit, cost_qubit)
+    if n > MAX_QUBITS:
+        raise ValueError(f"light cone of {n} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
     steps, layout = _sweep_steps(gates, n)
     batch = thetas.shape[0]
     rows = max(1, _BLOCK_BYTES // ((1 << n) * 16))

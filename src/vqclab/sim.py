@@ -8,14 +8,14 @@ itself, in its own state buffers: its row blocks meet none of these
 kernels, only the index maps of ``permutation_sources`` and the Z signs
 that start its costate.
 
-CX, SWAP and X only permute basis indices. ``permutation_sources``
-composes a run of them into one int32 index map, so the run costs one
-gather; the gradient engine builds its maps with it. ``gate_matrix`` is
-the one definition of each single-qubit gate's 2x2 matrix (per sample
-for a batch of angles): the gradient engine fuses each single-qubit run
-into one product of them, and ``apply_kind`` applies one gate at a time
-with ``apply_matrix_1q``. ``apply_kind`` and ``simulate`` are the
-literal reference that the gradient engine is tested against.
+CX and SWAP only permute basis indices. ``permutation_sources`` composes
+a run of them into one int32 index map, so the run costs one gather; the
+gradient engine builds its maps with it. ``gate_matrix`` is the one
+definition of each single-qubit gate's 2x2 matrix (per sample for a
+batch of angles): the gradient engine fuses each single-qubit run into
+one product of them. ``apply_kind`` is the reference's one gate kernel
+and builds no index map, so ``simulate``, the literal reference that
+the gradient engine is tested against, shares no code with its gathers.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Const, Gate, GateKind
+from .circuit import TWO_QUBIT_KINDS, Circuit, Const, Gate, GateKind
 
 MAX_QUBITS = 24
 
@@ -50,28 +50,15 @@ def _swap_sources(idx: np.ndarray, a: int, b: int) -> np.ndarray:
     return idx ^ (diff << a) ^ (diff << b)
 
 
-def _flip_sources(idx: np.ndarray, q: int) -> np.ndarray:
-    return idx ^ (1 << q)
-
-
-# The source index of every amplitude after a CX, SWAP or X, given the indices.
-_PERMUTATION_SOURCES = {GateKind.CX: _cx_sources, GateKind.SWAP: _swap_sources, GateKind.X: _flip_sources}
-
-
-@lru_cache(maxsize=None)
-def _gate_sources(n: int, kind: GateKind, qubits: tuple[int, ...]) -> np.ndarray:
-    src = _PERMUTATION_SOURCES[kind](np.arange(1 << n), *qubits)
-    src.setflags(write=False)
-    return src
+# The source index of every amplitude after a CX or SWAP, given the indices.
+_PERMUTATION_SOURCES = {GateKind.CX: _cx_sources, GateKind.SWAP: _swap_sources}
 
 
 def permutation_sources(n: int, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps (forward, backward) of a run of CX/SWAP/X gates, as int32.
+    """Index maps (forward, backward) of a run of CX/SWAP gates, as int32.
 
     ``states[:, forward]`` equals applying the gates in order and
-    ``states[:, backward]`` un-applies the run; both are exact. The maps
-    are composed directly, without filling the per-gate cache of
-    ``apply_kind``.
+    ``states[:, backward]`` un-applies the run; both are exact.
     """
     idx = np.arange(1 << n, dtype=np.int32)
     forward = idx
@@ -115,36 +102,41 @@ def gate_matrix(kind: GateKind, angle=None) -> np.ndarray:
     return m
 
 
-def apply_matrix_1q(states: np.ndarray, n: int, q: int, m: np.ndarray) -> None:
-    """Multiply qubit ``q`` of a batch of states (B, 2**n) in place by the
-    2x2 matrix ``m``."""
-    view = states.reshape(states.shape[0], 1 << (n - 1 - q), 2, 1 << q)
-    m00, m01, m10, m11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    v0, v1 = view[:, :, 0, :], view[:, :, 1, :]
-    s0 = v0.copy()
-    v0 *= m00
-    v0 += m01 * v1
-    v1 *= m11
-    v1 += m10 * s0
-
-
 def apply_kind(states: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ...], angle=None) -> np.ndarray:
-    """Apply one gate to a batch of states (B, 2**n); returns the new batch.
+    """Apply one gate in place to a C-contiguous batch of states (B, 2**n)
+    and return it.
 
-    ``angle`` is a float for rotation kinds, ignored otherwise.
-    Single-qubit gates mutate in place; callers must treat the input
-    buffer as consumed.
+    ``angle`` is a float for rotation kinds, ignored otherwise. CX and
+    SWAP exchange two quarter slices of the state, indexed by the (hi, lo)
+    bits of the gate's higher and lower qubit; every other gate mixes the
+    two halves of its qubit by its ``gate_matrix``.
     """
-    if kind in _PERMUTATION_SOURCES:
-        return states[:, _gate_sources(n, kind, qubits)]
+    if kind in TWO_QUBIT_KINDS:
+        hi, lo = max(qubits), min(qubits)
+        view = states.reshape(states.shape[0], 1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        if kind is GateKind.SWAP:
+            (a, b), (c, d) = (0, 1), (1, 0)
+        elif qubits[0] == hi:  # the control is the higher qubit
+            (a, b), (c, d) = (1, 0), (1, 1)
+        else:
+            (a, b), (c, d) = (0, 1), (1, 1)
+        x, y = view[:, :, a, :, b], view[:, :, c, :, d]
+        x[...], y[...] = y, x.copy()  # one quarter-sized copy
+        return states
     q = qubits[0]
     m = gate_matrix(kind, angle)
+    view = states.reshape(states.shape[0], 1 << (n - 1 - q), 2, 1 << q)
+    v0, v1 = view[:, :, 0, :], view[:, :, 1, :]
     if kind is GateKind.RZ:
-        view = states.reshape(states.shape[0], 1 << (n - 1 - q), 2, 1 << q)
-        view[:, :, 0, :] *= m[0, 0]
-        view[:, :, 1, :] *= m[1, 1]
+        # diagonal: scaling each half in place is faster than mixing them
+        v0 *= m[0, 0]
+        v1 *= m[1, 1]
         return states
-    apply_matrix_1q(states, n, q, m)
+    s0 = v0.copy()
+    v0 *= m[0, 0]
+    v0 += m[0, 1] * v1
+    v1 *= m[1, 1]
+    v1 += m[1, 0] * s0
     return states
 
 
@@ -156,30 +148,17 @@ def apply_pauli(states: np.ndarray, n: int, pauli: str, q: int) -> np.ndarray:
     return states * _z_signs(n, q)
 
 
-def zero_states(batch: int, n: int) -> np.ndarray:
-    states = np.zeros((batch, 1 << n), dtype=np.complex128)
-    states[:, 0] = 1.0
-    return states
-
-
-def simulate(circuit: Circuit, *, validate_norm: bool = False) -> np.ndarray:
-    """Evolve |0...0> through a concrete circuit and return the statevector.
-
-    With ``validate_norm`` the norm is checked after every gate against a
-    1e-12 budget per gate application.
-    """
+def simulate(circuit: Circuit) -> np.ndarray:
+    """Evolve |0...0> through a concrete circuit and return the statevector."""
     if not circuit.is_concrete:
         raise ValueError("circuit has unbound symbols; bind() it first")
     if circuit.num_qubits > MAX_QUBITS:
         raise ValueError(f"{circuit.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
-    states = zero_states(1, circuit.num_qubits)
-    for i, g in enumerate(circuit.gates, start=1):
+    states = np.zeros((1, 1 << circuit.num_qubits), dtype=np.complex128)
+    states[0, 0] = 1.0
+    for g in circuit.gates:
         angle = g.param.angle if isinstance(g.param, Const) else None
         states = apply_kind(states, circuit.num_qubits, g.kind, g.qubits, angle)
-        if validate_norm:
-            norm = float(np.sum(np.abs(states[0]) ** 2))
-            if abs(norm - 1.0) > 1e-12 * i:
-                raise AssertionError(f"norm drifted to {norm} after gate {i}")
     final = float(np.sum(np.abs(states[0]) ** 2))
     if abs(final - 1.0) > 1e-12 * max(1, len(circuit.gates)):
         raise AssertionError(f"final norm {final} out of tolerance")

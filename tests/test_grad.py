@@ -24,7 +24,7 @@ from vqclab.grad import (
     sample_thetas,
 )
 from vqclab.rng import GOLDEN, SplitMix64, mix64
-from vqclab.sim import apply_kind, expect_z, gate_matrix, permutation_sources, simulate, zero_states
+from vqclab.sim import MAX_QUBITS, apply_kind, expect_z, gate_matrix, permutation_sources, simulate
 from vqclab.transpiler import TranspiledCircuit, transpile
 
 BUILDERS = [build_real_amplitudes, build_efficient_su2, build_ttn]
@@ -284,6 +284,36 @@ class TestLightCone:
         assert [stats.per_param_var[s] for s in last_rz] == [0.0] * 4
         assert [stats.per_param_mean[s] for s in last_rz] == [0.0] * 4
 
+    def test_qubit_cap_applies_to_the_cone_not_the_register(self):
+        # a 26-qubit register whose cone of qubit 0 is qubits 0-1, plus an
+        # RY on qubit 25 whose symbol lies outside the cone
+        narrow = Circuit(
+            2,
+            (
+                Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)),
+                Gate(GateKind.RY, (1,), Affine(1, 1, 0.0)),
+                Gate(GateKind.CX, (0, 1)),
+                Gate(GateKind.RX, (1,), Affine(2, -1, 0.5)),
+                Gate(GateKind.CX, (1, 0)),
+                Gate(GateKind.RY, (0,), Affine(0, 1, 0.3)),
+            ),
+            3,
+        )
+        wide = Circuit(26, (*narrow.gates, Gate(GateKind.RY, (25,), Affine(3, 1, 0.0))), 4)
+        # sample_thetas' columns do not depend on the symbol count
+        narrow_stats, wide_stats = grad_variance(narrow, 64, 9), grad_variance(wide, 64, 9)
+        assert [v.hex() for v in wide_stats.per_param_var[:-1]] == [v.hex() for v in narrow_stats.per_param_var]
+        assert wide_stats.per_param_var[-1] == 0.0
+
+    def test_cone_over_the_cap_fails_before_sweep_steps(self):
+        n = MAX_QUBITS + 1
+        chain = tuple(Gate(GateKind.CX, (q + 1, q)) for q in reversed(range(n - 1)))
+        circuit = Circuit(n, (Gate(GateKind.RY, (n - 1,), Affine(0, 1, 0.0)), *chain), 1)
+        with mock.patch.object(grad, "_sweep_steps") as sweep_steps:
+            with pytest.raises(ValueError, match=f"light cone of {n} qubits exceeds the {MAX_QUBITS}-qubit"):
+                grad_variance(circuit, 4, 1)
+        sweep_steps.assert_not_called()
+
     def test_live_qubits_renumbered_in_order(self):
         c = Circuit(4, (Gate(GateKind.X, (0,)), Gate(GateKind.CX, (3, 1)), Gate(GateKind.H, (2,))), 0)
         assert _light_cone(c, 3) == ([Gate(GateKind.CX, (1, 0))], 2, 1)
@@ -473,7 +503,8 @@ def assert_replay_reproduces_circuit(steps, layout, bound):
     its qubits placed by the final layout."""
     n = bound.num_qubits
     assert sorted(layout) == list(range(n))
-    state = zero_states(1, n)
+    state = np.zeros((1, 1 << n), dtype=complex)
+    state[0, 0] = 1.0
     for step in steps:
         if isinstance(step, tuple):
             state = state[:, step[0]]

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from vqclab.ansatz import build_efficient_su2, build_real_amplitudes, build_ttn
 from vqclab.circuit import Circuit, Const, Gate, GateKind, bind
-from vqclab.sim import MAX_QUBITS, apply_pauli, expect_z, simulate, state_expect_z
+from vqclab.sim import MAX_QUBITS, apply_kind, apply_pauli, expect_z, permutation_sources, simulate, state_expect_z
 
 
 def concrete(num_qubits, *gates):
@@ -50,10 +52,6 @@ class TestSimulate:
         with pytest.raises(ValueError, match="cap"):
             simulate(concrete(MAX_QUBITS + 1))
 
-    def test_norm_validation_path(self):
-        state = simulate(concrete(3, *[g("H", (q,)) for q in range(3)]), validate_norm=True)
-        assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-12)
-
 
 class TestExpectZ:
     def test_ry_pi(self):
@@ -87,6 +85,47 @@ class TestExpectZ:
             expect_z(concrete(2), 2)
         with pytest.raises(ValueError, match="out of range"):
             state_expect_z(simulate(concrete(2)), 2, -1)
+
+
+def random_states(rng, batch, n):
+    return rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+
+
+class TestApplyKind:
+    @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP])
+    def test_two_qubit_gates_permute_like_the_index_maps(self, kind):
+        rng = np.random.default_rng(5)
+        for n in range(2, 6):
+            for qubits in permutations(range(n), 2):
+                states = random_states(rng, 3, n)
+                expected = states[:, permutation_sources(n, [Gate(kind, qubits)])[0]]
+                out = apply_kind(states, n, kind, qubits)
+                assert out is states
+                assert out.tobytes() == expected.tobytes()
+
+    def test_x_flips_its_bit(self):
+        rng = np.random.default_rng(6)
+        for n in range(1, 6):
+            for q in range(n):
+                states = random_states(rng, 3, n)
+                expected = states[:, np.arange(1 << n) ^ (1 << q)]
+                out = apply_kind(states, n, GateKind.X, (q,))
+                assert out is states
+                assert np.array_equal(out, expected)
+
+    def test_memory_retained_is_bounded_by_the_state(self):
+        # 60 distinct CX gates on 14 qubits keep no per-gate index map
+        n = 14
+        pairs = list(permutations(range(n), 2))
+        picks = np.random.default_rng(7).choice(len(pairs), size=60, replace=False)
+        circuit = concrete(n, *[g("H", (q,)) for q in range(n)], *[g("CX", pairs[i]) for i in picks])
+        tracemalloc.start()
+        try:
+            state = simulate(circuit)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained - state.nbytes < state.nbytes
 
 
 class TestApplyPauli:
@@ -124,5 +163,5 @@ def test_norm_preserved_through_long_circuit():
             gates.append(g(kind, (int(rng.integers(4)),)))
         else:
             gates.append(g(kind, (int(rng.integers(4)),), rng.uniform(0, 2 * math.pi)))
-    state = simulate(concrete(4, *gates), validate_norm=True)
+    state = simulate(concrete(4, *gates))
     assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-9
