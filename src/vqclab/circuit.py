@@ -2,8 +2,9 @@
 
 Gates carry either a fixed angle or a single-symbol affine expression
 ``coeff * theta[symbol] + offset`` with ``coeff`` restricted to +1/-1.
-Angles are kept in the canonical interval [0, 2*pi) so that rewrite
-passes can compare expressions for equality. Circuits are immutable
+Angles must be finite (a NaN or infinite angle raises ``ValueError``) and
+are kept in the canonical interval [0, 2*pi) so that rewrite passes can
+compare expressions for equality. Circuits are immutable
 values; every pass builds a new one.
 
 Text format (one gate per line, used by the CLI):
@@ -26,7 +27,9 @@ TWO_PI = 2.0 * math.pi
 
 
 def normalize_angle(x: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
+    """Reduce an angle to [0, 2*pi); a NaN or infinite angle raises ``ValueError``."""
+    if not math.isfinite(x):
+        raise ValueError(f"angle must be finite, got {x!r}")
     r = x % TWO_PI
     # x slightly below zero can round up to exactly 2*pi
     return 0.0 if r == TWO_PI else r

@@ -27,32 +27,28 @@ buffers stay in a per-core L2 cache.
 It has two kinds of step: gathers, and matrix steps of one or two runs.
 Each maximal run of single-qubit gates on one wire (held back until a
 two-qubit gate touches the wire, or the circuit ends) is fused into its
-per-sample 2x2 product. A CX or SWAP that meets held runs on both its
-wires is fused with them into one step, whose per-sample 4x4 is
-CX.(U_hi kron U_lo): a Kronecker product, one rounding per entry, with
-its rows permuted. A run flushed alone, by a CX or SWAP that meets no
-run on its other wire or by the end of the circuit, takes a second held
-run into its step if one is complete (no single-qubit gate follows it on
-its wire, so no run is split): a gateless pair, whose 4x4 is U_hi kron
-U_lo with no permutation. Of the complete runs it takes the one whose
-next two-qubit gate comes first. A run with no partner is a step alone.
-Routing puts its SWAPs beside one held wire at a time, so pairs halve
-the lone steps of compiled circuits, and the gathers in front of them.
+per-sample 2x2 product. A flushed run takes a second held run into its
+step if one is complete (no single-qubit gate follows it on its wire, so
+no run is split): the one whose next two-qubit gate comes first, which
+is the run on the other wire of the flushing CX or SWAP whenever one is
+held. Such a step's 4x4 is U_hi kron U_lo, a Kronecker product, one
+rounding per entry. A run with no partner is a step alone. Routing puts
+its SWAPs beside one held wire at a time, so pairs halve the lone steps
+of compiled circuits, and the gathers in front of them.
 A step acts on the top bit of the amplitude index, or the top two, so
 each is one batched BLAS matmul with the state viewed as (rows, 2,
 2**(n-1)) or (rows, 4, 2**(n-2)). The qubits get there inside the
 gathers the sweep does anyway (as Haner & Steiger, arXiv:1704.01127,
 move qubits to local bits): the sweep keeps a qubit -> bit layout,
-composes the other CX and SWAP gates on their current bits into one
-index map, and adds to it the SWAPs that bring a step's qubits to the
-top bits. The backward pass stacks [psi;
-conj(lambda)] in one buffer and forms a step's transition matrix
-G[r, a, b] = sum over the other qubits of conj(lambda_a) psi_b, one
-matmul. Each wire's 2x2 G is read off the step's through one index map:
-a lone run's is the whole G, and a two-run step's 4x4 G is taken back to
-before its gate, if it has one, by an exact index permutation and summed
-over the other wire. Occurrence k of a run contributes coeff * Im sum_ab
-(W P_k W^dagger)_ab G_ab, W being the product of the run's gates after k.
+composes every CX and SWAP on its current bits into one index map, and
+adds to it the SWAPs that bring a step's qubits to the top bits. The
+backward pass stacks [psi; conj(lambda)] in one buffer and forms a
+step's transition matrix G[r, a, b] = sum over the other qubits of
+conj(lambda_a) psi_b, one matmul. Each wire's 2x2 G is read off the
+step's with no permutation: a lone run's is the whole G, and a two-run
+step's 4x4 G is summed over the other wire's bit. Occurrence k of a run
+contributes coeff * Im sum_ab (W P_k W^dagger)_ab G_ab, W being the
+product of the run's gates after k.
 One matmul by [U^dagger; conj(U^dagger)] then un-applies the step.
 Each step's per-sample U, and each occurrence's W P_k W^dagger, are
 built once per call for the whole batch; a row block takes its rows of
@@ -77,7 +73,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum, unique
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -239,12 +234,10 @@ class _Run:
 
 @dataclass(frozen=True)
 class _Step:
-    """A sweep step on the top bits of the amplitude index: one or two
-    ``runs`` on bits n-1 and n-2, then ``gate``, a CX or SWAP fused with two
-    runs, on those bits numbered 1 and 0."""
+    """A matrix step of the sweep: one or two ``runs`` on the top bits of the
+    amplitude index, n-1 and then n-2."""
 
     runs: tuple[_Run, ...]
-    gate: Gate | None
 
 
 # The (forward, backward) index maps of a gather.
@@ -255,15 +248,14 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], 
     """The gates as sweep steps on ``n`` qubits, and the qubit -> bit layout
     they end in. A step is a gather, or a matrix step. Each maximal run of
     single-qubit gates on one wire is held back until a two-qubit gate
-    touches that wire or the circuit ends. A two-qubit gate that meets held
-    runs on both its wires is one step with those runs. A run flushed alone
-    (its two-qubit gate meets no run on the other wire, or the circuit ends)
-    takes a second held run into its step if one is complete: no
-    single-qubit gate follows it on its wire. Of those, it takes the one
-    whose next two-qubit gate comes first. Other CX and SWAP gates join the
-    pending gather on their current bits. Before a step whose qubits are not
-    on the top bits, SWAPs that bring them there join the gather (or open
-    one)."""
+    touches that wire or the circuit ends, and then flushed by one rule: it
+    takes a second held run into its step if one is complete (no
+    single-qubit gate follows it on its wire, so no run is split), the one
+    whose next two-qubit gate comes first. That is the run on the other
+    wire of the flushing CX or SWAP whenever one is held. Every CX and SWAP
+    joins the pending gather on its current bits. Before a step whose
+    qubits are not on the top bits, SWAPs that bring them there join the
+    gather (or open one)."""
     steps: list[_Step | _Gather] = []
     layout = list(range(n))
     pending: list[Gate] = []
@@ -283,60 +275,36 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], 
         for q in g.qubits:
             next_gate[q] = i
 
-    def flush(a: int, b: int | None = None, kind: GateKind | None = None) -> None:
-        # a qubit already on one of the top two bits stays there
-        qubits = (a,) if b is None else (b, a) if n - 1 == layout[b] or n - 2 == layout[a] else (a, b)
-        for q, bit in zip(qubits, (n - 1, n - 2)):
-            if layout[q] != bit:
-                pending.append(Gate(GateKind.SWAP, (layout[q], bit)))
-                layout[layout.index(bit)], layout[q] = layout[q], bit
+    def flush(q: int) -> None:
+        qubits = (q,)
+        partners = [p for p in held if p != q and run_end[p] is not None]
+        if partners:
+            p = min(partners, key=run_end.__getitem__)
+            # a qubit already on one of the top two bits stays there
+            qubits = (p, q) if n - 1 == layout[p] or n - 2 == layout[q] else (q, p)
+        for r, bit in zip(qubits, (n - 1, n - 2)):
+            if layout[r] != bit:
+                pending.append(Gate(GateKind.SWAP, (layout[r], bit)))
+                layout[layout.index(bit)], layout[r] = layout[r], bit
         if pending:
             steps.append(permutation_sources(n, pending))
             pending.clear()
-        gate = None if kind is None else Gate(kind, tuple(int(q == qubits[0]) for q in (a, b)))
-        steps.append(_Step(tuple(_Run(q, tuple(held.pop(q))) for q in qubits), gate))
-
-    def flush_lone(q: int) -> None:
-        partners = [p for p in held if p != q and run_end[p] is not None]
-        flush(q, min(partners, key=run_end.__getitem__) if partners else None)
+        steps.append(_Step(tuple(_Run(r, tuple(held.pop(r))) for r in qubits)))
 
     for i, g in enumerate(gates):
         if g.kind not in TWO_QUBIT_KINDS:
             held.setdefault(g.qubits[0], []).append(g)
             run_end[g.qubits[0]] = follows[i]
             continue
-        a, b = g.qubits
-        if a in held and b in held:
-            flush(a, b, g.kind)
-            continue
         for q in g.qubits:
             if q in held:
-                flush_lone(q)
+                flush(q)
         pending.append(Gate(g.kind, tuple(layout[q] for q in g.qubits)))
     while held:
-        flush_lone(next(iter(held)))
+        flush(next(iter(held)))
     if pending:
         steps.append(permutation_sources(n, pending))
     return steps, layout
-
-
-@lru_cache(maxsize=None)
-def _block_maps(gate: Gate | None, runs: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """The 4x4 row permutation of a two-run step's ``gate`` (the identity
-    if it has none), and the flat indices that read each wire's 2x2
-    transition matrix off the step's one.
-
-    Indices are shaped (wire, c, a, b), to be summed over c. A lone run's
-    2x2 is one wire of one term. With G' = G[back][:, back] the 4x4 before
-    the gate, an exact permutation, the top bit's is sum_c G'[2a + c, 2b + c]
-    and the lower bit's sum_c G'[2c + a, 2c + b].
-    """
-    if runs == 1:
-        return None, np.arange(4).reshape(1, 1, 2, 2)
-    forward, back = permutation_sources(2, [] if gate is None else [gate])
-    c, a, b = np.indices((2, 2, 2))
-    wires = np.stack([back[2 * a + c] * 4 + back[2 * b + c], back[2 * c + a] * 4 + back[2 * c + b]])
-    return forward, wires
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -401,8 +369,7 @@ _StepMatrices = tuple[np.ndarray, list[list[tuple[int, float, np.ndarray]]]]
 
 def _step_matrices(step: _Step, thetas: np.ndarray) -> _StepMatrices:
     """A step's per-sample unitary on its top bits, with its read-offs: a lone
-    run's 2x2 product, or U_hi kron U_lo, one rounding per entry, and then
-    the exact row permutation of the step's gate, if it has one."""
+    run's 2x2 product, or U_hi kron U_lo, one rounding per entry."""
     matrices = [_matrices(run, thetas) for run in step.runs]
     products = [_product(run, m) for run, m in zip(step.runs, matrices)]
     u = products[0]
@@ -410,9 +377,18 @@ def _step_matrices(step: _Step, thetas: np.ndarray) -> _StepMatrices:
         hi, lo = products
         kron = hi[..., :, None, :, None] * lo[..., None, :, None, :]
         u = kron.reshape(kron.shape[:-4] + (4, 4))
-        if step.gate is not None:
-            u = u[..., _block_maps(step.gate, 2)[0], :]
     return u, [_read_offs(run, m) for run, m in zip(step.runs, matrices)]
+
+
+def _wire_transition(transition: np.ndarray, runs: int, wire: int) -> np.ndarray:
+    """The 2x2 transition matrix of a step's ``wire`` (0 the top bit), read
+    off the step's own G: a lone run's is all of G; of a two-run step's 4x4,
+    the top wire's is G[2a, 2b] + G[2a + 1, 2b + 1] and the lower wire's
+    G[a, b] + G[2 + a, 2 + b]."""
+    if runs == 1:
+        return transition
+    g = transition.reshape(-1, 2, 2, 2, 2)
+    return g[:, :, 0, :, 0] + g[:, :, 1, :, 1] if wire == 0 else g[:, 0, :, 0, :] + g[:, 1, :, 1, :]
 
 
 def _rows(m: np.ndarray, block: slice) -> np.ndarray:
@@ -424,7 +400,7 @@ def _sweep_block(
     plan: list[tuple[_Step | _Gather, _StepMatrices | None]],
     n: int,
     block: slice,
-    cost_bit: int,
+    cost_signs: np.ndarray,
     grads: np.ndarray,
     buffers: tuple[np.ndarray, np.ndarray],
 ) -> None:
@@ -434,9 +410,9 @@ def _sweep_block(
     ``plan`` pairs each step with its matrices, built once for the whole
     batch (None for a gather); the sweep takes the block's rows of them.
     The backward pass un-applies each step from the stacked buffer
-    [psi; conj(lambda)], lambda starting as Z on ``cost_bit`` times psi,
-    and reads off a step's occurrences before un-applying it, each from the
-    2x2 transition matrix of its own wire.
+    [psi; conj(lambda)], lambda starting as ``cost_signs`` (Z on the cost
+    qubit's final bit) times psi, and reads off a step's occurrences before
+    un-applying it, each from the 2x2 transition matrix of its own wire.
 
     ``buffers`` are the call's two flat state buffers, viewed here as
     (2, rows, 2**n): each step reads one and writes the other, so the
@@ -456,7 +432,7 @@ def _sweep_block(
             dim = u.shape[-1]
             np.matmul(u, cur[0].reshape(rows, dim, -1), out=spare[0].reshape(rows, dim, -1))
         cur, spare = spare, cur
-    np.multiply(cur[0], _z_signs(n, cost_bit), out=cur[1])
+    np.multiply(cur[0], cost_signs, out=cur[1])
     np.conjugate(cur[1], out=cur[1])
 
     for step, built in reversed(plan):
@@ -473,9 +449,7 @@ def _sweep_block(
             for wire, occurrences in enumerate(read_offs):
                 if not occurrences:
                     continue
-                # the wire's 2x2 transition matrix, before the step's gate
-                index = _block_maps(step.gate, len(step.runs))[1][wire]
-                wire_transition = transition.reshape(rows, dim * dim)[:, index].sum(axis=1)
+                wire_transition = _wire_transition(transition, len(read_offs), wire)
                 for symbol, coeff, p in occurrences:
                     # two sums of two terms each add in one order whatever the rows;
                     # one sum over both axes adds a one-row block in another order
@@ -518,8 +492,9 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
     buffers = (np.empty(2 * most << n, dtype), np.empty(2 * most << n, dtype))
     grads = np.zeros((batch, circuit.num_symbols))
+    cost_signs = _z_signs(n, layout[cost_qubit])
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(plan, n, slice(start, stop), layout[cost_qubit], grads[start:stop], buffers)
+        _sweep_block(plan, n, slice(start, stop), cost_signs, grads[start:stop], buffers)
     return grads
 
 

@@ -6,7 +6,9 @@ or angle for the whole batch, and rows never mix; ``simulate`` runs the
 batch of one. The gradient engine applies its per-sample matrices
 itself, in its own state buffers: its row blocks meet none of these
 kernels, only the index maps of ``permutation_sources`` and the Z signs
-that start its costate.
+that start its costate. The Z signs are built per call, once per GradVar
+call or expectation, and never cached: a cache would keep a 2**n array
+per (n, qubit) it ever saw.
 
 CX and SWAP only permute basis indices. ``permutation_sources`` composes
 a run of them into one int32 index map, so the run costs one gather; the
@@ -20,7 +22,6 @@ the gradient engine is tested against, shares no code with its gathers.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -69,11 +70,9 @@ def permutation_sources(n: int, gates: Sequence[Gate]) -> tuple[np.ndarray, np.n
     return forward, backward
 
 
-@lru_cache(maxsize=None)
 def _z_signs(n: int, q: int) -> np.ndarray:
-    signs = 1.0 - 2.0 * ((np.arange(1 << n) >> q) & 1)
-    signs.setflags(write=False)
-    return signs
+    """The eigenvalue of Z on qubit ``q`` at each amplitude index, as float64."""
+    return 1.0 - 2.0 * ((np.arange(1 << n) >> q) & 1)
 
 
 def gate_matrix(kind: GateKind, angle=None) -> np.ndarray:
@@ -160,7 +159,8 @@ def simulate(circuit: Circuit) -> np.ndarray:
         angle = g.param.angle if isinstance(g.param, Const) else None
         states = apply_kind(states, circuit.num_qubits, g.kind, g.qubits, angle)
     final = float(np.sum(np.abs(states[0]) ** 2))
-    if abs(final - 1.0) > 1e-12 * max(1, len(circuit.gates)):
+    # written so that a NaN norm fails too
+    if not abs(final - 1.0) <= 1e-12 * max(1, len(circuit.gates)):
         raise AssertionError(f"final norm {final} out of tolerance")
     return states[0]
 

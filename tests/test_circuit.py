@@ -54,6 +54,15 @@ class TestParamExpr:
     def test_affine_normalizes_offset(self):
         assert Affine(0, 1, -math.pi).offset == pytest.approx(math.pi)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, angle):
+        with pytest.raises(ValueError, match="finite"):
+            Const(angle)
+        with pytest.raises(ValueError, match="finite"):
+            Affine(0, 1, angle)
+        with pytest.raises(ValueError, match="finite"):
+            bind(Circuit(1, (ry(0, sym=0),), 1), [angle])
+
     @pytest.mark.parametrize("coeff", [0, 2, -2])
     def test_affine_rejects_bad_coeff(self, coeff):
         with pytest.raises(ValueError, match="coeff"):

@@ -132,6 +132,14 @@ class TestExpectCommand:
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(expect_z(bind(build_ttn(2, 1), theta), 0))
 
+    def test_non_finite_theta_fails_cleanly(self, tmp_path, capsys):
+        circ, theta_file = tmp_path / "c.txt", tmp_path / "theta.txt"
+        run("build", "--ansatz", "ttn", "--qubits", "2", "--reps", "1", "--out", circ)
+        theta_file.write_text("0.3 nan 2.5")
+        capsys.readouterr()
+        assert run("expect", "--in", circ, "--theta", theta_file, "--qubit", "0") == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_qubit_is_required(self, tmp_path, capsys):
         # ttn n=4 L=1 under this layout reads its cost at compact qubit 7, not 0
         circ, phys, theta_file = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "theta.txt"
@@ -175,6 +183,13 @@ class TestGradvarCommand:
         assert payload["grad_var"] == pytest.approx(expected.grad_var)
         assert payload["samples"] == 60
         assert payload["stderr"] == pytest.approx(expected.stderr)
+
+    def test_non_finite_angle_in_the_file_fails_cleanly(self, tmp_path, capsys):
+        circ = tmp_path / "c.txt"
+        circ.write_text("qubits:1 symbols:1\nRZ 0 const:inf\nRY 0 affine:0:+1:0.0\n")
+        assert run("gradvar", "--in", circ, "--samples", "10") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 2" in err
 
     def test_symbol_derived_with_provenance(self, tmp_path, capsys):
         circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"

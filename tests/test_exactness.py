@@ -2,18 +2,19 @@
 
 The digests below were computed by the fused light-cone sweep: the
 blocked adjoint sweep run on the gates and qubits of the cost qubit's
-backward light cone. Each CX or SWAP that meets single-qubit runs on both
-its wires is fused with them into one 4x4 on the top two bits. A run
-flushed alone takes a second complete run into its step, a 4x4 U_hi kron
-U_lo with no gate; a run left without one is a 2x2 on the top bit. Each
-step is applied by a BLAS matmul, and every occurrence is read off the
-2x2 transition matrix of its own wire. Every exact rewrite of the engine
-must reproduce them, and must give the same bits at any block size. Each
-grad_var stays within 1e-14 relative of the sweep that fused only a CX
-or SWAP with two runs, of the 2x2-only sweep that came before blocks, of
-the elementwise run kernel that came before the matmul, of the
-gate-by-gate sweep that came before fusion and of the full-register
-sweep that came before the light cone.
+backward light cone. Every CX and SWAP is a gather. A run that a
+two-qubit gate or the end of the circuit flushes takes a second complete
+run into its step, a 4x4 U_hi kron U_lo (the run on the gate's other
+wire whenever one is held); a run left without one is a 2x2 on the top
+bit. Each step is applied by a BLAS matmul, and every occurrence is read
+off the 2x2 transition matrix of its own wire. Every exact rewrite of
+the engine must reproduce them, and must give the same bits at any
+block size. Each grad_var stays within 1e-14 relative of the sweep that
+fused a CX or SWAP with the runs on both its wires into a permuted 4x4,
+of the sweep that fused only a CX or SWAP with two runs, of the 2x2-only
+sweep that came before blocks, of the elementwise run kernel that came
+before the matmul, of the gate-by-gate sweep that came before fusion and
+of the full-register sweep that came before the light cone.
 
 A cone whose every step is real (the logical ttn and real_amplitudes
 circuits) is swept in float64 with dgemm; any other in complex128 with
@@ -66,14 +67,14 @@ FROZEN = {
         "symbol-derived": ("0x1.b125e98b23736p-7", "24a6b235387fcaf66365be10f1050a8861cb49fe54019f0b5a011adc7236b7d6"),
     },
     ("ttn", 10, 1): {
-        "logical": ("0x1.73a5165790126p-5", "148631e2a6ef3fec93363f181c6e3bf228510ede462053b877d0b5c9aac44fc5"),
-        "all-angles": ("0x1.ddf1e661e2c23p-8", "e3cd503549b52aab10c6e5cc320db8fc0dbd4f06d2f1e2da6efe9391da624851"),
-        "symbol-derived": ("0x1.73a5165790123p-5", "03876461d62ceaf8ad02d8e3e744e7540624220babfe6bf88d5d64d68d4204cd"),
+        "logical": ("0x1.73a5165790127p-5", "32625b77e14a68cd8cb8db9e9a31f39e4ff0a5295e90b485c97b0afa84f69b9b"),
+        "all-angles": ("0x1.ddf1e661e2c23p-8", "60edf7385975ff581c55ce4072b302e7fe198c02b064257d5058d992628109a5"),
+        "symbol-derived": ("0x1.73a5165790123p-5", "e360eb94abdd35d67fa10aa2980ad7a2766980129b2db5a317e50e4884b280ed"),
     },
     ("ttn", 4, 2): {
-        "logical": ("0x1.ca4c30ab555bdp-4", "26e09d5f67c2fbc983d5c892bcb216a159d9b9959a116b6579c1cd12670f83c2"),
-        "all-angles": ("0x1.3e7de162a7caap-5", "6684f1f905f315b767c9e353c1d1c79b2a0ffdf2843023c65774627e89cf14fe"),
-        "symbol-derived": ("0x1.ca4c30ab555b7p-4", "7482b878c56edaaa4d18f75851df44ddd5958996ff1ed74118b2dd86dd49a714"),
+        "logical": ("0x1.ca4c30ab555bdp-4", "85b3a9569d9ef30ba893aa6417b1fcee231f92b7275f04d6bdc712da5b5db0c6"),
+        "all-angles": ("0x1.3e7de162a7caap-5", "17f7eec133ff23323bd14d0c387219ad11b2af6aeb8031347ca6d7a70dc4f3ba"),
+        "symbol-derived": ("0x1.ca4c30ab555b9p-4", "1904223f81e42ee0600ef36b1efef9c5222a07c789d8481c205705b6bfb68b02"),
     },
 }
 
@@ -267,6 +268,36 @@ def test_gateless_pairs_within_rounding_of_fused_cx_steps(cell):
         assert abs(new - old) <= 1e-14 * abs(old)
 
 
+# grad_var.hex() of the cells above as the sweep computed them when a CX or
+# SWAP that met runs on both its wires was fused with them into one
+# row-permuted 4x4 step, before every CX and SWAP joined a gather (under
+# the Haswell kernel).
+GATED_BLOCK_GRAD_VAR = {
+    ("efficient_su2", 10, 1): {
+        "logical": "0x1.b125e98b23736p-7",
+        "all-angles": "0x1.b129b3f0adefap-7",
+        "symbol-derived": "0x1.b125e98b23736p-7",
+    },
+    ("ttn", 10, 1): {
+        "logical": "0x1.73a5165790126p-5",
+        "all-angles": "0x1.ddf1e661e2c23p-8",
+        "symbol-derived": "0x1.73a5165790123p-5",
+    },
+    ("ttn", 4, 2): {
+        "logical": "0x1.ca4c30ab555bdp-4",
+        "all-angles": "0x1.3e7de162a7caap-5",
+        "symbol-derived": "0x1.ca4c30ab555b7p-4",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(GATED_BLOCK_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
+def test_gathered_cx_within_rounding_of_gated_blocks(cell):
+    for mode, old in GATED_BLOCK_GRAD_VAR[cell].items():
+        new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
+        assert abs(new - old) <= 1e-14 * abs(old)
+
+
 def test_block_size_engages_at_ten_qubits():
     # the n=10 pins above must run in more than one row block, the n=4 pin
     # in one; their light cones span every qubit of each circuit
@@ -349,8 +380,8 @@ def run_heavy_circuits(draw):
 @st.composite
 def block_heavy_circuits(draw):
     """Two to four qubits where every CX or SWAP sits after runs (up to four
-    gates) on both its wires, so each is one 4x4 block; symbols repeat
-    within and across runs, coeff -1 among them."""
+    gates) on both its wires, so it pairs them into one 4x4 step; symbols
+    repeat within and across runs, coeff -1 among them."""
     n = draw(st.integers(2, 4))
     num_symbols = draw(st.integers(1, 3))
     gates = []
@@ -399,7 +430,7 @@ ONE_RUN = (
 
 
 # Runs with no ``Affine`` gate, whose 2x2 is shared by every sample: a lone
-# X, SX.H in a block with a sampled RY, and a lone H. B = 5, so one-row
+# X, SX.H in a step with a sampled RY, and a lone H. B = 5, so one-row
 # blocks reach rows past a shared matrix's two.
 FIXED_RUNS = (
     Circuit(2, (
@@ -411,8 +442,8 @@ FIXED_RUNS = (
     0, 5, 3,
 )
 
-# Blocks with a fixed run: SX.H beside a sampled RY, and RX(0.8) beside X,
-# a block whose 4x4 is shared by every sample.
+# Two-run steps with a fixed run: SX.H beside a sampled RY, and RX(0.8)
+# beside X, a step whose 4x4 is shared by every sample.
 FIXED_RUN_BLOCKS = (
     Circuit(3, (
         Gate(GateKind.SX, (1,)), Gate(GateKind.H, (1,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.4)),
@@ -477,8 +508,9 @@ def gradients_in_blocks(block_bytes, circuit, thetas, cost_qubit):
         grad._BLOCK_BYTES = original
 
 
-# Two blocks: CX(1, 0) after runs on both wires, then SWAP(0, 2) after a
-# run on qubit 2 and another on qubit 0; symbol 0 occurs on three wires.
+# Two two-run steps: CX(1, 0) after runs on both wires, then SWAP(0, 2)
+# after a run on qubit 2 and another on qubit 0; symbol 0 occurs on three
+# wires.
 TWO_BLOCKS = (
     Circuit(3, (
         Gate(GateKind.RY, (0,), Affine(0, 1, 0.2)), Gate(GateKind.SX, (1,)),

@@ -335,8 +335,8 @@ class TestFusedRuns:
         # to the top bit joins the pending gather, and CX(0, 1) then acts
         # on bits (2, 1) in a new gather
         assert [type(s) for s in steps] == [grad._Step, tuple, grad._Step, tuple]
-        assert steps[0] == grad._Step((grad._Run(2, (h2,)),), None)
-        assert steps[2] == grad._Step((grad._Run(0, (sx0, rz0, x0)),), None)
+        assert steps[0] == grad._Step((grad._Run(2, (h2,)),))
+        assert steps[2] == grad._Step((grad._Run(0, (sx0, rz0, x0)),))
         assert np.array_equal(steps[1][0], permutation_sources(3, [cx12, Gate(GateKind.SWAP, (0, 2))])[0])
         assert np.array_equal(steps[3][0], permutation_sources(3, [Gate(GateKind.CX, (2, 1))])[0])
         assert layout == [2, 1, 0]
@@ -345,11 +345,23 @@ class TestFusedRuns:
         ry0, sx2 = Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.SX, (2,))
         steps, layout = grad._sweep_steps([ry0, sx2, Gate(GateKind.CX, (2, 0))], 3)
         # qubit 2 is on the top bit already and stays; qubit 0 joins it on
-        # bit 1 by a SWAP in a gather, and the CX's control is bit 1 of the 4x4
-        assert [type(s) for s in steps] == [tuple, grad._Step]
+        # bit 1 by a SWAP in a gather; the two runs are one step, and the CX
+        # then acts on bits (2, 1) in a gather of its own
+        assert [type(s) for s in steps] == [tuple, grad._Step, tuple]
         assert np.array_equal(steps[0][0], permutation_sources(3, [Gate(GateKind.SWAP, (0, 1))])[0])
-        assert steps[1] == grad._Step((grad._Run(2, (sx2,)), grad._Run(0, (ry0,))), Gate(GateKind.CX, (1, 0)))
+        assert steps[1] == grad._Step((grad._Run(2, (sx2,)), grad._Run(0, (ry0,))))
+        assert np.array_equal(steps[2][0], permutation_sources(3, [Gate(GateKind.CX, (2, 1))])[0])
         assert layout == [1, 0, 2]
+
+    def test_a_cx_pairs_the_runs_on_its_own_wires(self):
+        sx2, ry0, h1 = Gate(GateKind.SX, (2,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.H, (1,))
+        # the run on qubit 2 is complete and held first, but its CX comes
+        # later: CX(0, 1) flushes the runs on its own two wires together
+        steps, _ = grad._sweep_steps([sx2, ry0, h1, Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (2, 0))], 3)
+        assert [s for s in steps if isinstance(s, grad._Step)] == [
+            grad._Step((grad._Run(0, (ry0,)), grad._Run(1, (h1,)))),
+            grad._Step((grad._Run(2, (sx2,)),)),
+        ]
 
     @pytest.mark.parametrize("family", ["efficient_su2", "ttn"])
     def test_every_run_acts_on_the_top_bit(self, family):
@@ -360,8 +372,9 @@ class TestFusedRuns:
         assert_replay_reproduces_circuit(steps, layout, bound)
 
     def test_ttn_logical_blocks_halve_the_steps(self):
-        # each RY(a) RY(b) CX(b, a) of the tree is one block on the top two
-        # bits; it took two runs and two gathers before blocks
+        # each RY(a) RY(b) of the tree is one two-run step on the top two
+        # bits, and its CX(b, a) joins the next gather; it took two runs and
+        # two gathers before runs were paired
         logical = build_ansatz("ttn", 12, 1)
         t = transpile(logical, make_line(12))
         bound = bind(logical, np.random.default_rng(3).uniform(0, 2 * math.pi, logical.num_symbols))
@@ -394,28 +407,28 @@ class TestFusedRuns:
         # single-qubit gate follows, joins its step on the top two bits
         steps, layout = grad._sweep_steps([h2, ry0, cx01], 3)
         assert [type(s) for s in steps] == [tuple, grad._Step, tuple]
-        assert steps[1] == grad._Step((grad._Run(2, (h2,)), grad._Run(0, (ry0,))), None)
+        assert steps[1] == grad._Step((grad._Run(2, (h2,)), grad._Run(0, (ry0,))))
         assert layout == [1, 0, 2]
         # the runs that end the circuit are flushed in pairs too
         steps, _ = grad._sweep_steps([cx01, h2, ry0, sx1], 3)
         assert [type(s) for s in steps] == [tuple, grad._Step, tuple, grad._Step]
-        assert steps[1] == grad._Step((grad._Run(2, (h2,)), grad._Run(0, (ry0,))), None)
-        assert steps[3] == grad._Step((grad._Run(1, (sx1,)),), None)
+        assert steps[1] == grad._Step((grad._Run(2, (h2,)), grad._Run(0, (ry0,))))
+        assert steps[3] == grad._Step((grad._Run(1, (sx1,)),))
 
     def test_a_run_that_a_single_qubit_gate_follows_is_no_partner(self):
         h2, ry0, x2 = Gate(GateKind.H, (2,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.X, (2,))
         # X(2) still extends the run H(2) when CX(0, 1) flushes RY(0)
         steps, _ = grad._sweep_steps([h2, ry0, Gate(GateKind.CX, (0, 1)), x2], 3)
         assert [s for s in steps if isinstance(s, grad._Step)] == [
-            grad._Step((grad._Run(0, (ry0,)),), None),
-            grad._Step((grad._Run(2, (h2, x2)),), None),
+            grad._Step((grad._Run(0, (ry0,)),)),
+            grad._Step((grad._Run(2, (h2, x2)),)),
         ]
 
     def test_the_partner_is_the_run_whose_two_qubit_gate_comes_first(self):
         h2, sx3, ry0 = Gate(GateKind.H, (2,)), Gate(GateKind.SX, (3,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.0))
         gates = [h2, sx3, ry0, Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 3)), Gate(GateKind.CX, (2, 1))]
         steps, _ = grad._sweep_steps(gates, 4)
-        assert steps[1] == grad._Step((grad._Run(3, (sx3,)), grad._Run(0, (ry0,))), None)
+        assert steps[1] == grad._Step((grad._Run(3, (sx3,)), grad._Run(0, (ry0,))))
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(partial_cone_circuits())
@@ -490,17 +503,16 @@ class TestFusedRuns:
 
 
 def is_block(step):
-    # a CX or SWAP always comes with a run on each wire; two runs may come without one
+    # a matrix step holds one run or two
     if isinstance(step, tuple):
         return False
-    assert len(step.runs) in (1, 2) and (step.gate is None or len(step.runs) == 2)
-    return step.gate is not None
+    assert len(step.runs) in (1, 2)
+    return len(step.runs) == 2
 
 
 def assert_replay_reproduces_circuit(steps, layout, bound):
     """Replaying the gathers, and each step's runs gate by gate on bits n-1
-    and n-2, then its gate, if any, on those bits, reproduces the circuit,
-    its qubits placed by the final layout."""
+    and n-2, reproduces the circuit, its qubits placed by the final layout."""
     n = bound.num_qubits
     assert sorted(layout) == list(range(n))
     state = np.zeros((1, 1 << n), dtype=complex)
@@ -513,8 +525,6 @@ def assert_replay_reproduces_circuit(steps, layout, bound):
             for g in run.gates:
                 assert g.qubits == (run.qubit,)
                 state = apply_kind(state, n, g.kind, (bit,), None if g.param is None else g.param.angle)
-        if step.gate is not None:
-            state = apply_kind(state, n, step.gate.kind, tuple(n - 2 + b for b in step.gate.qubits))
     placed = [sum(((i >> q) & 1) << layout[q] for q in range(n)) for i in range(1 << n)]
     np.testing.assert_allclose(state[0, placed], simulate(bound), rtol=0, atol=1e-12)
 

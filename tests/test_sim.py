@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from vqclab import sim
 from vqclab.ansatz import build_efficient_su2, build_real_amplitudes, build_ttn
 from vqclab.circuit import Circuit, Const, Gate, GateKind, bind
 from vqclab.sim import MAX_QUBITS, apply_kind, apply_pauli, expect_z, permutation_sources, simulate, state_expect_z
@@ -86,6 +87,21 @@ class TestExpectZ:
         with pytest.raises(ValueError, match="out of range"):
             state_expect_z(simulate(concrete(2)), 2, -1)
 
+    def test_z_signs_are_not_kept(self):
+        # the Z signs of each qubit are built per call, not cached: four
+        # qubits of an 18-qubit state would keep 8 MiB of them
+        n = 18
+        state = np.zeros(1 << n, dtype=np.complex128)
+        state[0] = 1.0
+        tracemalloc.start()
+        try:
+            values = [state_expect_z(state, n, q) for q in range(4)]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert values == [1.0] * 4
+        assert retained < 64 << 10
+
 
 def random_states(rng, batch, n):
     return rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
@@ -149,6 +165,15 @@ class TestSwapPermutation:
             without = concrete(3, *prep)
             assert expect_z(with_swap, a) == pytest.approx(expect_z(without, b), abs=1e-12)
             assert expect_z(with_swap, b) == pytest.approx(expect_z(without, a), abs=1e-12)
+
+
+def test_nan_state_fails_the_norm_check(monkeypatch):
+    def nan_matrix(kind, angle=None):
+        return np.full((2, 2), np.nan, dtype=np.complex128)
+
+    monkeypatch.setattr(sim, "gate_matrix", nan_matrix)
+    with pytest.raises(AssertionError, match="norm"):
+        simulate(concrete(1, g("H", (0,))))
 
 
 def test_norm_preserved_through_long_circuit():
