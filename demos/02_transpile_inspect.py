@@ -5,7 +5,8 @@ The all-pairs entangler of efficient_su2 does not fit a chain topology,
 so routing inserts SWAPs (three CX each after decomposition) and the
 single-qubit layers are rewritten into the RZ/SX native basis. The
 physical circuit keeps the logical symbols, so it binds from the same
-logical angles, and statevector fidelity certifies the equivalence. Freeing
+logical angles; it keeps the logical qubit order too, so statevector
+fidelity certifies the equivalence on its first 2^n amplitudes. Freeing
 every native rotation angle gives its physical parameter count.
 """
 
@@ -36,6 +37,7 @@ def compile_and_report(kind, n, reps, backend, label):
           f"vs repetitions {rep.delta_depth_paper:+d})")
     print(f"  parameters: {before.num_symbols} logical -> "
           f"{free_all_angles(t.physical).num_symbols} physical angles")
+    # compiled qubit i is device qubit phys_qubits[i]: the final layout first, the ancillas after it
     print(f"  final layout: {list(t.final_layout)} over device qubits {list(t.phys_qubits)}")
 
     rng = np.random.default_rng(SEED)

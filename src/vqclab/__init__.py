@@ -58,11 +58,9 @@ from .transpiler import (
     check_constraints,
     choose_layout,
     decompose_to_native,
-    load_provenance,
     optimize,
     overhead,
     route,
-    save_provenance,
     transpile,
 )
 from .verify import logical_physical_fidelity
@@ -105,7 +103,6 @@ __all__ = [
     "grad_variance",
     "load_backend",
     "load_circuit",
-    "load_provenance",
     "logical_physical_fidelity",
     "make_heavy_hex",
     "make_line",
@@ -121,7 +118,6 @@ __all__ = [
     "sample_thetas",
     "save_backend",
     "save_circuit",
-    "save_provenance",
     "simulate",
     "state_expect_z",
     "structural_metrics",

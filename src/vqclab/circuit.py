@@ -15,7 +15,6 @@ Text format (one gate per line, used by the CLI):
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -149,6 +148,8 @@ class Circuit:
         object.__setattr__(self, "num_symbols", as_index(self.num_symbols, "num_symbols"))
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        if self.num_symbols < 0:
+            raise ValueError(f"num_symbols must be >= 0, got {self.num_symbols}")
         for g in self.gates:
             if max(g.qubits) >= self.num_qubits:
                 raise ValueError(f"gate {g.kind.value} on {g.qubits} exceeds {self.num_qubits} qubits")
@@ -266,11 +267,6 @@ def circuit_to_text(circuit: Circuit) -> str:
         else:
             lines.append(f"{g.kind.value} {qubits} {format_expr(g.param)}")
     return "\n".join(lines) + "\n"
-
-
-def circuit_sha256(circuit: Circuit) -> str:
-    """The hex sha256 of the circuit's text format, which names it exactly."""
-    return hashlib.sha256(circuit_to_text(circuit).encode("utf-8")).hexdigest()
 
 
 def circuit_from_text(text: str) -> Circuit:

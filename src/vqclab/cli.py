@@ -2,10 +2,9 @@
 
 Subcommands: build, transpile, expect, gradvar, sweep. Circuits travel as
 the line-based text format, backends as ``line:n`` / ``heavy-hex:R,C`` /
-JSON path references. A compiled circuit keeps the logical symbols, so it
-binds from the logical parameter file; the cost qubit, which its text
-does not carry, travels as the provenance JSON file, which names the
-circuit it belongs to by digest.
+JSON path references. A compiled circuit keeps the logical symbols and
+the logical qubit order, so it binds from the logical parameter file and
+holds logical qubit q on qubit q, the cost qubit 0 included.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .circuit import bind, free_all_angles, load_circuit, save_circuit
 from .grad import ReparamMode, grad_variance
 from .harness import SweepConfig, emit_csv, emit_heatmap_svg, run_sweep
 from .sim import expect_z
-from .transpiler import load_provenance, overhead, save_provenance, transpile
+from .transpiler import overhead, transpile
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -38,8 +37,6 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
     backend = resolve_backend(args.backend)
     t = transpile(circuit, backend, layout_seed=args.layout_seed)
     save_circuit(t.physical, args.out)
-    if args.provenance:
-        save_provenance(t, args.provenance)
     report = overhead(t, args.reps or 0)
     after = t.metrics_after
     print(f"wrote {args.out}: {after.g1q} 1q + {after.g2q} 2q gates, depth {after.dag_depth}, "
@@ -52,7 +49,10 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 
 
 def _read_theta(path: str) -> list[float]:
-    return [float(tok) for tok in Path(path).read_text(encoding="utf-8").split()]
+    try:
+        return [float(tok) for tok in Path(path).read_text(encoding="utf-8").split()]
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _cmd_expect(args: argparse.Namespace) -> int:
@@ -64,16 +64,9 @@ def _cmd_expect(args: argparse.Namespace) -> int:
 
 def _cmd_gradvar(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.inp)
-    mode = ReparamMode(args.mode)
-    qubit = 0  # the cost qubit unless a provenance file or --cost-qubit names one
-    if args.provenance:
-        # raises unless the file was written for this very circuit
-        qubit = load_provenance(args.provenance, circuit)
-    elif mode is ReparamMode.SYMBOL_DERIVED:
-        raise ValueError("--mode symbol-derived needs --provenance, the file that transpile --provenance writes")
-    if mode is ReparamMode.ALL_ANGLES:
+    if ReparamMode(args.mode) is ReparamMode.ALL_ANGLES:
         circuit = free_all_angles(circuit)
-    stats = grad_variance(circuit, args.samples, args.seed, qubit if args.cost_qubit is None else args.cost_qubit)
+    stats = grad_variance(circuit, args.samples, args.seed, args.cost_qubit)
     payload = asdict(stats)
     payload["stderr"] = stats.stderr
     print(json.dumps(payload, indent=2))
@@ -135,7 +128,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--backend", required=True, help="line:n, heavy-hex:R,C or a JSON path")
     p.add_argument("--out", required=True)
-    p.add_argument("--provenance", help="write the cost qubit and the circuit's digest as JSON")
     p.add_argument("--layout-seed", type=int, default=None)
     p.add_argument("--reps", type=int, default=None, help="repetition count for the depth delta")
     p.set_defaults(func=_cmd_transpile)
@@ -145,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--theta",
                    help="whitespace-separated parameter file; a compiled circuit takes the logical one")
     p.add_argument("--qubit", type=int, required=True,
-                   help="for a compiled circuit, the provenance file's cost_qubit")
+                   help="a compiled circuit holds logical qubit q on qubit q")
     p.set_defaults(func=_cmd_expect)
 
     p = sub.add_parser("gradvar", help="gradient variance of a circuit text file")
@@ -153,8 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--mode", choices=[m.value for m in ReparamMode], default=ReparamMode.ALL_ANGLES.value)
-    p.add_argument("--cost-qubit", type=int, help="default: the --provenance file's, else 0")
-    p.add_argument("--provenance", help="file written by transpile --provenance")
+    p.add_argument("--cost-qubit", type=int, default=0, help="a compiled circuit holds logical qubit 0 on qubit 0")
     p.set_defaults(func=_cmd_gradvar)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config")

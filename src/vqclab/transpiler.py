@@ -7,22 +7,21 @@ cleanup run to fixpoint. Every rotation of the physical circuit keeps
 its own angle: an ``Affine`` over a logical symbol, or a ``Const`` the
 compiler synthesized. So the physical circuit binds from the logical
 parameter vector as it is, and a logical symbol that compilation lost
-fails the compile. The cost qubit, which the circuit file does not
-carry, travels as the JSON file of ``save_provenance``/``load_provenance``,
-tied to its circuit by the digest of the circuit's text.
+fails the compile.
 
 Physical circuits are emitted over the compact set of qubits the routed
-gates actually touch; ``phys_qubits`` maps each compact index back to
-the true device qubit id.
+gates actually touch, in logical order: compact qubit i is the device
+qubit that holds logical qubit i after routing, and the ancillas follow
+in ascending device order. So a compiled circuit reads its cost on
+qubit 0, as the logical circuit does, and ``phys_qubits`` maps each
+compact index back to the true device qubit id.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 from .backend import BackendModel
@@ -34,7 +33,6 @@ from .circuit import (
     GateKind,
     ParamExpr,
     StructuralMetrics,
-    circuit_sha256,
     structural_metrics,
 )
 from .rng import SplitMix64
@@ -58,42 +56,8 @@ class TranspiledCircuit:
     metrics_after: StructuralMetrics
     phys_qubits: tuple[int, ...]
 
-    def compact_index(self, physical_qubit: int) -> int:
-        return self.phys_qubits.index(physical_qubit)
-
-    @property
-    def cost_qubit(self) -> int:
-        """Compact index of the physical qubit that holds logical qubit 0."""
-        return self.compact_index(self.final_layout[0])
-
-
-def save_provenance(t: TranspiledCircuit, path: str | Path) -> None:
-    """Write the cost qubit and the digest of the physical circuit's text."""
-    payload = {"format": 3, "cost_qubit": t.cost_qubit, "circuit_sha256": circuit_sha256(t.physical)}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_provenance(path: str | Path, circuit: Circuit) -> int:
-    """The cost qubit that ``save_provenance`` wrote for ``circuit``.
-
-    A file of another format, or one written for another circuit, raises.
-    """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ValueError(f"{path}: not a provenance file: {e}") from None
-    rerun = "re-run `vqclab transpile --provenance`"
-    if isinstance(payload, dict) and payload.get("format") != 3:
-        raise ValueError(f"{path}: not a format-3 provenance file; {rerun}")
-    try:
-        cost_qubit, digest = payload["cost_qubit"], payload["circuit_sha256"]
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{path}: malformed provenance file: {e}") from None
-    if type(cost_qubit) is not int:
-        raise ValueError(f"{path}: malformed provenance file: cost_qubit must be an integer, got {cost_qubit!r}")
-    if digest != circuit_sha256(circuit):
-        raise ValueError(f"{path}: provenance file of another circuit; {rerun}")
-    return cost_qubit
+    # logical qubit 0 is compact qubit 0, as in the logical circuit
+    cost_qubit = 0
 
 
 def _check_fits(circuit: Circuit, backend: BackendModel) -> None:
@@ -353,7 +317,8 @@ def transpile(circuit: Circuit, backend: BackendModel, *, layout_seed: int | Non
     routed, final_layout = route(circuit, backend, layout)
     lowered = optimize(decompose_to_native(routed, backend))
 
-    active = sorted({q for g in lowered.gates for q in g.qubits} | set(layout) | set(final_layout))
+    touched = {q for g in lowered.gates for q in g.qubits} | set(layout)
+    active = [*final_layout, *sorted(touched - set(final_layout))]
     compact = {p: i for i, p in enumerate(active)}
     gates = tuple(replace(g, qubits=tuple(compact[q] for q in g.qubits)) for g in lowered.gates)
     physical = Circuit(len(active), gates, lowered.num_symbols)

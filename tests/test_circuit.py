@@ -141,6 +141,10 @@ class TestCircuit:
         with pytest.raises(ValueError, match="num_symbols must be an integer"):
             Circuit(1, (ry(0, sym=0),), num_symbols)
 
+    def test_negative_symbol_count_rejected(self):
+        with pytest.raises(ValueError, match="num_symbols must be >= 0, got -1"):
+            Circuit(1, (Gate(GateKind.RZ, (0,), Const(0.5)),), -1)
+
     def test_numpy_integer_counts_become_int(self):
         c = Circuit(np.int64(2), (ry(1, sym=0),), np.int32(1))
         assert type(c.num_qubits) is int and type(c.num_symbols) is int
@@ -235,6 +239,7 @@ class TestTextFormat:
             ("qubits:2 symbols:0\nCX 0\n", "line 2"),
             ("qubits:2 symbols:0\nH 0\nCX 0,a\n", "line 3: invalid literal"),
             ("qubits:2 symbols:0\nCX 0,\n", "line 2: invalid literal"),
+            ("qubits:1 symbols:-1\nRZ 0 const:0.5\n", "num_symbols must be >= 0, got -1"),
         ],
     )
     def test_parse_errors(self, text, match):

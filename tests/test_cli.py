@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from vqclab.ansatz import build_ttn
-from vqclab.circuit import bind, circuit_sha256, load_circuit
+from vqclab.circuit import bind, load_circuit
 from vqclab.cli import main
 from vqclab.grad import ReparamMode, free_all_angles, grad_variance, reparameterize
 from vqclab.harness import read_csv
@@ -32,33 +32,34 @@ class TestBuild:
 
 class TestTranspileCommand:
     def test_files_and_provenance(self, tmp_path, capsys):
+        # the compiled circuit file is the whole record of the compile: it
+        # keeps the logical symbols and the logical qubit order
         circ = tmp_path / "c.txt"
         phys = tmp_path / "p.txt"
-        prov = tmp_path / "prov.json"
         run("build", "--ansatz", "real_amplitudes", "--qubits", "2", "--reps", "1", "--out", circ)
-        code = run(
-            "transpile", "--in", circ, "--backend", "line:2", "--out", phys,
-            "--provenance", prov, "--reps", "1",
-        )
+        code = run("transpile", "--in", circ, "--backend", "line:2", "--out", phys, "--reps", "1")
         assert code == 0
         expected = transpile(load_circuit(circ), make_line(2))
         assert load_circuit(phys) == expected.physical
         assert expected.physical.num_symbols == 4  # the logical symbols
-        payload = json.loads(prov.read_text())
-        assert list(payload) == ["format", "cost_qubit", "circuit_sha256"]
-        assert (payload["format"], payload["cost_qubit"]) == (3, expected.cost_qubit)
-        assert payload["circuit_sha256"] == circuit_sha256(expected.physical)
-        assert payload["circuit_sha256"] == hashlib.sha256(phys.read_bytes()).hexdigest()
+        assert expected.phys_qubits[:2] == expected.final_layout and expected.cost_qubit == 0
         assert "final layout" in capsys.readouterr().out
+        # no side file goes with it: --provenance is not an option of either command
+        for argv in (("transpile", "--in", circ, "--backend", "line:2", "--out", phys),
+                     ("gradvar", "--in", phys)):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, "--provenance", tmp_path / "prov.json")
+            assert exc.value.code == 2
+        assert not (tmp_path / "prov.json").exists()
 
     def test_stdout_and_files_pinned(self, tmp_path, capsys):
         # ttn n=4 L=2 on line:6 under a seeded random layout
-        circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
+        circ, phys = tmp_path / "c.txt", tmp_path / "p.txt"
         run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "2", "--out", circ)
         capsys.readouterr()
         code = run(
             "transpile", "--in", circ, "--backend", "line:6", "--out", phys,
-            "--provenance", prov, "--reps", "2", "--layout-seed", "3",
+            "--reps", "2", "--layout-seed", "3",
         )
         assert code == 0
         assert capsys.readouterr().out.replace(str(phys), "p.txt") == (
@@ -67,11 +68,8 @@ class TestTranspileCommand:
             "depth vs repetitions: +59\n"
             "final layout: [5, 3, 4, 2]\n"
         )
-        assert hashlib.sha256(prov.read_bytes()).hexdigest() == (
-            "7ffc7c2eb44e33717b4d9d90bf060a6f22eabfee5147baf52e1f118ee432e394"
-        )
         assert hashlib.sha256(phys.read_bytes()).hexdigest() == (
-            "7605f558815ee1284bc2368066b989354a41041eaf31bdaf133a4a8b85e118ce"
+            "1b33c9cc3d1a5e6cc13134c31319abc98be19073ad4cfda130d24aab640b4a6d"
         )
 
     def test_backend_file_reference(self, tmp_path):
@@ -141,7 +139,7 @@ class TestExpectCommand:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_qubit_is_required(self, tmp_path, capsys):
-        # ttn n=4 L=1 under this layout reads its cost at compact qubit 7, not 0
+        # ttn n=4 L=1 under this layout compiles to 8 qubits; --qubit names the one to read
         circ, phys, theta_file = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "theta.txt"
         run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
         run("transpile", "--in", circ, "--backend", "line:8", "--out", phys, "--layout-seed", "3")
@@ -158,18 +156,26 @@ class TestExpectCommand:
 
     def test_compiled_circuit_takes_the_logical_theta(self, tmp_path, capsys):
         # the compiled file binds from the logical parameter file, and reads
-        # the logical circuit's <Z_0> at the provenance file's cost qubit
-        circ, phys, prov, theta_file = (tmp_path / name for name in ("c.txt", "p.txt", "prov.json", "theta.txt"))
+        # the logical circuit's <Z_q> on its qubit q, the cost qubit 0 included
+        circ, phys, theta_file = (tmp_path / name for name in ("c.txt", "p.txt", "theta.txt"))
         run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
-        run("transpile", "--in", circ, "--backend", "line:8", "--out", phys, "--provenance", prov,
-            "--layout-seed", "3")
+        run("transpile", "--in", circ, "--backend", "line:8", "--out", phys, "--layout-seed", "3")
         logical = load_circuit(circ)
         theta = [0.1 + 0.3 * i for i in range(logical.num_symbols)]
         theta_file.write_text(" ".join(repr(t) for t in theta))
-        cost_qubit = json.loads(prov.read_text())["cost_qubit"]
         capsys.readouterr()
-        assert run("expect", "--in", phys, "--theta", theta_file, "--qubit", cost_qubit) == 0
-        assert float(capsys.readouterr().out) == pytest.approx(expect_z(bind(logical, theta), 0), abs=1e-12)
+        for q in range(logical.num_qubits):
+            assert run("expect", "--in", phys, "--theta", theta_file, "--qubit", q) == 0
+            assert float(capsys.readouterr().out) == pytest.approx(expect_z(bind(logical, theta), q), abs=1e-12)
+
+    def test_bad_theta_token_names_the_file(self, tmp_path, capsys):
+        circ, theta_file = tmp_path / "c.txt", tmp_path / "theta.txt"
+        run("build", "--ansatz", "ttn", "--qubits", "2", "--reps", "1", "--out", circ)
+        theta_file.write_text("0.3 abc 2.5")
+        capsys.readouterr()
+        assert run("expect", "--in", circ, "--theta", theta_file, "--qubit", "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {theta_file}: ") and "'abc'" in err
 
 
 class TestGradvarCommand:
@@ -192,36 +198,33 @@ class TestGradvarCommand:
         assert err.startswith("error:") and "line 2" in err
 
     def test_symbol_derived_with_provenance(self, tmp_path, capsys):
-        circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
+        # the compiled file alone carries what symbol-derived mode needs
+        circ, phys = tmp_path / "c.txt", tmp_path / "p.txt"
         run("build", "--ansatz", "real_amplitudes", "--qubits", "2", "--reps", "1", "--out", circ)
-        run("transpile", "--in", circ, "--backend", "line:4", "--out", phys, "--provenance", prov,
-            "--layout-seed", "7")
+        run("transpile", "--in", circ, "--backend", "line:4", "--out", phys, "--layout-seed", "7")
         capsys.readouterr()
         t = transpile(load_circuit(circ), make_line(4), layout_seed=7)
         assert t.initial_layout != (0, 1)
-        code = run(
-            "gradvar", "--in", phys, "--mode", "symbol-derived", "--provenance", prov,
-            "--samples", "60", "--seed", "5", "--cost-qubit", t.cost_qubit,
-        )
+        code = run("gradvar", "--in", phys, "--mode", "symbol-derived", "--samples", "60", "--seed", "5")
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        expected = grad_variance(reparameterize(t, ReparamMode.SYMBOL_DERIVED), 60, 5, t.cost_qubit)
+        expected = grad_variance(reparameterize(t, ReparamMode.SYMBOL_DERIVED), 60, 5, 0)
         assert payload["grad_var"] == expected.grad_var
         assert payload["per_param_var"] == list(expected.per_param_var)
 
     @pytest.mark.parametrize("mode", list(ReparamMode), ids=lambda m: m.value)
     def test_cost_qubit_comes_from_provenance(self, tmp_path, capsys, mode):
-        # ttn n=4 L=1 under this layout ends with logical qubit 0 on compact qubit 7
-        circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
+        # ttn n=4 L=1 under this layout ends with logical qubit 0 on device
+        # qubit 7, which the compile numbers 0
+        circ, phys = tmp_path / "c.txt", tmp_path / "p.txt"
         run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
-        run("transpile", "--in", circ, "--backend", "line:8", "--out", phys, "--provenance", prov,
-            "--layout-seed", "3")
+        run("transpile", "--in", circ, "--backend", "line:8", "--out", phys, "--layout-seed", "3")
         capsys.readouterr()
         t = transpile(load_circuit(circ), make_line(8), layout_seed=3)
-        assert t.final_layout == (7, 5, 6, 0) and t.cost_qubit == 7
-        assert run("gradvar", "--in", phys, "--mode", mode.value, "--provenance", prov, "--samples", "20") == 0
+        assert t.final_layout == (7, 5, 6, 0) and t.phys_qubits[0] == 7 and t.cost_qubit == 0
+        assert run("gradvar", "--in", phys, "--mode", mode.value, "--samples", "20") == 0
         payload = json.loads(capsys.readouterr().out)
-        expected = grad_variance(reparameterize(t, mode), 20, 42, t.cost_qubit)
+        expected = grad_variance(reparameterize(t, mode), 20, 42, 0)
         assert payload["grad_var"] == expected.grad_var
         assert payload["per_param_var"] == list(expected.per_param_var)
         if mode is ReparamMode.SYMBOL_DERIVED:
@@ -229,69 +232,29 @@ class TestGradvarCommand:
             # the gate-by-gate sweep, before single-qubit runs were fused, gave
             gate_by_gate = 0.16007644570608856
             assert abs(payload["grad_var"] - gate_by_gate) <= 1e-14 * gate_by_gate
-        # an explicit --cost-qubit still wins over the file's
-        assert run("gradvar", "--in", phys, "--mode", mode.value, "--provenance", prov, "--samples", "20",
-                   "--cost-qubit", "0") == 0
+        # an explicit --cost-qubit reads another qubit
+        assert run("gradvar", "--in", phys, "--mode", mode.value, "--samples", "20", "--cost-qubit", "1") == 0
         assert json.loads(capsys.readouterr().out)["grad_var"] == (
-            grad_variance(reparameterize(t, mode), 20, 42, 0).grad_var
+            grad_variance(reparameterize(t, mode), 20, 42, 1).grad_var
         )
 
-    def test_symbol_derived_without_provenance_fails(self, tmp_path, capsys):
+    def test_compiled_file_gives_the_logical_gradvar(self, tmp_path, capsys):
+        # over the logical symbols, the compiled circuit is the logical one
+        # up to global phase, so its GradVar differs by rounding only
         circ, phys = tmp_path / "c.txt", tmp_path / "p.txt"
         run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
-        run("transpile", "--in", circ, "--backend", "line:4", "--out", phys)
+        run("transpile", "--in", circ, "--backend", "line:8", "--out", phys, "--layout-seed", "3")
         capsys.readouterr()
-        assert run("gradvar", "--in", phys, "--mode", "symbol-derived", "--samples", "20") == 1
-        captured = capsys.readouterr()
-        assert "--provenance" in captured.err
-        assert captured.out == ""
-
-
-    @pytest.mark.parametrize(
-        "prov_text, message",
-        [('{"format": 3, "cost_qubit": 0}', "malformed provenance"),
-         ("[1, 2]", "malformed provenance"),
-         ('{"format": 2, "num_logical": 1, "cost_qubit": 0, "origins": ["affine:0:+1:0.0"]}',
-          "not a format-3 provenance file; re-run `vqclab transpile --provenance`"),
-         ('{"format": 3, "cost_qubit": 0, "circuit_sha256": "' + "0" * 64 + '"}',
-          "provenance file of another circuit; re-run `vqclab transpile --provenance`"),
-         ('{"0": {"kind": "const", "value": 1.0}}', "re-run `vqclab transpile --provenance`"),
-         ('{"format": 3, "cost_qubit": false, "circuit_sha256": "0"}', "malformed provenance"),
-         ("{", "not a provenance file: Expecting property name")],
-        ids=["missing-field", "not-a-map", "format-2", "other-circuit", "format-1", "bool-count", "not-json"],
-    )
-    def test_bad_provenance_fails_cleanly(self, tmp_path, capsys, prov_text, message):
-        circ, phys, prov = tmp_path / "c.txt", tmp_path / "p.txt", tmp_path / "prov.json"
-        run("build", "--ansatz", "ttn", "--qubits", "2", "--reps", "1", "--out", circ)
-        run("transpile", "--in", circ, "--backend", "line:2", "--out", phys)
-        prov.write_text(prov_text)
-        capsys.readouterr()
-        for mode in ReparamMode:
-            assert run("gradvar", "--in", phys, "--mode", mode.value, "--provenance", prov) == 1
-            captured = capsys.readouterr()
-            assert captured.err.startswith(f"error: {prov}: ") and message in captured.err
-            assert captured.out == ""
-
-    def test_provenance_file_of_another_compile_fails(self, tmp_path, capsys):
-        # two layouts of ttn n=4 L=1 on line:8: the cost qubits are 7 and 0
-        circ = tmp_path / "c.txt"
-        run("build", "--ansatz", "ttn", "--qubits", "4", "--reps", "1", "--out", circ)
-        for seed in (3, 5):
-            run("transpile", "--in", circ, "--backend", "line:8", "--out", tmp_path / f"p{seed}.txt",
-                "--provenance", tmp_path / f"prov{seed}.json", "--layout-seed", seed)
-        assert [json.loads((tmp_path / f"prov{seed}.json").read_text())["cost_qubit"] for seed in (3, 5)] == [7, 0]
-        capsys.readouterr()
-        for mode in ReparamMode:
-            for phys, prov in ((tmp_path / "p3.txt", tmp_path / "prov5.json"),
-                               (tmp_path / "p5.txt", tmp_path / "prov3.json")):
-                assert run("gradvar", "--in", phys, "--mode", mode.value, "--provenance", prov,
-                           "--samples", "2") == 1
-                captured = capsys.readouterr()
-                assert captured.err.startswith(f"error: {prov}: provenance file of another circuit")
-                assert captured.out == ""
-            assert run("gradvar", "--in", tmp_path / "p3.txt", "--mode", mode.value,
-                       "--provenance", tmp_path / "prov3.json", "--samples", "2") == 0
-            capsys.readouterr()
+        payloads = []
+        for path in (circ, phys):
+            assert run("gradvar", "--in", path, "--mode", "symbol-derived") == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        logical, compiled = payloads
+        tol = 1e-14 * logical["grad_var"]
+        assert abs(compiled["grad_var"] - logical["grad_var"]) <= tol
+        assert len(compiled["per_param_var"]) == len(logical["per_param_var"])
+        for a, b in zip(compiled["per_param_var"], logical["per_param_var"]):
+            assert abs(a - b) <= tol
 
 
 class TestSweepCommand:
