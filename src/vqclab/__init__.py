@@ -56,7 +56,6 @@ from .transpiler import (
     OverheadReport,
     TranspiledCircuit,
     check_constraints,
-    choose_layout,
     decompose_to_native,
     optimize,
     overhead,
@@ -88,7 +87,6 @@ __all__ = [
     "build_real_amplitudes",
     "build_ttn",
     "check_constraints",
-    "choose_layout",
     "circuit_from_text",
     "circuit_to_text",
     "dag_depth",

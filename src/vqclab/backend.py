@@ -38,6 +38,7 @@ class BackendModel:
     native_2q: frozenset[GateKind] = field(default=DEFAULT_NATIVE_2Q)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_physical", as_index(self.num_physical, "num_physical"))
         norm = set()
         for e in self.edges:
             a, b = as_index(e[0], "edge endpoint"), as_index(e[1], "edge endpoint")
@@ -142,8 +143,6 @@ def load_backend(path: str | Path) -> BackendModel:
         raise ValueError(f"{path}: missing field {e}") from None
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: native gate sets must be lists of gate names: {e}") from None
-    if type(num_physical) is not int:
-        raise ValueError(f"{path}: num_physical must be an integer, got {num_physical!r}")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(type(q) is int for q in e) for e in edges
     ):

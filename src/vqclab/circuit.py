@@ -160,10 +160,6 @@ class Circuit:
                 f"found {sorted(refs)}"
             )
 
-    @property
-    def is_concrete(self) -> bool:
-        return self.num_symbols == 0
-
 
 def gate_counts(circuit: Circuit) -> tuple[int, int]:
     """Return (single-qubit gate count, two-qubit gate count).
@@ -276,9 +272,11 @@ def circuit_from_text(text: str) -> Circuit:
     header = lines[0].split()
     try:
         fields = dict(part.split(":") for part in header)
+        if len(header) != 2 or fields.keys() != {"qubits", "symbols"}:
+            raise ValueError
         num_qubits = int(fields["qubits"])
         num_symbols = int(fields["symbols"])
-    except (ValueError, KeyError):
+    except ValueError:
         raise ValueError(f"line 1: malformed header {lines[0]!r}") from None
     gates = []
     for i, ln in enumerate(lines[1:], start=2):
@@ -304,4 +302,9 @@ def save_circuit(circuit: Circuit, path: str | Path) -> None:
 
 
 def load_circuit(path: str | Path) -> Circuit:
-    return circuit_from_text(Path(path).read_text(encoding="utf-8"))
+    """Read a circuit text file; a malformed file raises a ``ValueError`` that
+    names it."""
+    try:
+        return circuit_from_text(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -77,7 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import TWO_QUBIT_KINDS, Affine, Circuit, Const, Gate, GateKind, bind, free_all_angles
+from .circuit import TWO_QUBIT_KINDS, Affine, Circuit, Const, Gate, GateKind, as_index, bind, free_all_angles
 from .rng import GOLDEN, angles_from_u64, mix64_array
 from .sim import GENERATORS, MAX_QUBITS, _z_signs, expect_z, gate_matrix, permutation_sources
 from .transpiler import TranspiledCircuit
@@ -163,16 +163,11 @@ def sample_thetas(seed: int, samples: int, num_params: int) -> np.ndarray:
 # Gradients
 
 
-def _check_int(name: str, value: object) -> None:
-    # bool is an int subclass, and a float or numpy integer would run too
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
-def _check_cost_qubit(circuit: Circuit, cost_qubit: int) -> None:
-    _check_int("cost_qubit", cost_qubit)
+def _check_cost_qubit(circuit: Circuit, cost_qubit: int) -> int:
+    cost_qubit = as_index(cost_qubit, "cost_qubit")
     if not 0 <= cost_qubit < circuit.num_qubits:
         raise ValueError(f"cost qubit {cost_qubit} out of range")
+    return cost_qubit
 
 
 def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: int = 0) -> np.ndarray:
@@ -182,7 +177,7 @@ def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: i
     that one gate's angle shifted by +-pi/2 and the expectations
     differenced; occurrences are summed with their affine coefficients.
     """
-    _check_cost_qubit(circuit, cost_qubit)
+    cost_qubit = _check_cost_qubit(circuit, cost_qubit)
     bound = bind(circuit, theta)
     grad = np.zeros(circuit.num_symbols)
     for idx, g in enumerate(circuit.gates):
@@ -501,11 +496,10 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
 def grad_variance(circuit: Circuit, samples: int, seed: int, cost_qubit: int = 0) -> GradStats:
     """GradVar of a circuit: mean per-parameter gradient variance under
     uniform parameter draws. Deterministic in (circuit, samples, seed)."""
-    _check_int("samples", samples)
-    _check_int("seed", seed)
+    samples, seed = as_index(samples, "samples"), as_index(seed, "seed")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    _check_cost_qubit(circuit, cost_qubit)
+    cost_qubit = _check_cost_qubit(circuit, cost_qubit)
     if circuit.num_symbols == 0:
         return GradStats(
             per_param_var=(),

@@ -207,25 +207,26 @@ def _worker_count(num_cells: int) -> int:
     return min(cap, num_cells)
 
 
-def _drop_torn_tail(path: Path) -> None:
-    """Cut an unterminated last line (a crash mid-write) off the checkpoint
-    stream, so it is neither parsed nor glued to the next record."""
+def _read_checkpoint(path: Path) -> list[bytes]:
+    """The complete lines of the checkpoint stream. An unterminated last line
+    (a crash mid-write) is cut off the file, so it is neither parsed nor
+    glued to the next record."""
     data = path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return
     keep = data.rfind(b"\n") + 1
-    warnings.warn(
-        f"{path}: dropping an unterminated last line ({len(data) - keep} bytes) left by an interrupted write",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    with open(path, "r+b") as f:
-        f.truncate(keep)
+    if keep < len(data):
+        warnings.warn(
+            f"{path}: dropping an unterminated last line ({len(data) - keep} bytes) left by an interrupted write",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        with open(path, "r+b") as f:
+            f.truncate(keep)
+    return data[:keep].splitlines()
 
 
-def _load_checkpoints(config: SweepConfig, path: Path) -> dict[tuple, SweepRecord]:
+def _load_checkpoints(config: SweepConfig, path: Path, lines: list[bytes]) -> dict[tuple, SweepRecord]:
     loaded: dict[tuple, SweepRecord] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -276,9 +277,9 @@ def run_sweep(
     backend = resolve_backend(config.backend)
     done: dict[tuple, SweepRecord] = {}
     if checkpoint and Path(checkpoint).exists():
-        _drop_torn_tail(Path(checkpoint))
+        lines = _read_checkpoint(Path(checkpoint))
         if resume:
-            done = _load_checkpoints(config, Path(checkpoint))
+            done = _load_checkpoints(config, Path(checkpoint), lines)
 
     def work(cell: tuple[int, str, int, int, int]) -> tuple[SweepRecord, bool]:
         _, kind, n, reps, seed = cell

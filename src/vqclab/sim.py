@@ -15,9 +15,10 @@ a run of them into one int32 index map, so the run costs one gather; the
 gradient engine builds its maps with it. ``gate_matrix`` is the one
 definition of each single-qubit gate's 2x2 matrix (per sample for a
 batch of angles): the gradient engine fuses each single-qubit run into
-one product of them. ``apply_kind`` is the reference's one gate kernel
-and builds no index map, so ``simulate``, the literal reference that
-the gradient engine is tested against, shares no code with its gathers.
+one product of them. ``apply_kind`` is the reference's one gate kernel,
+one path per arity (``gate_matrix`` for every single-qubit gate), and
+builds no index map, so ``simulate``, the literal reference that the
+gradient engine is tested against, shares no code with its gathers.
 """
 
 from __future__ import annotations
@@ -105,10 +106,10 @@ def apply_kind(states: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ..
     """Apply one gate in place to a C-contiguous batch of states (B, 2**n)
     and return it.
 
-    ``angle`` is a float for rotation kinds, ignored otherwise. CX and
-    SWAP exchange two quarter slices of the state, indexed by the (hi, lo)
-    bits of the gate's higher and lower qubit; every other gate mixes the
-    two halves of its qubit by its ``gate_matrix``.
+    ``angle`` is a float for rotation kinds, ignored otherwise. One path
+    per arity: CX and SWAP exchange two quarter slices of the state,
+    indexed by the (hi, lo) bits of the higher and lower qubit; every
+    single-qubit gate, RZ too, mixes its qubit's halves by ``gate_matrix``.
     """
     if kind in TWO_QUBIT_KINDS:
         hi, lo = max(qubits), min(qubits)
@@ -126,11 +127,6 @@ def apply_kind(states: np.ndarray, n: int, kind: GateKind, qubits: tuple[int, ..
     m = gate_matrix(kind, angle)
     view = states.reshape(states.shape[0], 1 << (n - 1 - q), 2, 1 << q)
     v0, v1 = view[:, :, 0, :], view[:, :, 1, :]
-    if kind is GateKind.RZ:
-        # diagonal: scaling each half in place is faster than mixing them
-        v0 *= m[0, 0]
-        v1 *= m[1, 1]
-        return states
     s0 = v0.copy()
     v0 *= m[0, 0]
     v0 += m[0, 1] * v1
@@ -149,7 +145,7 @@ def apply_pauli(states: np.ndarray, n: int, pauli: str, q: int) -> np.ndarray:
 
 def simulate(circuit: Circuit) -> np.ndarray:
     """Evolve |0...0> through a concrete circuit and return the statevector."""
-    if not circuit.is_concrete:
+    if circuit.num_symbols:
         raise ValueError("circuit has unbound symbols; bind() it first")
     if circuit.num_qubits > MAX_QUBITS:
         raise ValueError(f"{circuit.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")

@@ -33,6 +33,7 @@ from .circuit import (
     GateKind,
     ParamExpr,
     StructuralMetrics,
+    as_index,
     structural_metrics,
 )
 from .rng import SplitMix64
@@ -58,27 +59,6 @@ class TranspiledCircuit:
 
     # logical qubit 0 is compact qubit 0, as in the logical circuit
     cost_qubit = 0
-
-
-def _check_fits(circuit: Circuit, backend: BackendModel) -> None:
-    if circuit.num_qubits > backend.num_physical:
-        raise ValueError(
-            f"circuit does not fit backend: {circuit.num_qubits} logical qubits > "
-            f"{backend.num_physical} physical"
-        )
-
-
-def choose_layout(circuit: Circuit, backend: BackendModel) -> Layout:
-    """Default layout policy: logical qubit i sits on physical qubit i."""
-    _check_fits(circuit, backend)
-    return tuple(range(circuit.num_qubits))
-
-
-def _random_layout(circuit: Circuit, backend: BackendModel, seed: int) -> Layout:
-    _check_fits(circuit, backend)
-    perm = list(range(backend.num_physical))
-    SplitMix64(seed).shuffle(perm)
-    return tuple(perm[: circuit.num_qubits])
 
 
 def _validate_layout(circuit: Circuit, backend: BackendModel, layout: Sequence[int]) -> None:
@@ -307,13 +287,20 @@ def check_constraints(t: TranspiledCircuit, backend: BackendModel) -> None:
 def transpile(circuit: Circuit, backend: BackendModel, *, layout_seed: int | None = None) -> TranspiledCircuit:
     """Layout, route, decompose and optimize a logical circuit for a backend.
 
-    ``layout_seed=None`` selects the trivial layout; an integer seed selects
-    a deterministic random injective layout instead.
+    The layout policy lives here: ``layout_seed=None`` places logical qubit
+    i on physical qubit i, and an integer seed places the logical qubits on
+    the first physical qubits of a SplitMix64 shuffle of all of them, a
+    deterministic random injective layout.
     """
-    if layout_seed is None:
-        layout = choose_layout(circuit, backend)
-    else:
-        layout = _random_layout(circuit, backend, layout_seed)
+    if circuit.num_qubits > backend.num_physical:
+        raise ValueError(
+            f"circuit does not fit backend: {circuit.num_qubits} logical qubits > "
+            f"{backend.num_physical} physical"
+        )
+    perm = list(range(backend.num_physical))
+    if layout_seed is not None:
+        SplitMix64(as_index(layout_seed, "layout_seed")).shuffle(perm)
+    layout = tuple(perm[: circuit.num_qubits])
     routed, final_layout = route(circuit, backend, layout)
     lowered = optimize(decompose_to_native(routed, backend))
 

@@ -102,6 +102,16 @@ class TestBackendModel:
         assert m.edges == frozenset({(0, 1), (1, 2)})
         assert all(type(q) is int for e in m.edges for q in e)
 
+    # True would build a 1-qubit backend, and 3.5 fail with a TypeError in range()
+    @pytest.mark.parametrize("count", [True, 3.5, np.float64(3.0)], ids=["bool", "fraction", "np-float"])
+    def test_non_integer_qubit_count_rejected(self, count):
+        with pytest.raises(ValueError, match="num_physical must be an integer"):
+            BackendModel(count, frozenset())
+
+    def test_numpy_integer_qubit_count_accepted(self):
+        m = BackendModel(np.int64(3), frozenset({(0, 1), (1, 2)}))
+        assert m == make_line(3) and type(m.num_physical) is int
+
     def test_distances_searched_once_per_source(self, monkeypatch):
         m = make_heavy_hex(2, 3)
         first = m.distances(4)
@@ -154,6 +164,13 @@ class TestFileFormat:
         path = tmp_path / "bad.json"
         path.write_text('{"num_physical": 2,\n  "edges": [[0 1]]}')
         with pytest.raises(ValueError, match="line"):
+            load_backend(path)
+
+    def test_fractional_qubit_count_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        payload = {"num_physical": 3.9, "edges": [[0, 1], [1, 2]], "native_1q": ["RZ"], "native_2q": ["CX"]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: num_physical must be an integer, got 3.9")):
             load_backend(path)
 
     def test_missing_field(self, tmp_path):

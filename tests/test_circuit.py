@@ -233,6 +233,10 @@ class TestTextFormat:
         "text,match",
         [
             ("qubits:x symbols:0\n", "header"),
+            ("qubits:2 symbols:0 extra:5\n", "line 1: malformed header"),
+            ("qubits:2 qubits:3 symbols:0\n", "line 1: malformed header"),
+            ("qubits:2 symbols:0 symbols:0\n", "line 1: malformed header"),
+            ("qubits:2\n", "line 1: malformed header"),
             ("qubits:2 symbols:0\nFOO 0\n", "line 2"),
             ("qubits:2 symbols:0\nRY 0 const:abc\n", "line 2"),
             ("qubits:2 symbols:1\nRY 0 affine:0:+2:0.0\n", "line 2"),

@@ -18,6 +18,25 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.mark.parametrize(
+    "text,reason",
+    [("qubits:2 symbols:0\nFOO 0\n", "line 2: unknown gate kind 'FOO'"),
+     ("qubits:1 symbols:-1\nRZ 0 const:0.5\n", "num_symbols must be >= 0, got -1")],
+    ids=["bad-gate", "bad-header-value"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [("expect", "--qubit", "0"), ("transpile", "--backend", "line:2", "--out", "p.txt"), ("gradvar",)],
+    ids=["expect", "transpile", "gradvar"],
+)
+def test_bad_circuit_file_error_names_the_file(tmp_path, capsys, monkeypatch, text, reason, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "foo.txt").write_text(text)
+    assert run(command[0], "--in", "foo.txt", *command[1:]) == 1
+    assert capsys.readouterr().err == f"error: foo.txt: {reason}\n"
+    assert not (tmp_path / "p.txt").exists()
+
+
 class TestBuild:
     def test_writes_loadable_circuit(self, tmp_path, capsys):
         out = tmp_path / "c.txt"

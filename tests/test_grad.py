@@ -589,6 +589,20 @@ class TestGradVariance:
         with pytest.raises(ValueError, match="cost_qubit must be an int"):
             grad_variance(build_ttn(2, 1), 10, 1, cost_qubit)
 
+    def test_numpy_integers_give_the_int_results(self):
+        c = build_real_amplitudes(3, 2)
+        want = grad_variance(c, 20, 7, 1)
+        got = grad_variance(c, np.int64(20), np.uint32(7), np.int8(1))
+        assert got == want
+        assert [v.hex() for v in got.per_param_var] == [v.hex() for v in want.per_param_var]
+        assert got.grad_var.hex() == want.grad_var.hex()
+        # plain ints, so the CLI's JSON of the stats still serializes
+        assert type(got.samples) is int and type(got.seed) is int
+        theta = np.linspace(0.1, 2.0, c.num_symbols)
+        want = param_shift_gradient(c, theta, 1)
+        got = param_shift_gradient(c, theta, np.int64(1))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_invariant_under_disjoint_reordering(self):
         # swapping commuting disjoint-qubit gates keeps the DAG, the symbol
         # order and therefore the sampled gradients

@@ -30,7 +30,6 @@ from vqclab.grad import ReparamMode, grad_variance, reparameterize
 from vqclab.sim import apply_kind, expect_z, simulate
 from vqclab.transpiler import (
     check_constraints,
-    choose_layout,
     decompose_to_native,
     optimize,
     overhead,
@@ -163,18 +162,29 @@ class TestDecompose:
 
 
 class TestChooseLayout:
+    # the default layout policy, which lives inside transpile
     def test_trivial(self):
         c = build_real_amplitudes(3, 1)
-        assert choose_layout(c, make_line(5)) == (0, 1, 2)
+        assert transpile(c, make_line(5)).initial_layout == (0, 1, 2)
 
     def test_exact_fit_identity(self):
         c = build_real_amplitudes(4, 1)
-        assert choose_layout(c, make_line(4)) == (0, 1, 2, 3)
+        assert transpile(c, make_line(4)).initial_layout == (0, 1, 2, 3)
 
     def test_does_not_fit(self):
         c = build_real_amplitudes(4, 1)
         with pytest.raises(ValueError, match="does not fit"):
-            choose_layout(c, make_line(3))
+            transpile(c, make_line(3))
+
+    # True would run as seed 1, and 1.5 fail with a TypeError in the shuffle
+    @pytest.mark.parametrize("seed", [True, 1.5], ids=["bool", "float"])
+    def test_layout_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="layout_seed must be an integer"):
+            transpile(build_real_amplitudes(3, 1), make_line(5), layout_seed=seed)
+
+    def test_numpy_layout_seed_is_the_int_seed(self):
+        c, backend = build_real_amplitudes(3, 1), make_heavy_hex(2, 3)
+        assert transpile(c, backend, layout_seed=np.int64(5)) == transpile(c, backend, layout_seed=5)
 
 
 class TestRoute:
