@@ -143,12 +143,11 @@ def load_backend(path: str | Path) -> BackendModel:
         raise ValueError(f"{path}: missing field {e}") from None
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: native gate sets must be lists of gate names: {e}") from None
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(type(q) is int for q in e) for e in edges
-    ):
-        raise ValueError(f"{path}: edges must be a list of [a, b] integer pairs, got {edges!r}")
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValueError(f"{path}: edges must be a list of [a, b] pairs, got {edges!r}")
     try:
-        return BackendModel(num_physical, frozenset(map(tuple, edges)), *natives)
+        # a tuple, not a set: the constructor checks each endpoint before hashing it
+        return BackendModel(num_physical, tuple(map(tuple, edges)), *natives)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -156,7 +155,7 @@ def load_backend(path: str | Path) -> BackendModel:
 def resolve_backend(ref: str) -> BackendModel:
     """Build a backend from ``line:n``, ``heavy-hex:R,C`` or a JSON file path."""
     if ref.startswith(("line:", "heavy-hex:")):
-        m = re.fullmatch(r"line:(\d+)|heavy-hex:(\d+),(\d+)", ref)
+        m = re.fullmatch("line:([0-9]+)|heavy-hex:([0-9]+),([0-9]+)", ref)
         if m is None:
             raise ValueError(f"bad backend {ref!r}: expected line:n, heavy-hex:R,C or a JSON file path")
         return make_line(int(m[1])) if m[1] else make_heavy_hex(int(m[2]), int(m[3]))

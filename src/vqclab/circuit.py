@@ -11,6 +11,8 @@ Text format (one gate per line, used by the CLI):
 
     qubits:<n> symbols:<P>
     KIND q[,q] [const:<float> | affine:<sym>:<+1|-1>:<float>]
+
+with each integer in ASCII digits, a leading minus allowed.
 """
 
 from __future__ import annotations
@@ -239,6 +241,14 @@ def format_expr(expr: ParamExpr) -> str:
     return f"affine:{expr.symbol}:{sign}:{expr.offset!r}"
 
 
+def _parse_int(token: str) -> int:
+    """An integer of the text format. ``int()`` alone also takes a plus sign,
+    underscores, surrounding whitespace and the digits of other scripts."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid literal for an integer: {token!r}")
+    return int(token)
+
+
 def parse_expr(token: str) -> ParamExpr:
     """Inverse of ``format_expr``."""
     parts = token.split(":")
@@ -248,7 +258,7 @@ def parse_expr(token: str) -> ParamExpr:
         if parts[0] == "affine" and len(parts) == 4:
             if parts[2] not in ("+1", "-1"):
                 raise ValueError
-            return Affine(int(parts[1]), int(parts[2]), float(parts[3]))
+            return Affine(_parse_int(parts[1]), int(parts[2]), float(parts[3]))
     except ValueError:
         pass
     raise ValueError(f"malformed parameter expression {token!r}")
@@ -274,8 +284,8 @@ def circuit_from_text(text: str) -> Circuit:
         fields = dict(part.split(":") for part in header)
         if len(header) != 2 or fields.keys() != {"qubits", "symbols"}:
             raise ValueError
-        num_qubits = int(fields["qubits"])
-        num_symbols = int(fields["symbols"])
+        num_qubits = _parse_int(fields["qubits"])
+        num_symbols = _parse_int(fields["symbols"])
     except ValueError:
         raise ValueError(f"line 1: malformed header {lines[0]!r}") from None
     gates = []
@@ -290,7 +300,7 @@ def circuit_from_text(text: str) -> Circuit:
         except ValueError:
             raise ValueError(f"line {i}: unknown gate kind {parts[0]!r}") from None
         try:
-            qubits = tuple(int(q) for q in parts[1].split(","))
+            qubits = tuple(_parse_int(q) for q in parts[1].split(","))
             gates.append(Gate(kind, qubits, parse_expr(parts[2]) if len(parts) == 3 else None))
         except ValueError as e:
             raise ValueError(f"line {i}: {e}") from None

@@ -50,18 +50,18 @@ step's 4x4 G is summed over the other wire's bit. Occurrence k of a run
 contributes coeff * Im sum_ab (W P_k W^dagger)_ab G_ab, W being the
 product of the run's gates after k.
 One matmul by [U^dagger; conj(U^dagger)] then un-applies the step.
-Each step's per-sample U, and each occurrence's W P_k W^dagger, are
-built once per call for the whole batch; a row block takes its rows of
-them, and a matrix shared by every sample as it is.
+The cone, steps and state dtype are planned from the gates alone; each
+step's U and read-offs are then built once per call for the whole batch.
 A call allocates two flat state buffers, each 2 x (largest block's rows)
 x 2**n amplitudes. A row block views both as (2, rows, 2**n), and every
 gather and matmul writes into the one it did not read, so the sweep
-allocates no state. If every step's U is exactly real, as in the RY and
-CX circuits of logical ttn and real_amplitudes, so are the states: the
-sweep takes the U's real parts and runs in float64, dgemm on half the
-bytes. The read-off matrices stay complex, as RY's generator is
-imaginary. The rule reads the matrices, not the gate kinds, so a
-``Const`` RZ(0) leaves a cone real.
+allocates no state. If every gate in the cone is real (an RY at any
+angle, X, H, CX, SWAP, or a ``Const`` rotation with a real matrix, such
+as RZ(0)), as in logical ttn and real_amplitudes, so are every U and the
+states: the sweep takes the U's real parts and runs in float64, dgemm on
+half the bytes. The read-off matrices stay complex, as RY's generator
+is imaginary. The rule reads gates, not products: a run such as SX.SX,
+whose product X is real, sweeps in complex128.
 Fusion and BLAS round differently from a gate-by-gate sweep (within
 ~1e-14 relative on GradVar), and dgemm differently from zgemm; rows
 never mix and gathers are exact, so the results are the same bits at any
@@ -219,20 +219,12 @@ def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], int, int
 
 
 @dataclass(frozen=True)
-class _Run:
-    """A run of single-qubit gates on one wire, fused into its per-sample
-    2x2 product."""
-
-    qubit: int
-    gates: tuple[Gate, ...]
-
-
-@dataclass(frozen=True)
 class _Step:
     """A matrix step of the sweep: one or two ``runs`` on the top bits of the
-    amplitude index, n-1 and then n-2."""
+    amplitude index, n-1 and then n-2. A run is its single-qubit gates on
+    one wire, fused into their per-sample 2x2 product."""
 
-    runs: tuple[_Run, ...]
+    runs: tuple[tuple[Gate, ...], ...]
 
 
 # The (forward, backward) index maps of a gather.
@@ -284,7 +276,7 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], 
         if pending:
             steps.append(permutation_sources(n, pending))
             pending.clear()
-        steps.append(_Step(tuple(_Run(r, tuple(held.pop(r))) for r in qubits)))
+        steps.append(_Step(tuple(tuple(held.pop(r)) for r in qubits)))
 
     for i, g in enumerate(gates):
         if g.kind not in TWO_QUBIT_KINDS:
@@ -302,6 +294,24 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], 
     return steps, layout
 
 
+def _plan(circuit: Circuit, cost_qubit: int) -> tuple[int, list[_Step | _Gather], int, type]:
+    """The sweep of ``circuit``, from its gates alone: (cone qubits n, steps,
+    the cost qubit's bit after the last step, state dtype). A cone over the
+    cap is refused before any index map is built. The dtype is float64 if
+    every gate in the cone is real: an RY, a gather, or a gate with a fixed
+    (not ``Affine``) matrix whose imaginary part is zero."""
+    gates, n, cost_qubit = _light_cone(circuit, cost_qubit)
+    if n > MAX_QUBITS:
+        raise ValueError(f"light cone of {n} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
+    steps, layout = _sweep_steps(gates, n)
+    real = all(
+        g.kind in (GateKind.RY, *TWO_QUBIT_KINDS)
+        or not isinstance(g.param, Affine) and not gate_matrix(g.kind, g.param and g.param.angle).imag.any()
+        for g in gates
+    )
+    return n, steps, layout[cost_qubit], np.float64 if real else np.complex128
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of 2x2 matrices, either or both stacked per sample."""
     return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
@@ -311,10 +321,10 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _matrices(run: _Run, thetas: np.ndarray) -> list[np.ndarray]:
+def _matrices(run: tuple[Gate, ...], thetas: np.ndarray) -> list[np.ndarray]:
     """The run's 2x2 gate matrices, per sample where the angle is an ``Affine``."""
     out = []
-    for g in run.gates:
+    for g in run:
         param = g.param
         if isinstance(param, Affine):
             out.append(gate_matrix(g.kind, param.coeff * thetas[:, param.symbol] + param.offset))
@@ -323,7 +333,7 @@ def _matrices(run: _Run, thetas: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _product(run: _Run, matrices: list[np.ndarray]) -> np.ndarray:
+def _product(run: tuple[Gate, ...], matrices: list[np.ndarray]) -> np.ndarray:
     """U = U_k...U_1, grown outward from the run's first ``Affine`` gate.
 
     Every partial product then holds a per-sample matrix, so its rounding
@@ -332,7 +342,7 @@ def _product(run: _Run, matrices: list[np.ndarray]) -> np.ndarray:
     norm: built from the last gate, the SX.RZ(pi) tails of symbol-derived
     ttn n=10 L=10 moved its GradVar by -7e-14 relative.
     """
-    first = next((i for i, g in enumerate(run.gates) if isinstance(g.param, Affine)), 0)
+    first = next((i for i, g in enumerate(run) if isinstance(g.param, Affine)), 0)
     u = matrices[first]
     for m in reversed(matrices[:first]):
         u = _matmul(u, m)
@@ -341,7 +351,7 @@ def _product(run: _Run, matrices: list[np.ndarray]) -> np.ndarray:
     return u
 
 
-def _read_offs(run: _Run, matrices: list[np.ndarray]) -> list[tuple[int, float, np.ndarray]]:
+def _read_offs(run: tuple[Gate, ...], matrices: list[np.ndarray]) -> list[tuple[int, float, np.ndarray]]:
     """(symbol, coeff, W P W^dagger) of each ``Affine`` occurrence of the run,
     from its last gate to its first, W being the product of the gates after
     the occurrence: its shift-rule value Im<lambda|P|psi>, taken just after
@@ -349,7 +359,7 @@ def _read_offs(run: _Run, matrices: list[np.ndarray]) -> list[tuple[int, float, 
     transition matrix after the run."""
     out = []
     w = None
-    for g, m in zip(reversed(run.gates), reversed(matrices)):
+    for g, m in zip(reversed(run), reversed(matrices)):
         if isinstance(g.param, Affine):
             p = GENERATORS[g.kind] if w is None else _matmul(_matmul(w, GENERATORS[g.kind]), _dagger(w))
             out.append((g.param.symbol, g.param.coeff, p))
@@ -362,9 +372,10 @@ def _read_offs(run: _Run, matrices: list[np.ndarray]) -> list[tuple[int, float, 
 _StepMatrices = tuple[np.ndarray, list[list[tuple[int, float, np.ndarray]]]]
 
 
-def _step_matrices(step: _Step, thetas: np.ndarray) -> _StepMatrices:
+def _step_matrices(step: _Step, thetas: np.ndarray, dtype: type) -> _StepMatrices:
     """A step's per-sample unitary on its top bits, with its read-offs: a lone
-    run's 2x2 product, or U_hi kron U_lo, one rounding per entry."""
+    run's 2x2 product, or U_hi kron U_lo, one rounding per entry. For a
+    float64 sweep the unitary is its real part."""
     matrices = [_matrices(run, thetas) for run in step.runs]
     products = [_product(run, m) for run, m in zip(step.runs, matrices)]
     u = products[0]
@@ -372,6 +383,7 @@ def _step_matrices(step: _Step, thetas: np.ndarray) -> _StepMatrices:
         hi, lo = products
         kron = hi[..., :, None, :, None] * lo[..., None, :, None, :]
         u = kron.reshape(kron.shape[:-4] + (4, 4))
+    u = u.real.copy() if dtype is np.float64 else u
     return u, [_read_offs(run, m) for run, m in zip(step.runs, matrices)]
 
 
@@ -392,7 +404,7 @@ def _rows(m: np.ndarray, block: slice) -> np.ndarray:
 
 
 def _sweep_block(
-    plan: list[tuple[_Step | _Gather, _StepMatrices | None]],
+    built: list[tuple[_Step | _Gather, _StepMatrices | None]],
     n: int,
     block: slice,
     cost_signs: np.ndarray,
@@ -402,7 +414,7 @@ def _sweep_block(
     """Forward/backward sweep of the rows ``block`` of the batch; adds their
     gradients into ``grads``, the block's rows of the gradient array.
 
-    ``plan`` pairs each step with its matrices, built once for the whole
+    ``built`` pairs each step with its matrices, built once for the whole
     batch (None for a gather); the sweep takes the block's rows of them.
     The backward pass un-applies each step from the stacked buffer
     [psi; conj(lambda)], lambda starting as ``cost_signs`` (Z on the cost
@@ -417,25 +429,25 @@ def _sweep_block(
     cur, spare = (b[: 2 * rows << n].reshape(2, rows, -1) for b in buffers)
     cur[0].fill(0)
     cur[0, :, 0] = 1
-    for step, built in plan:
-        if built is None:
+    for step, matrices in built:
+        if matrices is None:
             # mode="clip" lets take write into out= unbuffered; the maps are
             # permutations of range(2**n), so it never clips
             np.take(cur[0], step[0], axis=-1, out=spare[0], mode="clip")
         else:
-            u = _rows(built[0], block)
+            u = _rows(matrices[0], block)
             dim = u.shape[-1]
             np.matmul(u, cur[0].reshape(rows, dim, -1), out=spare[0].reshape(rows, dim, -1))
         cur, spare = spare, cur
     np.multiply(cur[0], cost_signs, out=cur[1])
     np.conjugate(cur[1], out=cur[1])
 
-    for step, built in reversed(plan):
-        if built is None:
+    for step, matrices in reversed(built):
+        if matrices is None:
             np.take(cur, step[1], axis=-1, out=spare, mode="clip")
             cur, spare = spare, cur
             continue
-        u, read_offs = built
+        u, read_offs = matrices
         u_dagger = _dagger(_rows(u, block))
         dim = u_dagger.shape[-1]
         buf = cur.reshape(2, rows, dim, -1)
@@ -458,38 +470,25 @@ def _sweep_block(
 def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) -> np.ndarray:
     """Shift-rule gradients for a batch of parameter vectors, shape (B, P).
 
-    Only the cost qubit's backward light cone is swept; a symbol with no
-    occurrence in it keeps gradient 0. The batch is split into near-equal
-    row blocks of at least ``_BLOCK_BYTES`` of complex cone state each (the
+    ``_plan`` gives the cone, steps and dtype; a symbol with no occurrence
+    in the cone keeps gradient 0. The batch is split into near-equal row
+    blocks of at least ``_BLOCK_BYTES`` of complex cone state each (the
     whole batch if it is smaller), swept one block at a time through two
     state buffers allocated once here, each 2 x (largest block's rows) x
     2**n amplitudes.
-
-    If every step's unitary has an imaginary part of exactly zero (RY, CX,
-    SWAP, X, H, and any rotation whose angle makes it real), the states stay
-    real: the plan takes the unitaries' real parts and the buffers are
-    float64, so the matmuls run on half the bytes. The read-off matrices
-    stay complex, as RY's generator is imaginary.
     """
-    gates, n, cost_qubit = _light_cone(circuit, cost_qubit)
-    if n > MAX_QUBITS:
-        raise ValueError(f"light cone of {n} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
-    steps, layout = _sweep_steps(gates, n)
+    n, steps, cost_bit, dtype = _plan(circuit, cost_qubit)
     batch = thetas.shape[0]
     rows = max(1, _BLOCK_BYTES // ((1 << n) * 16))
     blocks = max(1, batch // rows)
     bounds = [batch * i // blocks for i in range(blocks + 1)]
-    plan = [(step, None if isinstance(step, tuple) else _step_matrices(step, thetas)) for step in steps]
-    dtype = np.complex128
-    if not any(built[0].imag.any() for _, built in plan if built is not None):
-        plan = [(step, None if built is None else (np.ascontiguousarray(built[0].real), built[1])) for step, built in plan]
-        dtype = np.float64
+    built = [(step, None if isinstance(step, tuple) else _step_matrices(step, thetas, dtype)) for step in steps]
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
     buffers = (np.empty(2 * most << n, dtype), np.empty(2 * most << n, dtype))
     grads = np.zeros((batch, circuit.num_symbols))
-    cost_signs = _z_signs(n, layout[cost_qubit])
+    cost_signs = _z_signs(n, cost_bit)
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(plan, n, slice(start, stop), cost_signs, grads[start:stop], buffers)
+        _sweep_block(built, n, slice(start, stop), cost_signs, grads[start:stop], buffers)
     return grads
 
 
@@ -512,10 +511,9 @@ def grad_variance(circuit: Circuit, samples: int, seed: int, cost_qubit: int = 0
     thetas = sample_thetas(seed, samples, circuit.num_symbols)
     grads = _gradients_batched(circuit, thetas, cost_qubit)
     per_var = grads.var(axis=0, ddof=1)
-    per_mean = grads.mean(axis=0)
     return GradStats(
         per_param_var=tuple(float(v) for v in per_var),
-        per_param_mean=tuple(float(m) for m in per_mean),
+        per_param_mean=tuple(float(m) for m in grads.mean(axis=0)),
         grad_var=float(per_var.mean()),
         samples=samples,
         seed=seed,

@@ -173,6 +173,14 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=re.escape(f"{path}: num_physical must be an integer, got 3.9")):
             load_backend(path)
 
+    @pytest.mark.parametrize("endpoint", [True, 1.5, [1]], ids=["bool", "float", "list"])
+    def test_non_integer_endpoint_names_the_file(self, tmp_path, endpoint):
+        path = tmp_path / "bad.json"
+        payload = {"num_physical": 3, "edges": [[0, 1], [1, endpoint]], "native_1q": ["RZ"], "native_2q": ["CX"]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: edge endpoint must be an integer, got {endpoint!r}")):
+            load_backend(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"num_physical": 2}))
@@ -211,7 +219,10 @@ class TestResolveBackend:
         assert resolve_backend(str(path)) == make_line(3)
 
     @pytest.mark.parametrize(
-        "ref", ["heavy-hex:5", "heavy-hex:5,11,2", "heavy-hex:5,x", "line:x", "line:", "line:4,4", "line:-3"]
+        "ref",
+        # the digits are ASCII: int() alone reads Arabic-Indic 3 as 3
+        ["heavy-hex:5", "heavy-hex:5,11,2", "heavy-hex:5,x", "line:x", "line:", "line:4,4", "line:-3", "line:\u0663",
+         "heavy-hex:2,\u0663"],
     )
     def test_bad_ref_names_itself_and_the_forms(self, ref):
         with pytest.raises(ValueError, match=re.escape(f"bad backend {ref!r}: expected line:n, heavy-hex:R,C")):

@@ -244,6 +244,12 @@ class TestTextFormat:
             ("qubits:2 symbols:0\nH 0\nCX 0,a\n", "line 3: invalid literal"),
             ("qubits:2 symbols:0\nCX 0,\n", "line 2: invalid literal"),
             ("qubits:1 symbols:-1\nRZ 0 const:0.5\n", "num_symbols must be >= 0, got -1"),
+            # integers are ASCII digits: int() alone reads each of these
+            ("qubits:1_0 symbols:0\n", "line 1: malformed header"),
+            ("qubits:+3 symbols:0\n", "line 1: malformed header"),
+            ("qubits:3 symbols:0\nCX 0_1,2\n", "line 2: invalid literal"),
+            ("qubits:3 symbols:0\nH \u0662\n", "line 2: invalid literal"),
+            ("qubits:1 symbols:1\nRY 0 affine:+0:+1:0.0\n", "line 2: malformed parameter expression"),
         ],
     )
     def test_parse_errors(self, text, match):

@@ -17,7 +17,7 @@ before the matmul, of the gate-by-gate sweep that came before fusion and
 of the full-register sweep that came before the light cone; each
 compiled arm's, of the compile that numbered its qubits in device order.
 
-A cone whose every step is real (the logical ttn and real_amplitudes
+A cone whose every gate is real (the logical ttn and real_amplitudes
 circuits) is swept in float64 with dgemm; any other in complex128 with
 zgemm. So the bits depend on the zgemm and the dgemm kernel that numpy's
 bundled OpenBLAS picks for the CPU. The pins are computed in a child

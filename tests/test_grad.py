@@ -9,8 +9,18 @@ from hypothesis import strategies as st
 
 from vqclab import grad
 from vqclab.ansatz import build_ansatz, build_efficient_su2, build_real_amplitudes, build_ttn
-from vqclab.backend import make_heavy_hex, make_line
-from vqclab.circuit import TWO_QUBIT_KINDS, Affine, Circuit, Const, Gate, GateKind, bind, structural_metrics
+from vqclab.backend import make_heavy_hex, make_line, resolve_backend
+from vqclab.circuit import (
+    ROTATION_KINDS,
+    TWO_QUBIT_KINDS,
+    Affine,
+    Circuit,
+    Const,
+    Gate,
+    GateKind,
+    bind,
+    structural_metrics,
+)
 from vqclab.grad import (
     GradStats,
     ReparamMode,
@@ -23,6 +33,7 @@ from vqclab.grad import (
     reparameterize,
     sample_thetas,
 )
+from vqclab.harness import default_sweep_config, enumerate_cells
 from vqclab.rng import GOLDEN, SplitMix64, mix64
 from vqclab.sim import MAX_QUBITS, apply_kind, expect_z, gate_matrix, permutation_sources, simulate
 from vqclab.transpiler import TranspiledCircuit, transpile
@@ -190,6 +201,25 @@ class TestParamShiftGradient:
         )
 
 
+def finish_case(draw, n, gates):
+    """(circuit, cost qubit, batch, seed) from ``gates`` on ``n`` qubits, their
+    symbols renumbered 0..P-1 (an RY on the last qubit is added if none is
+    used)."""
+    used = sorted({g.param.symbol for g in gates if isinstance(g.param, Affine)})
+    if not used:
+        gates.append(Gate(GateKind.RY, (n - 1,), Affine(0, 1, 0.0)))
+        used = [0]
+    renumber = {s: i for i, s in enumerate(used)}
+    gates = [
+        Gate(g.kind, g.qubits, Affine(renumber[g.param.symbol], g.param.coeff, g.param.offset))
+        if isinstance(g.param, Affine)
+        else g
+        for g in gates
+    ]
+    cost_qubit = draw(st.integers(0, n - 1))
+    return Circuit(n, tuple(gates), len(used)), cost_qubit, draw(st.integers(2, 6)), draw(st.integers(0, 2**32))
+
+
 @st.composite
 def partial_cone_circuits(draw):
     """Random circuits on n <= 5 qubits with a random cost qubit.
@@ -222,19 +252,7 @@ def partial_cone_circuits(draw):
         else:
             param = Const(angle)
         gates.append(Gate(kind, (q,), param))
-    used = sorted({g.param.symbol for g in gates if isinstance(g.param, Affine)})
-    if not used:
-        gates.append(Gate(GateKind.RY, (n - 1,), Affine(0, 1, 0.0)))
-        used = [0]
-    renumber = {s: i for i, s in enumerate(used)}
-    gates = [
-        Gate(g.kind, g.qubits, Affine(renumber[g.param.symbol], g.param.coeff, g.param.offset))
-        if isinstance(g.param, Affine)
-        else g
-        for g in gates
-    ]
-    cost_qubit = draw(st.integers(0, n - 1))
-    return Circuit(n, tuple(gates), len(used)), cost_qubit, draw(st.integers(2, 6)), draw(st.integers(0, 2**32))
+    return finish_case(draw, n, gates)
 
 
 class TestLightCone:
@@ -309,9 +327,12 @@ class TestLightCone:
         n = MAX_QUBITS + 1
         chain = tuple(Gate(GateKind.CX, (q + 1, q)) for q in reversed(range(n - 1)))
         circuit = Circuit(n, (Gate(GateKind.RY, (n - 1,), Affine(0, 1, 0.0)), *chain), 1)
+        # the plan refuses the cone before it makes any step (a gather's
+        # index maps would take 2**25 entries each)
         with mock.patch.object(grad, "_sweep_steps") as sweep_steps:
-            with pytest.raises(ValueError, match=f"light cone of {n} qubits exceeds the {MAX_QUBITS}-qubit"):
-                grad_variance(circuit, 4, 1)
+            for run in (lambda: grad._plan(circuit, 0), lambda: grad_variance(circuit, 4, 1)):
+                with pytest.raises(ValueError, match=f"light cone of {n} qubits exceeds the {MAX_QUBITS}-qubit"):
+                    run()
         sweep_steps.assert_not_called()
 
     def test_live_qubits_renumbered_in_order(self):
@@ -335,8 +356,8 @@ class TestFusedRuns:
         # to the top bit joins the pending gather, and CX(0, 1) then acts
         # on bits (2, 1) in a new gather
         assert [type(s) for s in steps] == [grad._Step, tuple, grad._Step, tuple]
-        assert steps[0] == grad._Step((grad._Run(2, (h2,)),))
-        assert steps[2] == grad._Step((grad._Run(0, (sx0, rz0, x0)),))
+        assert steps[0] == grad._Step(((h2,),))
+        assert steps[2] == grad._Step(((sx0, rz0, x0),))
         assert np.array_equal(steps[1][0], permutation_sources(3, [cx12, Gate(GateKind.SWAP, (0, 2))])[0])
         assert np.array_equal(steps[3][0], permutation_sources(3, [Gate(GateKind.CX, (2, 1))])[0])
         assert layout == [2, 1, 0]
@@ -349,7 +370,7 @@ class TestFusedRuns:
         # then acts on bits (2, 1) in a gather of its own
         assert [type(s) for s in steps] == [tuple, grad._Step, tuple]
         assert np.array_equal(steps[0][0], permutation_sources(3, [Gate(GateKind.SWAP, (0, 1))])[0])
-        assert steps[1] == grad._Step((grad._Run(2, (sx2,)), grad._Run(0, (ry0,))))
+        assert steps[1] == grad._Step(((sx2,), (ry0,)))
         assert np.array_equal(steps[2][0], permutation_sources(3, [Gate(GateKind.CX, (2, 1))])[0])
         assert layout == [1, 0, 2]
 
@@ -359,8 +380,8 @@ class TestFusedRuns:
         # later: CX(0, 1) flushes the runs on its own two wires together
         steps, _ = grad._sweep_steps([sx2, ry0, h1, Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (2, 0))], 3)
         assert [s for s in steps if isinstance(s, grad._Step)] == [
-            grad._Step((grad._Run(0, (ry0,)), grad._Run(1, (h1,)))),
-            grad._Step((grad._Run(2, (sx2,)),)),
+            grad._Step(((ry0,), (h1,))),
+            grad._Step(((sx2,),)),
         ]
 
     @pytest.mark.parametrize("family", ["efficient_su2", "ttn"])
@@ -407,28 +428,28 @@ class TestFusedRuns:
         # single-qubit gate follows, joins its step on the top two bits
         steps, layout = grad._sweep_steps([h2, ry0, cx01], 3)
         assert [type(s) for s in steps] == [tuple, grad._Step, tuple]
-        assert steps[1] == grad._Step((grad._Run(2, (h2,)), grad._Run(0, (ry0,))))
+        assert steps[1] == grad._Step(((h2,), (ry0,)))
         assert layout == [1, 0, 2]
         # the runs that end the circuit are flushed in pairs too
         steps, _ = grad._sweep_steps([cx01, h2, ry0, sx1], 3)
         assert [type(s) for s in steps] == [tuple, grad._Step, tuple, grad._Step]
-        assert steps[1] == grad._Step((grad._Run(2, (h2,)), grad._Run(0, (ry0,))))
-        assert steps[3] == grad._Step((grad._Run(1, (sx1,)),))
+        assert steps[1] == grad._Step(((h2,), (ry0,)))
+        assert steps[3] == grad._Step(((sx1,),))
 
     def test_a_run_that_a_single_qubit_gate_follows_is_no_partner(self):
         h2, ry0, x2 = Gate(GateKind.H, (2,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.X, (2,))
         # X(2) still extends the run H(2) when CX(0, 1) flushes RY(0)
         steps, _ = grad._sweep_steps([h2, ry0, Gate(GateKind.CX, (0, 1)), x2], 3)
         assert [s for s in steps if isinstance(s, grad._Step)] == [
-            grad._Step((grad._Run(0, (ry0,)),)),
-            grad._Step((grad._Run(2, (h2, x2)),)),
+            grad._Step(((ry0,),)),
+            grad._Step(((h2, x2),)),
         ]
 
     def test_the_partner_is_the_run_whose_two_qubit_gate_comes_first(self):
         h2, sx3, ry0 = Gate(GateKind.H, (2,)), Gate(GateKind.SX, (3,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.0))
         gates = [h2, sx3, ry0, Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 3)), Gate(GateKind.CX, (2, 1))]
         steps, _ = grad._sweep_steps(gates, 4)
-        assert steps[1] == grad._Step((grad._Run(3, (sx3,)), grad._Run(0, (ry0,))))
+        assert steps[1] == grad._Step(((sx3,), (ry0,)))
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(partial_cone_circuits())
@@ -451,7 +472,7 @@ class TestFusedRuns:
         planned = {q: [] for q in range(circuit.num_qubits)}
         for step in steps:
             for run in () if isinstance(step, tuple) else step.runs:
-                planned[run.qubit].append(list(run.gates))
+                planned[run[0].qubits[0]].append(list(run))
         assert planned == maximal
         assert_replay_reproduces_circuit(steps, layout, bound)
 
@@ -470,12 +491,12 @@ class TestFusedRuns:
     def test_run_product_has_no_repeating_rounding(self):
         # a run that opens with two fixed gates: their product alone would
         # round the same way for every sample and drift the norm by ~1e-16
-        run = grad._Run(0, (
+        run = (
             Gate(GateKind.RZ, (0,), Const(math.pi)),
             Gate(GateKind.SX, (0,)),
             Gate(GateKind.RZ, (0,), Affine(0, 1, 0.0)),
             Gate(GateKind.SX, (0,)),
-        ))
+        )
         u = grad._product(run, grad._matrices(run, sample_thetas(1, 4096, 1)))
         drift = (np.abs(u) ** 2).sum(axis=(1, 2)) / 2 - 1
         assert abs(drift.mean()) < 3e-17
@@ -522,8 +543,8 @@ def assert_replay_reproduces_circuit(steps, layout, bound):
             state = state[:, step[0]]
             continue
         for run, bit in zip(step.runs, (n - 1, n - 2)):
-            for g in run.gates:
-                assert g.qubits == (run.qubit,)
+            for g in run:
+                assert g.qubits == run[0].qubits
                 state = apply_kind(state, n, g.kind, (bit,), None if g.param is None else g.param.angle)
     placed = [sum(((i >> q) & 1) << layout[q] for q in range(n)) for i in range(1 << n)]
     np.testing.assert_allclose(state[0, placed], simulate(bound), rtol=0, atol=1e-12)
@@ -648,19 +669,7 @@ def real_circuits(draw):
         else:
             param = Const(angle)
         gates.append(Gate(GateKind.RY, (q,), param))
-    used = sorted({g.param.symbol for g in gates if isinstance(g.param, Affine)})
-    if not used:
-        gates.append(Gate(GateKind.RY, (n - 1,), Affine(0, 1, 0.0)))
-        used = [0]
-    renumber = {s: i for i, s in enumerate(used)}
-    gates = [
-        Gate(g.kind, g.qubits, Affine(renumber[g.param.symbol], g.param.coeff, g.param.offset))
-        if isinstance(g.param, Affine)
-        else g
-        for g in gates
-    ]
-    cost_qubit = draw(st.integers(0, n - 1))
-    return Circuit(n, tuple(gates), len(used)), cost_qubit, draw(st.integers(2, 6)), draw(st.integers(0, 2**32))
+    return finish_case(draw, n, gates)
 
 
 class TestStateBuffers:
@@ -672,7 +681,8 @@ class TestStateBuffers:
         if physical:
             t = transpile(circuit, make_heavy_hex(5, 11))
             circuit, cost_qubit = reparameterize(t, ReparamMode.ALL_ANGLES), t.cost_qubit
-        n = _light_cone(circuit, cost_qubit)[1]
+        n, _, _, dtype = grad._plan(circuit, cost_qubit)
+        assert dtype is (np.complex128 if physical else np.float64)
         _, calls = sweep_buffers(circuit, sample_thetas(42, 200, circuit.num_symbols), cost_qubit)
         rows = [block.stop - block.start for block, _ in calls]
         assert len(set(rows)) > 1
@@ -681,7 +691,7 @@ class TestStateBuffers:
         for _, buffers in calls:
             assert len(buffers) == 2 and all(b is f for b, f in zip(buffers, first))
         for b in first:
-            assert b.size == 2 * max(rows) << n
+            assert b.size == 2 * max(rows) << n and b.dtype == dtype
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -694,10 +704,9 @@ class TestStateBuffers:
         thetas = sample_thetas(seed, batch, circuit.num_symbols)
 
         def assert_sweeps_in(dtype, c):
-            grads, calls = sweep_buffers(c, thetas, cost_qubit)
-            assert all(b.dtype == dtype for _, buffers in calls for b in buffers)
+            assert grad._plan(c, cost_qubit)[3] is dtype
             literal = np.array([param_shift_gradient(c, th, cost_qubit) for th in thetas])
-            np.testing.assert_allclose(grads, literal, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(_gradients_batched(c, thetas, cost_qubit), literal, rtol=0, atol=1e-12)
 
         assert_sweeps_in(np.float64, circuit)
         # one complex gate inside the cone (an H follows it, so a final RZ
@@ -708,6 +717,92 @@ class TestStateBuffers:
         assert_sweeps_in(np.complex128, replace(circuit, gates=(*circuit.gates, extra, h)))
         rz0 = Gate(GateKind.RZ, (cost_qubit,), Const(0.0))
         assert_sweeps_in(np.float64, replace(circuit, gates=(*circuit.gates, rz0, h)))
+
+
+@st.composite
+def any_kind_circuits(draw):
+    """Random circuits of every gate kind on n <= 4 qubits, each rotation's
+    angle an ``Affine`` or a ``Const``. Four gates in five are drawn from RY,
+    X, H, CX and SWAP, and a third of the angles are 0, so many cones hold
+    only real gates, some of them a ``Const`` RX(0) or RZ(0)."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.integers(1, 4))
+    kinds = [k for k in GateKind if n > 1 or k not in TWO_QUBIT_KINDS]
+    real = [k for k in kinds if k in (GateKind.RY, GateKind.X, GateKind.H, *TWO_QUBIT_KINDS)]
+    gates = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(real if draw(st.integers(0, 4)) else kinds))
+        if kind in TWO_QUBIT_KINDS:
+            gates.append(Gate(kind, tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))))
+            continue
+        q = draw(st.integers(0, n - 1))
+        if kind not in ROTATION_KINDS:
+            gates.append(Gate(kind, (q,)))
+            continue
+        angle = 0.0 if draw(st.integers(0, 2)) == 0 else draw(st.floats(0.0, 2 * math.pi, allow_nan=False))
+        if draw(st.booleans()):
+            param = Affine(draw(st.integers(0, pool - 1)), draw(st.sampled_from((1, -1))), angle)
+        else:
+            param = Const(angle)
+        gates.append(Gate(kind, (q,), param))
+    return finish_case(draw, n, gates)
+
+
+class TestPlan:
+    def test_stock_arm_dtypes(self):
+        # every stock arm, from the plan alone: the default cells on
+        # heavy-hex:5,11 and the three families at n=12 L=1 on line:12, each
+        # logical, all-angles and symbol-derived; only the logical ttn and
+        # real_amplitudes arms (RY and CX) are real
+        config = default_sweep_config()
+        cells = [(kind, n, reps, config.backend) for _, kind, n, reps, _ in enumerate_cells(config)]
+        cells += [(kind, 12, 1, "line:12") for kind in config.ansatz]
+        backends = {ref: resolve_backend(ref) for ref in (config.backend, "line:12")}
+        float64 = []
+        for kind, n, reps, ref in cells:
+            logical = build_ansatz(kind, n, reps)
+            t = transpile(logical, backends[ref])
+            arms = {
+                "logical": (logical, 0),
+                "all-angles": (reparameterize(t, ReparamMode.ALL_ANGLES), t.cost_qubit),
+                "symbol-derived": (reparameterize(t, ReparamMode.SYMBOL_DERIVED), t.cost_qubit),
+            }
+            for arm, (circuit, cost_qubit) in arms.items():
+                dtype = grad._plan(circuit, cost_qubit)[3]
+                assert dtype in (np.float64, np.complex128)
+                if dtype is np.float64:
+                    float64.append((kind, n, reps, arm))
+        assert len(cells) == 93
+        assert float64 == [(k, n, r, "logical") for k, n, r, _ in cells if k in ("real_amplitudes", "ttn")]
+        assert len(float64) == 62
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(any_kind_circuits())
+    def test_float64_plans_build_only_real_matrices(self, case):
+        circuit, cost_qubit, batch, seed = case
+        thetas = sample_thetas(seed, batch, circuit.num_symbols)
+        _, steps, _, dtype = grad._plan(circuit, cost_qubit)
+        if dtype is np.float64:
+            for step in steps:
+                if not isinstance(step, tuple):
+                    assert not grad._step_matrices(step, thetas, np.complex128)[0].imag.any()
+        literal = np.array([param_shift_gradient(circuit, th, cost_qubit) for th in thetas])
+        np.testing.assert_allclose(_gradients_batched(circuit, thetas, cost_qubit), literal, rtol=0, atol=1e-12)
+
+    def test_a_real_run_of_complex_gates_sweeps_in_complex128(self):
+        # SX.SX is exactly X, so every step's U is real; the plan reads the
+        # gates, not their products, and sweeps in complex128
+        sx = Gate(GateKind.SX, (1,))
+        ry0, ry1 = Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.RY, (0,), Affine(1, -1, 0.3))
+        circuit = Circuit(2, (ry0, Gate(GateKind.CX, (0, 1)), sx, sx, Gate(GateKind.CX, (1, 0)), ry1), 2)
+        thetas = sample_thetas(5, 6, 2)
+        _, steps, _, dtype = grad._plan(circuit, 0)
+        assert dtype is np.complex128
+        matrix_steps = [s for s in steps if not isinstance(s, tuple)]
+        assert (sx, sx) in [run for s in matrix_steps for run in s.runs]
+        assert not any(grad._step_matrices(s, thetas, np.complex128)[0].imag.any() for s in matrix_steps)
+        literal = np.array([param_shift_gradient(circuit, th, 0) for th in thetas])
+        np.testing.assert_allclose(_gradients_batched(circuit, thetas, 0), literal, rtol=0, atol=1e-12)
 
 
 def make_transpiled_fixture():

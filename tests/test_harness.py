@@ -318,6 +318,21 @@ class TestRunSweep:
         assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
         assert len(jsonl.read_text().splitlines()) == 2
 
+    def test_resume_reruns_an_error_record(self, tmp_path, monkeypatch):
+        # a failed cell is retried, not reused: its line has the run fields
+        # and SweepRecord's keys, but an error
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(out_jsonl=str(jsonl))
+        first = run_sweep(cfg)
+        payload = json.loads(jsonl.read_text())
+        payload["record"]["error"] = "RuntimeError: interrupted"
+        jsonl.write_text(json.dumps(payload) + "\n")
+        calls = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args) or run_cell(*args))
+        resumed = run_sweep(cfg, resume=True)
+        assert len(calls) == 1 and resumed[0].error is None
+        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
+
     def test_resume_without_checkpoint_fails(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args))

@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,20 @@ class TestTranspile:
             kinds = {g.kind for g in t.physical.gates}
             assert kinds <= backend.native_1q | backend.native_2q
 
+    def test_constraint_violations_raise(self):
+        # a CX on an uncoupled pair, and a gate the backend does not run
+        backend = make_line(3)
+        t = transpile(build_real_amplitudes(3, 1), backend)
+        assert t.phys_qubits == (0, 1, 2)
+        check_constraints(t, backend)
+        for extra, match in (
+            (Gate(GateKind.CX, (0, 2)), r"two-qubit gate on uncoupled pair \(0,2\)"),
+            (Gate(GateKind.RY, (1,), Const(0.5)), "non-native single-qubit gate RY"),
+        ):
+            wrong = replace(t, physical=replace(t.physical, gates=(*t.physical.gates, extra)))
+            with pytest.raises(ValueError, match=match):
+                check_constraints(wrong, backend)
+
     def test_deterministic(self):
         c = build_efficient_su2(4, 2)
         backend = make_heavy_hex(2, 3)
@@ -535,6 +550,20 @@ class TestSemanticEquivalence:
             rng = np.random.default_rng(seed)
             theta = rng.uniform(0, 2 * math.pi, c.num_symbols)
             assert logical_physical_fidelity(c, t, theta) >= 1 - 1e-10
+
+    def test_wrong_compiles_read_below_one(self):
+        # the check must be able to fail: the compile with one CX dropped,
+        # and with an X on its ancilla (the bridge qubit), each fall short
+        c = build_efficient_su2(5, 1)
+        t = transpile(c, make_heavy_hex(2, 3))
+        theta = np.random.default_rng(7).uniform(0, 2 * math.pi, c.num_symbols)
+        assert logical_physical_fidelity(c, t, theta) >= 1 - 1e-10
+        gates = t.physical.gates
+        cx = next(i for i, g in enumerate(gates) if g.kind is GateKind.CX)
+        assert t.physical.num_qubits == c.num_qubits + 1
+        for wrong in (gates[:cx] + gates[cx + 1 :], (*gates, Gate(GateKind.X, (c.num_qubits,)))):
+            wrong_t = replace(t, physical=replace(t.physical, gates=wrong))
+            assert logical_physical_fidelity(c, wrong_t, theta) < 1 - 1e-10
 
     def test_random_layouts_differ_but_trivial_is_default(self):
         backend = make_heavy_hex(2, 3)
