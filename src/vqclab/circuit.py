@@ -12,7 +12,8 @@ Text format (one gate per line, used by the CLI):
     qubits:<n> symbols:<P>
     KIND q[,q] [const:<float> | affine:<sym>:<+1|-1>:<float>]
 
-with each integer in ASCII digits, a leading minus allowed.
+with each integer in ASCII digits, a leading minus allowed, and each
+float in ASCII with no underscore (``parse_int`` and ``parse_float``).
 """
 
 from __future__ import annotations
@@ -241,12 +242,20 @@ def format_expr(expr: ParamExpr) -> str:
     return f"affine:{expr.symbol}:{sign}:{expr.offset!r}"
 
 
-def _parse_int(token: str) -> int:
-    """An integer of the text format. ``int()`` alone also takes a plus sign,
-    underscores, surrounding whitespace and the digits of other scripts."""
+def parse_int(token: str) -> int:
+    """An integer as text: ASCII digits, a leading minus allowed. ``int()``
+    alone also takes a plus sign, underscores, spaces and other scripts' digits."""
     if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise ValueError(f"invalid literal for an integer: {token!r}")
     return int(token)
+
+
+def parse_float(token: str) -> float:
+    """A float as text: ASCII with no underscore, then ``float()``, which
+    alone also takes underscores and other scripts' digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"invalid literal for a float: {token!r}")
+    return float(token)
 
 
 def parse_expr(token: str) -> ParamExpr:
@@ -254,11 +263,11 @@ def parse_expr(token: str) -> ParamExpr:
     parts = token.split(":")
     try:
         if parts[0] == "const" and len(parts) == 2:
-            return Const(float(parts[1]))
+            return Const(parse_float(parts[1]))
         if parts[0] == "affine" and len(parts) == 4:
             if parts[2] not in ("+1", "-1"):
                 raise ValueError
-            return Affine(_parse_int(parts[1]), int(parts[2]), float(parts[3]))
+            return Affine(parse_int(parts[1]), int(parts[2]), parse_float(parts[3]))
     except ValueError:
         pass
     raise ValueError(f"malformed parameter expression {token!r}")
@@ -284,8 +293,8 @@ def circuit_from_text(text: str) -> Circuit:
         fields = dict(part.split(":") for part in header)
         if len(header) != 2 or fields.keys() != {"qubits", "symbols"}:
             raise ValueError
-        num_qubits = _parse_int(fields["qubits"])
-        num_symbols = _parse_int(fields["symbols"])
+        num_qubits = parse_int(fields["qubits"])
+        num_symbols = parse_int(fields["symbols"])
     except ValueError:
         raise ValueError(f"line 1: malformed header {lines[0]!r}") from None
     gates = []
@@ -300,7 +309,7 @@ def circuit_from_text(text: str) -> Circuit:
         except ValueError:
             raise ValueError(f"line {i}: unknown gate kind {parts[0]!r}") from None
         try:
-            qubits = tuple(_parse_int(q) for q in parts[1].split(","))
+            qubits = tuple(parse_int(q) for q in parts[1].split(","))
             gates.append(Gate(kind, qubits, parse_expr(parts[2]) if len(parts) == 3 else None))
         except ValueError as e:
             raise ValueError(f"line {i}: {e}") from None

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .ansatz import AnsatzKind, build_ansatz
 from .backend import resolve_backend
-from .circuit import bind, free_all_angles, load_circuit, save_circuit
+from .circuit import bind, free_all_angles, load_circuit, parse_float, parse_int, save_circuit
 from .grad import ReparamMode, grad_variance
 from .harness import SweepConfig, emit_csv, emit_heatmap_svg, run_sweep
 from .sim import expect_z
@@ -50,7 +50,7 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 
 def _read_theta(path: str) -> list[float]:
     try:
-        return [float(tok) for tok in Path(path).read_text(encoding="utf-8").split()]
+        return [parse_float(tok) for tok in Path(path).read_text(encoding="utf-8").split()]
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -119,8 +119,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("build", help="build an ansatz circuit and write it as text")
     p.add_argument("--ansatz", required=True, choices=[k.value for k in AnsatzKind])
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
+    p.add_argument("--qubits", type=parse_int, required=True)
+    p.add_argument("--reps", type=parse_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
@@ -128,24 +128,24 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--backend", required=True, help="line:n, heavy-hex:R,C or a JSON path")
     p.add_argument("--out", required=True)
-    p.add_argument("--layout-seed", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None, help="repetition count for the depth delta")
+    p.add_argument("--layout-seed", type=parse_int, default=None)
+    p.add_argument("--reps", type=parse_int, default=None, help="repetition count for the depth delta")
     p.set_defaults(func=_cmd_transpile)
 
     p = sub.add_parser("expect", help="evaluate <Z_qubit> for a bound circuit")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--theta",
                    help="whitespace-separated parameter file; a compiled circuit takes the logical one")
-    p.add_argument("--qubit", type=int, required=True,
+    p.add_argument("--qubit", type=parse_int, required=True,
                    help="a compiled circuit holds logical qubit q on qubit q")
     p.set_defaults(func=_cmd_expect)
 
     p = sub.add_parser("gradvar", help="gradient variance of a circuit text file")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--samples", type=parse_int, default=200)
+    p.add_argument("--seed", type=parse_int, default=42)
     p.add_argument("--mode", choices=[m.value for m in ReparamMode], default=ReparamMode.ALL_ANGLES.value)
-    p.add_argument("--cost-qubit", type=int, default=0, help="a compiled circuit holds logical qubit 0 on qubit 0")
+    p.add_argument("--cost-qubit", type=parse_int, default=0, help="a compiled circuit holds logical qubit 0 on qubit 0")
     p.set_defaults(func=_cmd_gradvar)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config")

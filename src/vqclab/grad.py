@@ -15,11 +15,11 @@ algebraically identical for Pauli rotations and is regression-tested
 against the literal rule.
 
 The sweep runs on the cost qubit's backward light cone only (Cerezo et
-al., arXiv:2001.00550): the gates that can reach Z_cost, on the qubits
-they touch, renumbered in order. Every other gate cancels out of
-<Z_cost>, so a parameter that occurs only outside the cone reports a
-gradient of exactly 0. So do the RZ gates that end the cost wire, which
-commute with Z_cost; they are dropped from the cone too.
+al., arXiv:2001.00550): a selection of the circuit's own gates, those
+that can reach Z_cost, and the qubits they touch. Every other gate
+cancels out of <Z_cost>, so a parameter that occurs only outside the
+cone reports a gradient of exactly 0. So do the RZ gates that end the
+cost wire, which commute with Z_cost; they are dropped from the cone too.
 
 The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
 of complex cone state each (a real cone's takes half), so a block's
@@ -39,16 +39,17 @@ A step acts on the top bit of the amplitude index, or the top two, so
 each is one batched BLAS matmul with the state viewed as (rows, 2,
 2**(n-1)) or (rows, 4, 2**(n-2)). The qubits get there inside the
 gathers the sweep does anyway (as Haner & Steiger, arXiv:1704.01127,
-move qubits to local bits): the sweep keeps a qubit -> bit layout,
-composes every CX and SWAP on its current bits into one index map, and
-adds to it the SWAPs that bring a step's qubits to the top bits. The
-backward pass stacks [psi; conj(lambda)] in one buffer and forms a
-step's transition matrix G[r, a, b] = sum over the other qubits of
-conj(lambda_a) psi_b, one matmul. Each wire's 2x2 G is read off the
-step's with no permutation: a lone run's is the whole G, and a two-run
-step's 4x4 G is summed over the other wire's bit. Occurrence k of a run
-contributes coeff * Im sum_ab (W P_k W^dagger)_ab G_ab, W being the
-product of the run's gates after k.
+move qubits to local bits). The plan's qubit -> bit layout, from the
+ranks of the cone's qubits on, is the sweep's one qubit map: each CX and
+SWAP joins a gather on its current bits, as do the SWAPs that bring a
+step's qubits to the top bits, and a gather is one int32 array of both
+its index maps. The backward pass stacks [psi; conj(lambda)] in one
+buffer and forms a step's transition matrix G[r, a, b] = sum over the
+other qubits of conj(lambda_a) psi_b, one matmul. Each wire's 2x2 G is
+read off the step's with no permutation: a lone run's is the whole G,
+and a two-run step's 4x4 G is summed over the other wire's bit.
+Occurrence k of a run contributes coeff * Im sum_ab (W P_k W^dagger)_ab
+G_ab, W being the product of the run's gates after k.
 One matmul by [U^dagger; conj(U^dagger)] then un-applies the step.
 The cone, steps and state dtype are planned from the gates alone; each
 step's U and read-offs are then built once per call for the whole batch.
@@ -79,7 +80,7 @@ import numpy as np
 
 from .circuit import TWO_QUBIT_KINDS, Affine, Circuit, Const, Gate, GateKind, as_index, bind, free_all_angles
 from .rng import GOLDEN, angles_from_u64, mix64_array
-from .sim import GENERATORS, MAX_QUBITS, _z_signs, expect_z, gate_matrix, permutation_sources
+from .sim import GENERATORS, MAX_QUBITS, _z_signs, check_qubit, expect_z, gate_matrix, permutation_sources
 from .transpiler import TranspiledCircuit
 
 # Least bytes of complex state per row block of the adjoint sweep (a
@@ -163,13 +164,6 @@ def sample_thetas(seed: int, samples: int, num_params: int) -> np.ndarray:
 # Gradients
 
 
-def _check_cost_qubit(circuit: Circuit, cost_qubit: int) -> int:
-    cost_qubit = as_index(cost_qubit, "cost_qubit")
-    if not 0 <= cost_qubit < circuit.num_qubits:
-        raise ValueError(f"cost qubit {cost_qubit} out of range")
-    return cost_qubit
-
-
 def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: int = 0) -> np.ndarray:
     """Exact gradient of <Z_cost> via the parameter-shift rule.
 
@@ -177,7 +171,7 @@ def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: i
     that one gate's angle shifted by +-pi/2 and the expectations
     differenced; occurrences are summed with their affine coefficients.
     """
-    cost_qubit = _check_cost_qubit(circuit, cost_qubit)
+    cost_qubit = check_qubit(cost_qubit, circuit.num_qubits, "cost_qubit")
     bound = bind(circuit, theta)
     grad = np.zeros(circuit.num_symbols)
     for idx, g in enumerate(circuit.gates):
@@ -193,17 +187,16 @@ def param_shift_gradient(circuit: Circuit, theta: Sequence[float], cost_qubit: i
     return grad
 
 
-def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], int, int]:
-    """The gates in the backward light cone of ``cost_qubit``, renumbered.
+def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], list[int]]:
+    """The circuit's own gates in the backward light cone of ``cost_qubit``,
+    in circuit order, and its live qubits in increasing order.
 
     Walking from the last gate to the first, a gate is kept when it
     touches a live qubit, and its qubits then become live. Every other
     gate commutes with the cost observable as conjugated so far and
     cancels out of <Z_cost>. So do the RZ gates that end the cost wire,
     after its last other gate: they commute with Z_cost, and their
-    parameters' gradients are exactly 0. The live qubits are renumbered
-    in increasing order. Returns (kept gates, live qubit count, new cost
-    qubit index).
+    parameters' gradients are exactly 0.
     """
     live = {cost_qubit}
     kept: list[Gate] = []
@@ -213,39 +206,27 @@ def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], int, int
         if not live.isdisjoint(g.qubits):
             live.update(g.qubits)
             kept.append(g)
-    index = {q: i for i, q in enumerate(sorted(live))}
-    gates = [replace(g, qubits=tuple(index[q] for q in g.qubits)) for g in reversed(kept)]
-    return gates, len(index), index[cost_qubit]
+    return kept[::-1], sorted(live)
 
 
-@dataclass(frozen=True)
-class _Step:
-    """A matrix step of the sweep: one or two ``runs`` on the top bits of the
-    amplitude index, n-1 and then n-2. A run is its single-qubit gates on
-    one wire, fused into their per-sample 2x2 product."""
-
-    runs: tuple[tuple[Gate, ...], ...]
-
-
-# The (forward, backward) index maps of a gather.
-_Gather = tuple[np.ndarray, np.ndarray]
-
-
-def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], list[int]]:
-    """The gates as sweep steps on ``n`` qubits, and the qubit -> bit layout
-    they end in. A step is a gather, or a matrix step. Each maximal run of
-    single-qubit gates on one wire is held back until a two-qubit gate
-    touches that wire or the circuit ends, and then flushed by one rule: it
-    takes a second held run into its step if one is complete (no
-    single-qubit gate follows it on its wire, so no run is split), the one
-    whose next two-qubit gate comes first. That is the run on the other
-    wire of the flushing CX or SWAP whenever one is held. Every CX and SWAP
-    joins the pending gather on its current bits. Before a step whose
-    qubits are not on the top bits, SWAPs that bring them there join the
-    gather (or open one)."""
-    steps: list[_Step | _Gather] = []
-    layout = list(range(n))
-    pending: list[Gate] = []
+def _sweep_steps(gates: Sequence[Gate], live: Sequence[int]) -> tuple[list[np.ndarray | tuple], dict[int, int]]:
+    """The gates as sweep steps on the ``live`` qubits, and the qubit -> bit
+    layout they end in; it starts from the qubits' ranks. A step is a
+    gather, the (2, 2**n) int32 array of its forward and backward index
+    maps, or a matrix step, the tuple of its one or two runs of single-qubit
+    gates on the top bits, n-1 and then n-2. Each maximal run on one wire
+    is held back until a two-qubit gate touches that wire or the circuit
+    ends, and then flushed by one rule: it takes a second held run into its
+    step if one is complete (no single-qubit gate follows it on its wire, so
+    no run is split), the one whose next two-qubit gate comes first. That is
+    the run on the other wire of the flushing CX or SWAP whenever one is
+    held. Every CX and SWAP joins the pending gather on its current bits.
+    Before a step whose qubits are not on the top bits, SWAPs that bring
+    them there join the gather (or open one)."""
+    n = len(live)
+    steps: list[np.ndarray | tuple] = []
+    layout = {q: bit for bit, q in enumerate(live)}
+    pending: list[tuple[GateKind, tuple[int, int]]] = []
     held: dict[int, list[Gate]] = {}
     # follows[i]: the index of the two-qubit gate after single-qubit gate i
     # on its wire, len(gates) if the wire has no more gates, None if a
@@ -271,12 +252,13 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], 
             qubits = (p, q) if n - 1 == layout[p] or n - 2 == layout[q] else (q, p)
         for r, bit in zip(qubits, (n - 1, n - 2)):
             if layout[r] != bit:
-                pending.append(Gate(GateKind.SWAP, (layout[r], bit)))
-                layout[layout.index(bit)], layout[r] = layout[r], bit
+                pending.append((GateKind.SWAP, (layout[r], bit)))
+                other = next(x for x, b in layout.items() if b == bit)
+                layout[other], layout[r] = layout[r], bit
         if pending:
             steps.append(permutation_sources(n, pending))
             pending.clear()
-        steps.append(_Step(tuple(tuple(held.pop(r)) for r in qubits)))
+        steps.append(tuple(tuple(held.pop(r)) for r in qubits))
 
     for i, g in enumerate(gates):
         if g.kind not in TWO_QUBIT_KINDS:
@@ -286,7 +268,7 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], 
         for q in g.qubits:
             if q in held:
                 flush(q)
-        pending.append(Gate(g.kind, tuple(layout[q] for q in g.qubits)))
+        pending.append((g.kind, tuple(layout[q] for q in g.qubits)))
     while held:
         flush(next(iter(held)))
     if pending:
@@ -294,22 +276,22 @@ def _sweep_steps(gates: Sequence[Gate], n: int) -> tuple[list[_Step | _Gather], 
     return steps, layout
 
 
-def _plan(circuit: Circuit, cost_qubit: int) -> tuple[int, list[_Step | _Gather], int, type]:
+def _plan(circuit: Circuit, cost_qubit: int) -> tuple[int, list[np.ndarray | tuple], int, type]:
     """The sweep of ``circuit``, from its gates alone: (cone qubits n, steps,
     the cost qubit's bit after the last step, state dtype). A cone over the
     cap is refused before any index map is built. The dtype is float64 if
     every gate in the cone is real: an RY, a gather, or a gate with a fixed
     (not ``Affine``) matrix whose imaginary part is zero."""
-    gates, n, cost_qubit = _light_cone(circuit, cost_qubit)
-    if n > MAX_QUBITS:
-        raise ValueError(f"light cone of {n} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
-    steps, layout = _sweep_steps(gates, n)
+    gates, live = _light_cone(circuit, cost_qubit)
+    if len(live) > MAX_QUBITS:
+        raise ValueError(f"light cone of {len(live)} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
+    steps, layout = _sweep_steps(gates, live)
     real = all(
         g.kind in (GateKind.RY, *TWO_QUBIT_KINDS)
         or not isinstance(g.param, Affine) and not gate_matrix(g.kind, g.param and g.param.angle).imag.any()
         for g in gates
     )
-    return n, steps, layout[cost_qubit], np.float64 if real else np.complex128
+    return len(live), steps, layout[cost_qubit], np.float64 if real else np.complex128
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -372,19 +354,19 @@ def _read_offs(run: tuple[Gate, ...], matrices: list[np.ndarray]) -> list[tuple[
 _StepMatrices = tuple[np.ndarray, list[list[tuple[int, float, np.ndarray]]]]
 
 
-def _step_matrices(step: _Step, thetas: np.ndarray, dtype: type) -> _StepMatrices:
-    """A step's per-sample unitary on its top bits, with its read-offs: a lone
-    run's 2x2 product, or U_hi kron U_lo, one rounding per entry. For a
-    float64 sweep the unitary is its real part."""
-    matrices = [_matrices(run, thetas) for run in step.runs]
-    products = [_product(run, m) for run, m in zip(step.runs, matrices)]
+def _step_matrices(runs: tuple[tuple[Gate, ...], ...], thetas: np.ndarray, dtype: type) -> _StepMatrices:
+    """A matrix step's per-sample unitary on its top bits, with its read-offs:
+    a lone run's 2x2 product, or U_hi kron U_lo, one rounding per entry. For
+    a float64 sweep the unitary is its real part."""
+    matrices = [_matrices(run, thetas) for run in runs]
+    products = [_product(run, m) for run, m in zip(runs, matrices)]
     u = products[0]
     if len(products) == 2:
         hi, lo = products
         kron = hi[..., :, None, :, None] * lo[..., None, :, None, :]
         u = kron.reshape(kron.shape[:-4] + (4, 4))
     u = u.real.copy() if dtype is np.float64 else u
-    return u, [_read_offs(run, m) for run, m in zip(step.runs, matrices)]
+    return u, [_read_offs(run, m) for run, m in zip(runs, matrices)]
 
 
 def _wire_transition(transition: np.ndarray, runs: int, wire: int) -> np.ndarray:
@@ -404,7 +386,7 @@ def _rows(m: np.ndarray, block: slice) -> np.ndarray:
 
 
 def _sweep_block(
-    built: list[tuple[_Step | _Gather, _StepMatrices | None]],
+    built: list[tuple[np.ndarray | tuple, _StepMatrices | None]],
     n: int,
     block: slice,
     cost_signs: np.ndarray,
@@ -482,7 +464,7 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     rows = max(1, _BLOCK_BYTES // ((1 << n) * 16))
     blocks = max(1, batch // rows)
     bounds = [batch * i // blocks for i in range(blocks + 1)]
-    built = [(step, None if isinstance(step, tuple) else _step_matrices(step, thetas, dtype)) for step in steps]
+    built = [(step, None if isinstance(step, np.ndarray) else _step_matrices(step, thetas, dtype)) for step in steps]
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
     buffers = (np.empty(2 * most << n, dtype), np.empty(2 * most << n, dtype))
     grads = np.zeros((batch, circuit.num_symbols))
@@ -498,7 +480,7 @@ def grad_variance(circuit: Circuit, samples: int, seed: int, cost_qubit: int = 0
     samples, seed = as_index(samples, "samples"), as_index(seed, "seed")
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    cost_qubit = _check_cost_qubit(circuit, cost_qubit)
+    cost_qubit = check_qubit(cost_qubit, circuit.num_qubits, "cost_qubit")
     if circuit.num_symbols == 0:
         return GradStats(
             per_param_var=(),

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 from .ansatz import AnsatzKind, build_ansatz
 from .backend import BackendModel, resolve_backend
+from .circuit import parse_float, parse_int
 from .grad import ReparamMode, delta_gradvar, grad_variance, reparameterize
 from .transpiler import overhead, transpile
 
@@ -125,7 +126,7 @@ class SweepRecord:
 # The CSV columns: every SweepRecord field but the two that describe the
 # run rather than the result, each with the type that parses it.
 _CSV_COLUMNS = [
-    (f.name, {"str": str, "int": int, "float": float}[f.type])
+    (f.name, {"str": str, "int": parse_int, "float": parse_float}[f.type])
     for f in fields(SweepRecord)
     if f.name not in ("wall_time", "error")
 ]
@@ -199,7 +200,7 @@ def _worker_count(num_cells: int) -> int:
     if not env:
         return max(1, min(8, os.cpu_count() or 1, num_cells))
     try:
-        cap = int(env)
+        cap = parse_int(env)
     except ValueError:
         cap = 0
     if cap < 1:
@@ -324,7 +325,7 @@ def emit_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
     for r in records:
         if r.error is not None:
             continue
-        lines.append(",".join((_fmt if parse is float else str)(getattr(r, name)) for name, parse in _CSV_COLUMNS))
+        lines.append(",".join((_fmt if parse is parse_float else str)(getattr(r, name)) for name, parse in _CSV_COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -11,8 +11,9 @@ call or expectation, and never cached: a cache would keep a 2**n array
 per (n, qubit) it ever saw.
 
 CX and SWAP only permute basis indices. ``permutation_sources`` composes
-a run of them into one int32 index map, so the run costs one gather; the
-gradient engine builds its maps with it. ``gate_matrix`` is the one
+a run of them, each a (kind, (bit, bit)) pair, into one int32 array of
+its forward and backward index maps, so the run costs one gather; the
+gradient engine builds its gathers with it. ``gate_matrix`` is the one
 definition of each single-qubit gate's 2x2 matrix (per sample for a
 batch of angles): the gradient engine fuses each single-qubit run into
 one product of them. ``apply_kind`` is the reference's one gate kernel,
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import TWO_QUBIT_KINDS, Circuit, Const, Gate, GateKind
+from .circuit import TWO_QUBIT_KINDS, Circuit, Const, GateKind, as_index
 
 MAX_QUBITS = 24
 
@@ -56,19 +57,20 @@ def _swap_sources(idx: np.ndarray, a: int, b: int) -> np.ndarray:
 _PERMUTATION_SOURCES = {GateKind.CX: _cx_sources, GateKind.SWAP: _swap_sources}
 
 
-def permutation_sources(n: int, gates: Sequence[Gate]) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps (forward, backward) of a run of CX/SWAP gates, as int32.
+def permutation_sources(n: int, ops: Sequence[tuple[GateKind, tuple[int, int]]]) -> np.ndarray:
+    """The index maps of a run of CX/SWAP operations ``(kind, (bit, bit))``:
+    one int32 array shaped (2, 2**n), forward then backward.
 
-    ``states[:, forward]`` equals applying the gates in order and
-    ``states[:, backward]`` un-applies the run; both are exact.
+    ``states[:, maps[0]]`` equals applying the operations in order and
+    ``states[:, maps[1]]`` un-applies the run; both are exact.
     """
     idx = np.arange(1 << n, dtype=np.int32)
-    forward = idx
-    for g in gates:
-        forward = forward[_PERMUTATION_SOURCES[g.kind](idx, *g.qubits)]
-    backward = np.empty_like(forward)
-    backward[forward] = idx
-    return forward, backward
+    maps = np.empty((2, 1 << n), dtype=np.int32)
+    maps[0] = idx
+    for kind, bits in ops:
+        maps[0] = maps[0][_PERMUTATION_SOURCES[kind](idx, *bits)]
+    maps[1][maps[0]] = idx
+    return maps
 
 
 def _z_signs(n: int, q: int) -> np.ndarray:
@@ -161,15 +163,20 @@ def simulate(circuit: Circuit) -> np.ndarray:
     return states[0]
 
 
-def state_expect_z(state: np.ndarray, n: int, qubit: int) -> float:
+def check_qubit(qubit, n: int, what: str = "qubit") -> int:
+    """``qubit`` as a Python int (``as_index``) in range(n), or ``ValueError``."""
+    qubit = as_index(qubit, what)
     if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    probs = np.abs(state) ** 2
-    return float(probs @ _z_signs(n, qubit))
+        raise ValueError(f"{what} {qubit} out of range for {n} qubits")
+    return qubit
+
+
+def state_expect_z(state: np.ndarray, n: int, qubit: int) -> float:
+    qubit = check_qubit(qubit, n)
+    return float(np.abs(state) ** 2 @ _z_signs(n, qubit))
 
 
 def expect_z(circuit: Circuit, qubit: int) -> float:
     """Expectation of Pauli Z on ``qubit`` after running the circuit on |0...0>."""
-    if not 0 <= qubit < circuit.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {circuit.num_qubits} qubits")
+    qubit = check_qubit(qubit, circuit.num_qubits)  # so a bad qubit fails before the simulation
     return state_expect_z(simulate(circuit), circuit.num_qubits, qubit)

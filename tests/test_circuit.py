@@ -18,6 +18,8 @@ from vqclab.circuit import (
     dag_depth,
     gate_counts,
     normalize_angle,
+    parse_float,
+    parse_int,
     structural_metrics,
 )
 
@@ -250,11 +252,36 @@ class TestTextFormat:
             ("qubits:3 symbols:0\nCX 0_1,2\n", "line 2: invalid literal"),
             ("qubits:3 symbols:0\nH \u0662\n", "line 2: invalid literal"),
             ("qubits:1 symbols:1\nRY 0 affine:+0:+1:0.0\n", "line 2: malformed parameter expression"),
+            # floats are ASCII with no underscore: float() alone reads each of these
+            ("qubits:1 symbols:0\nRZ 0 const:1_0\n", "line 2: malformed parameter expression"),
+            ("qubits:1 symbols:0\nRX 0 const:\u0663\n", "line 2: malformed parameter expression"),
+            ("qubits:1 symbols:1\nRY 0 affine:0:+1:0_5\n", "line 2: malformed parameter expression"),
         ],
     )
     def test_parse_errors(self, text, match):
         with pytest.raises(ValueError, match=match):
             circuit_from_text(text)
+
+
+class TestNumberRules:
+    # int() and float() alone read each of these
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "+3", " 3", "\uff13"],
+                             ids=["underscore", "arabic-indic", "plus", "space", "fullwidth"])
+    def test_parse_int_takes_ascii_digits_only(self, token):
+        int(token)
+        with pytest.raises(ValueError, match="invalid literal for an integer"):
+            parse_int(token)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "1e1_0", "\u0663.5"],
+                             ids=["underscore", "arabic-indic", "exponent-underscore", "arabic-indic-fraction"])
+    def test_parse_float_takes_ascii_without_underscores(self, token):
+        float(token)
+        with pytest.raises(ValueError, match="invalid literal for a float"):
+            parse_float(token)
+
+    def test_ascii_numbers_read_as_python_reads_them(self):
+        assert [parse_int(t) for t in ("0", "-12", "007")] == [0, -12, 7]
+        assert [parse_float(t) for t in ("-1.5e-3", "2", ".5", "1E2")] == [-1.5e-3, 2.0, 0.5, 100.0]
 
 
 @settings(max_examples=60, deadline=None)

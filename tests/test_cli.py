@@ -196,6 +196,39 @@ class TestExpectCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {theta_file}: ") and "'abc'" in err
 
+    # float() alone reads these as 10 and 3
+    @pytest.mark.parametrize("token", ["1_0", "\u0663"], ids=["underscore", "arabic-indic"])
+    def test_theta_numbers_are_ascii_without_underscores(self, tmp_path, capsys, token):
+        circ, theta_file = tmp_path / "c.txt", tmp_path / "theta.txt"
+        run("build", "--ansatz", "ttn", "--qubits", "2", "--reps", "1", "--out", circ)
+        theta_file.write_text(f"0.5 {token} 0.25", encoding="utf-8")
+        capsys.readouterr()
+        assert run("expect", "--in", circ, "--theta", theta_file, "--qubit", "0") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {theta_file}: ") and repr(token) in err
+
+
+# int() alone reads each of these values (3 and 10)
+@pytest.mark.parametrize("value", ["\u0663", "1_0", "+3", " 3"], ids=["arabic-indic", "underscore", "plus", "space"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(("build", "--ansatz", "ttn", "--qubits", "3", "--reps", "1", "--out", "c.txt"), "--qubits"),
+     (("build", "--ansatz", "ttn", "--qubits", "3", "--reps", "1", "--out", "c.txt"), "--reps"),
+     (("expect", "--in", "c.txt", "--qubit", "0"), "--qubit"),
+     (("gradvar", "--in", "c.txt", "--samples", "20"), "--samples"),
+     (("transpile", "--in", "c.txt", "--backend", "line:3", "--out", "p.txt", "--layout-seed", "1"), "--layout-seed")],
+    ids=["qubits", "reps", "qubit", "samples", "layout-seed"],
+)
+def test_integer_flags_are_ascii_digits(tmp_path, capsys, monkeypatch, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    argv = list(command)
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid parse_int value: {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "c.txt").exists() and not (tmp_path / "p.txt").exists()
+
 
 class TestGradvarCommand:
     def test_all_angles_matches_library(self, tmp_path, capsys):

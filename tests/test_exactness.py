@@ -329,8 +329,8 @@ def test_block_size_engages_at_ten_qubits():
     for family, n, reps in FROZEN:
         logical = build_ansatz(family, n, reps)
         t = transpile(logical, resolve_backend("heavy-hex:5,11"))
-        assert grad._light_cone(logical, 0)[1] == n
-        assert grad._light_cone(t.physical, t.cost_qubit)[1] == t.physical.num_qubits == n
+        assert len(grad._light_cone(logical, 0)[1]) == n
+        assert len(grad._light_cone(t.physical, t.cost_qubit)[1]) == t.physical.num_qubits == n
 
 
 def test_demo_sweep_csv_regenerates_byte_identical(tmp_path):
@@ -582,7 +582,7 @@ def test_fused_runs_block_size_never_changes_bits(case):
 def assert_block_size_never_changes_bits(case):
     circuit, cost_qubit, batch, seed = case
     thetas = grad.sample_thetas(seed, batch, circuit.num_symbols)
-    row_bytes = (1 << grad._light_cone(circuit, cost_qubit)[1]) * 16
+    row_bytes = (1 << len(grad._light_cone(circuit, cost_qubit)[1])) * 16
     # one row per block, blocks of 3 rows or more (unequal sizes unless 3
     # divides B), one block
     results = [

@@ -1,10 +1,17 @@
 import json
+import os
 import re
+import tempfile
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqclab import harness
 from vqclab.backend import make_line
@@ -36,6 +43,20 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def resume_grid(**overrides):
+    return tiny_config(ansatz=["ttn", "real_amplitudes"], qubits=[2, 3], reps=[1, 2], samples=20, backend="line:3",
+                       **overrides)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """The checkpoint bytes and the CSV bytes of an uninterrupted run of
+    ``resume_grid``."""
+    cfg = resume_grid(out_csv=str(tmp_path_factory.mktemp("uninterrupted") / "results.csv"))
+    emit_csv(run_sweep(cfg), cfg.out_csv)
+    return Path(cfg.checkpoint).read_bytes(), Path(cfg.out_csv).read_bytes()
 
 
 class TestConfig:
@@ -231,6 +252,20 @@ class TestRunSweep:
         # resume reused the checkpoint instead of appending a new line
         assert len(jsonl.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("change", [{"samples": 40}, {"backend": "line:3"}, {"mode": "symbol-derived"}],
+                             ids=["samples", "backend", "mode"])
+    def test_resume_reruns_a_cell_of_another_run(self, tmp_path, monkeypatch, change):
+        # a line written under other run fields is not this run's result
+        jsonl = tmp_path / "cells.jsonl"
+        run_sweep(tiny_config(out_jsonl=str(jsonl)))
+        cfg = tiny_config(out_jsonl=str(jsonl), **change)
+        calls = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args) or run_cell(*args))
+        resumed = run_sweep(cfg, resume=True)
+        assert len(calls) == 1
+        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in run_sweep(cfg)]
+        assert len(jsonl.read_text().splitlines()) == 3
+
     def test_checkpoint_line_keys_pinned(self, tmp_path):
         jsonl = tmp_path / "cells.jsonl"
         run_sweep(tiny_config(out_jsonl=str(jsonl)))
@@ -333,6 +368,37 @@ class TestRunSweep:
         assert len(calls) == 1 and resumed[0].error is None
         assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), threads=st.sampled_from(["1", "2"]))
+    def test_resume_after_a_cut_at_any_byte(self, uninterrupted, data, threads):
+        # a crash can leave the checkpoint cut at any byte; the resumed
+        # sweep must write the uninterrupted CSV and run only the cells
+        # whose lines were not complete
+        checkpoint, csv = uninterrupted
+        cut = data.draw(st.integers(0, len(checkpoint)), label="cut")
+        kept = checkpoint[:cut].count(b"\n")
+        cells = enumerate_cells(resume_grid())
+        ran = []
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = resume_grid(out_csv=str(Path(tmp) / "results.csv"))
+            Path(cfg.checkpoint).write_bytes(checkpoint[:cut])
+
+            def spy(*args):
+                ran.append(args[5])  # the cell's seed
+                return run_cell(*args)
+
+            with mock.patch.dict(os.environ, {"VQCLAB_THREADS": threads}), \
+                    mock.patch.object(harness, "run_cell", spy), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                emit_csv(run_sweep(cfg, resume=True), cfg.out_csv)
+            assert Path(cfg.out_csv).read_bytes() == csv
+            # every line parses again, one per cell in cell order
+            lines = Path(cfg.checkpoint).read_bytes().splitlines()
+            assert [json.loads(line)["record"]["seed"] for line in lines] == [seed for *_, seed in cells]
+        assert sorted(ran) == [seed for *_, seed in cells[kept:]]
+        torn = cut > 0 and checkpoint[cut - 1] != ord("\n")
+        assert any("unterminated last line" in str(w.message) for w in caught) == torn
+
     def test_resume_without_checkpoint_fails(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args))
@@ -340,7 +406,8 @@ class TestRunSweep:
             run_sweep(tiny_config(), resume=True)
         assert calls == []
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    # int() alone reads the last two as 2 and 10
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", "\u0662", " 1_0 "])
     def test_bad_thread_count_fails_before_any_cell(self, tmp_path, monkeypatch, value):
         monkeypatch.setenv("VQCLAB_THREADS", value)
         jsonl = tmp_path / "cells.jsonl"
@@ -444,6 +511,20 @@ class TestCsv:
         header, first, second = path.read_text().splitlines()
         path.write_text("\n".join([header, first, edit(second)]) + "\n")
         with pytest.raises(ValueError, match=r"cols\.csv:3: expected 21 columns"):
+            read_csv(path)
+
+    # int() and float() alone read these as 10 and 0.15
+    @pytest.mark.parametrize("column, value, kind", [(1, "1_0", "an integer"), (1, "\u0661\u0660", "an integer"),
+                                                     (16, "0.1_5", "a float")],
+                             ids=["int-underscore", "int-arabic-indic", "float-underscore"])
+    def test_read_takes_the_text_number_rules(self, tmp_path, column, value, kind):
+        path = tmp_path / "numbers.csv"
+        emit_csv(sample_records()[:1], path)
+        header, row = path.read_text().splitlines()
+        values = row.split(",")
+        values[column] = value
+        path.write_text(f"{header}\n{','.join(values)}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"numbers.csv:2: invalid literal for {kind}"):
             read_csv(path)
 
     def test_read_rejects_wrong_header(self, tmp_path):

@@ -81,11 +81,23 @@ class TestExpectZ:
             val = expect_z(concrete(3, *gates), int(rng.integers(3)))
             assert -1.0 <= val <= 1.0
 
-    def test_index_errors(self):
+    def test_index_errors(self, monkeypatch):
         with pytest.raises(ValueError, match="out of range"):
             expect_z(concrete(2), 2)
         with pytest.raises(ValueError, match="out of range"):
             state_expect_z(simulate(concrete(2)), 2, -1)
+        # True would silently read qubit 1; a float is no qubit either
+        for qubit in (True, 1.0):
+            with pytest.raises(ValueError, match="qubit must be an integer"):
+                expect_z(concrete(2), qubit)
+            with pytest.raises(ValueError, match="qubit must be an integer"):
+                state_expect_z(simulate(concrete(2)), 2, qubit)
+        assert expect_z(concrete(2, g("X", (1,))), np.int64(1)) == -1.0
+        # the qubit is checked before the circuit is simulated
+        monkeypatch.setattr(sim, "simulate", lambda circuit: pytest.fail("simulated"))
+        for qubit in (2, True):
+            with pytest.raises(ValueError, match="qubit"):
+                expect_z(concrete(2), qubit)
 
     def test_z_signs_are_not_kept(self):
         # the Z signs of each qubit are built per call, not cached: four
@@ -114,7 +126,10 @@ class TestApplyKind:
         for n in range(2, 6):
             for qubits in permutations(range(n), 2):
                 states = random_states(rng, 3, n)
-                expected = states[:, permutation_sources(n, [Gate(kind, qubits)])[0]]
+                maps = permutation_sources(n, [(kind, qubits)])
+                assert maps.shape == (2, 1 << n) and maps.dtype == np.int32
+                assert np.array_equal(maps[0][maps[1]], np.arange(1 << n))  # backward un-applies forward
+                expected = states[:, maps[0]]
                 out = apply_kind(states, n, kind, qubits)
                 assert out is states
                 assert out.tobytes() == expected.tobytes()
