@@ -2,9 +2,8 @@
 
 Backends are undirected, connected coupling graphs plus the native gate
 sets the transpiler must target. ``BackendModel.distances`` is the one
-graph search, run once per source and kept: the connectivity check and
-the router's shortest paths both read its hop counts. The JSON file
-format is
+graph search: the connectivity check and the router's shortest paths
+both read its hop counts. The JSON file format is
 
     {"num_physical": 7, "edges": [[0, 1], ...],
      "native_1q": ["RZ", "SX", "X"], "native_2q": ["CX"]}
@@ -21,8 +20,6 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
-from typing import Mapping
 
 from .circuit import GateKind, as_index
 
@@ -53,31 +50,22 @@ class BackendModel:
             adj[a].append(b)
             adj[b].append(a)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(ns)) for ns in adj))
-        object.__setattr__(self, "_hops", {})
         if self.num_physical < 1:
             raise ValueError("backend needs at least one qubit")
         if len(self.distances(0)) != self.num_physical:
             raise ValueError("disconnected coupling graph")
 
-    def distances(self, src: int) -> Mapping[int, int]:
-        """Hop counts from ``src`` to every qubit it reaches (breadth-first).
-
-        Each source is searched once, on first use, and its hop counts are
-        kept on the backend; callers get a read-only view. Threads racing
-        on one source both search it and store equal counts.
-        """
-        hops = self._hops.get(src)  # type: ignore[attr-defined]
-        if hops is None:
-            dist = {src: 0}
-            queue = deque([src])
-            while queue:
-                v = queue.popleft()
-                for w in self.neighbors(v):
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        queue.append(w)
-            hops = self._hops[src] = dist  # type: ignore[attr-defined]
-        return MappingProxyType(hops)
+    def distances(self, src: int) -> dict[int, int]:
+        """Hop counts from ``src`` to every qubit it reaches (breadth-first)."""
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            for w in self.neighbors(v):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adj[q]  # type: ignore[attr-defined]
@@ -119,14 +107,17 @@ def make_heavy_hex(rows: int, cols: int) -> BackendModel:
     return BackendModel(bridge, frozenset(edges))
 
 
-def save_backend(model: BackendModel, path: str | Path) -> None:
-    payload = {
+def backend_payload(model: BackendModel) -> dict:
+    return {
         "num_physical": model.num_physical,
         "edges": sorted([a, b] for a, b in model.edges),
         "native_1q": sorted(k.value for k in model.native_1q),
         "native_2q": sorted(k.value for k in model.native_2q),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def save_backend(model: BackendModel, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(backend_payload(model), indent=2) + "\n", encoding="utf-8")
 
 
 def load_backend(path: str | Path) -> BackendModel:

@@ -33,6 +33,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_transpile(args: argparse.Namespace) -> int:
+    if args.reps is not None and args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     circuit = load_circuit(args.inp)
     backend = resolve_backend(args.backend)
     t = transpile(circuit, backend, layout_seed=args.layout_seed)

@@ -10,7 +10,9 @@ results. The sweep takes the results in canonical cell order, so the
 JSONL checkpoint lines and the progress calls come in that order at any
 thread count. A config with ``out_csv`` checkpoints to the ``.jsonl``
 file next to it unless it names ``out_jsonl``. A resume reuses only
-records whose keys are exactly ``SweepRecord``'s fields. Failures are
+records whose keys are exactly ``SweepRecord``'s fields, from lines of
+the same run: the same samples, mode and device. Configs and records are
+frozen, so every worker reads the values that were checked. Failures are
 captured per cell and never abort the sweep.
 """
 
@@ -27,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .ansatz import AnsatzKind, build_ansatz
-from .backend import BackendModel, resolve_backend
+from .backend import BackendModel, backend_payload, resolve_backend
 from .circuit import parse_float, parse_int
 from .grad import ReparamMode, delta_gradvar, grad_variance, reparameterize
 from .transpiler import overhead, transpile
@@ -37,6 +39,7 @@ CELL_SEED_STRIDE = 1000003
 
 # What a value must be to fill a SweepConfig field of each annotation; a
 # string is not a list of names, and only an int is a count (not a bool).
+# A list field is stored as a tuple.
 _ACCEPTS = {
     "list[str]": lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
     "list[int]": lambda v: isinstance(v, (list, tuple)) and all(type(x) is int for x in v),
@@ -46,7 +49,7 @@ _ACCEPTS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     ansatz: list[str]
     qubits: list[int]
@@ -66,7 +69,8 @@ class SweepConfig:
         if not self.ansatz or not self.qubits or not self.reps:
             raise ValueError("ansatz, qubits and reps lists must be non-empty")
         for name in ("ansatz", "qubits", "reps"):
-            values = getattr(self, name)
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
             for i, value in enumerate(values):
                 if value in values[:i]:
                     # a repeat would be a second cell, with its own seed, under the same key
@@ -96,7 +100,7 @@ def default_sweep_config(**overrides) -> SweepConfig:
     return SweepConfig(**{**grid, **overrides})
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepRecord:
     ansatz: str
     n: int
@@ -133,9 +137,6 @@ _CSV_COLUMNS = [
 CSV_HEADER = ",".join({"p_log": "P_log", "p_phys": "P_phys"}.get(name, name) for name, _ in _CSV_COLUMNS)
 
 _RECORD_FIELDS = {f.name for f in fields(SweepRecord)}
-
-# Config fields that decide a cell's result beyond its own (ansatz, n, reps, seed).
-_RUN_FIELDS = ("samples", "mode", "backend")
 
 
 def cell_seed(base_seed: int, cell_index: int) -> int:
@@ -225,7 +226,7 @@ def _read_checkpoint(path: Path) -> list[bytes]:
     return data[:keep].splitlines()
 
 
-def _load_checkpoints(config: SweepConfig, path: Path, lines: list[bytes]) -> dict[tuple, SweepRecord]:
+def _load_checkpoints(run: dict, path: Path, lines: list[bytes]) -> dict[tuple, SweepRecord]:
     loaded: dict[tuple, SweepRecord] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -239,7 +240,7 @@ def _load_checkpoints(config: SweepConfig, path: Path, lines: list[bytes]) -> di
         if payload.get("meta_seeds", 1) != 1:
             # written by a sweep that averaged GradVar over several seeds, which no sweep does now
             raise ValueError(f"{path}:{lineno}: checkpoint line with meta_seeds {payload['meta_seeds']!r}, not 1")
-        if any(payload.get(name) != getattr(config, name) for name in _RUN_FIELDS):
+        if any(payload.get(name) != value for name, value in run.items()):
             continue
         if payload["record"].keys() != _RECORD_FIELDS:
             # missing keys would be filled with defaults: reuse only exact records
@@ -251,7 +252,7 @@ def _load_checkpoints(config: SweepConfig, path: Path, lines: list[bytes]) -> di
             continue
         record = SweepRecord(**payload["record"])
         if record.error is None:
-            # a cell's identity within one run; the run fields matched above
+            # a cell's identity within one run; the run matched above
             loaded[(record.ansatz, record.n, record.reps, record.seed)] = record
     return loaded
 
@@ -276,11 +277,14 @@ def run_sweep(
     cells = enumerate_cells(config)
     workers = _worker_count(len(cells))
     backend = resolve_backend(config.backend)
+    # what decides a cell's result beyond its own (ansatz, n, reps, seed); the
+    # device is the backend's content, so an edited backend file is another run
+    run = {"samples": config.samples, "mode": config.mode, "device": backend_payload(backend)}
     done: dict[tuple, SweepRecord] = {}
     if checkpoint and Path(checkpoint).exists():
         lines = _read_checkpoint(Path(checkpoint))
         if resume:
-            done = _load_checkpoints(config, Path(checkpoint), lines)
+            done = _load_checkpoints(run, Path(checkpoint), lines)
 
     def work(cell: tuple[int, str, int, int, int]) -> tuple[SweepRecord, bool]:
         _, kind, n, reps, seed = cell
@@ -298,7 +302,7 @@ def run_sweep(
         mapper = stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map if workers > 1 else map
         for record, fresh in mapper(work, cells):
             if fresh and jsonl is not None:
-                payload = {"record": asdict(record), **{name: getattr(config, name) for name in _RUN_FIELDS}}
+                payload = {"record": asdict(record), "backend": config.backend, **run}
                 jsonl.write(json.dumps(payload, sort_keys=True) + "\n")
                 jsonl.flush()
             records.append(record)

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -16,7 +17,8 @@ from vqclab.backend import (
     resolve_backend,
     save_backend,
 )
-from vqclab.circuit import GateKind
+from vqclab.circuit import Circuit, Gate, GateKind
+from vqclab.transpiler import transpile
 
 
 def degrees(model):
@@ -112,15 +114,17 @@ class TestBackendModel:
         m = BackendModel(np.int64(3), frozenset({(0, 1), (1, 2)}))
         assert m == make_line(3) and type(m.num_physical) is int
 
-    def test_distances_searched_once_per_source(self, monkeypatch):
-        m = make_heavy_hex(2, 3)
-        first = m.distances(4)
-        calls = []
-        monkeypatch.setattr(BackendModel, "neighbors", lambda self, q: calls.append(q) or self._adj[q])
-        assert m.distances(4) == first
-        assert calls == []
-        with pytest.raises(TypeError):
-            first[0] = 99
+    def test_no_qubits_rejected(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            BackendModel(0, frozenset())
+
+    def test_compiling_leaves_the_backend_unchanged(self):
+        # a sweep's worker threads share one backend, so routing may read it but not write it
+        m = make_line(4)
+        before = copy.deepcopy(vars(m))
+        t = transpile(Circuit(4, (Gate(GateKind.CX, (3, 0)),), 0), m)
+        assert t.metrics_after.g2q > t.metrics_before.g2q  # the CX needed SWAPs
+        assert vars(m) == before
 
 
 @pytest.mark.parametrize("model", [make_line(5), make_heavy_hex(2, 3), make_heavy_hex(5, 11)],

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,10 @@ class TestGate:
         with pytest.raises(ValueError, match="distinct"):
             Gate(GateKind.CX, (1, 1))
 
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("negative qubit index in (-1,)")):
+            Gate(GateKind.X, (-1,))
+
     @pytest.mark.parametrize("qubit", [1.7, 1.0, True, np.float64(1.0)], ids=["fraction", "float", "bool", "np-float"])
     def test_non_integer_qubit_rejected(self, qubit):
         with pytest.raises(ValueError, match="qubit index must be an integer"):
@@ -142,6 +147,10 @@ class TestCircuit:
     def test_non_integer_symbol_count_rejected(self, num_symbols):
         with pytest.raises(ValueError, match="num_symbols must be an integer"):
             Circuit(1, (ry(0, sym=0),), num_symbols)
+
+    def test_no_qubits_rejected(self):
+        with pytest.raises(ValueError, match="num_qubits must be >= 1, got 0"):
+            Circuit(0, (), 0)
 
     def test_negative_symbol_count_rejected(self):
         with pytest.raises(ValueError, match="num_symbols must be >= 0, got -1"):
@@ -231,9 +240,15 @@ class TestTextFormat:
     def test_header(self):
         assert circuit_to_text(self.sample()).splitlines()[0] == "qubits:3 symbols:2"
 
+    def test_blank_gate_lines_skipped(self):
+        lines = circuit_to_text(self.sample()).splitlines()
+        text = "\n".join([*lines[:3], "", "  ", *lines[3:]]) + "\n"
+        assert circuit_from_text(text) == self.sample()
+
     @pytest.mark.parametrize(
         "text,match",
         [
+            ("", "line 1: empty circuit file"),
             ("qubits:x symbols:0\n", "header"),
             ("qubits:2 symbols:0 extra:5\n", "line 1: malformed header"),
             ("qubits:2 qubits:3 symbols:0\n", "line 1: malformed header"),
@@ -243,6 +258,8 @@ class TestTextFormat:
             ("qubits:2 symbols:0\nRY 0 const:abc\n", "line 2"),
             ("qubits:2 symbols:1\nRY 0 affine:0:+2:0.0\n", "line 2"),
             ("qubits:2 symbols:0\nCX 0\n", "line 2"),
+            ("qubits:1 symbols:0\nH\n", "line 2: malformed gate line"),
+            ("qubits:1 symbols:1\nRY 0 affine:0:+1:0.0 0\n", "line 2: malformed gate line"),
             ("qubits:2 symbols:0\nH 0\nCX 0,a\n", "line 3: invalid literal"),
             ("qubits:2 symbols:0\nCX 0,\n", "line 2: invalid literal"),
             ("qubits:1 symbols:-1\nRZ 0 const:0.5\n", "num_symbols must be >= 0, got -1"),

@@ -71,6 +71,15 @@ class TestTranspileCommand:
             assert exc.value.code == 2
         assert not (tmp_path / "prov.json").exists()
 
+    @pytest.mark.parametrize("reps", ["-3", "0"])
+    def test_reps_must_be_positive(self, tmp_path, capsys, reps):
+        circ = tmp_path / "c.txt"
+        run("build", "--ansatz", "ttn", "--qubits", "2", "--reps", "1", "--out", circ)
+        capsys.readouterr()
+        assert run("transpile", "--in", circ, "--backend", "line:2", "--out", tmp_path / "p.txt", "--reps", reps) == 1
+        assert capsys.readouterr() == ("", f"error: --reps must be >= 1, got {reps}\n")
+        assert not (tmp_path / "p.txt").exists()
+
     def test_stdout_and_files_pinned(self, tmp_path, capsys):
         # ttn n=4 L=2 on line:6 under a seeded random layout
         circ, phys = tmp_path / "c.txt", tmp_path / "p.txt"

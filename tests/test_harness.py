@@ -5,7 +5,7 @@ import tempfile
 import time
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vqclab import harness
-from vqclab.backend import make_line
+from vqclab.backend import BackendModel, make_line, save_backend
 from vqclab.grad import grad_variance
 from vqclab.harness import (
     CELL_SEED_STRIDE,
@@ -62,8 +62,8 @@ def uninterrupted(tmp_path_factory):
 class TestConfig:
     def test_default_config(self):
         cfg = default_sweep_config()
-        assert cfg.qubits == [2, 4, 6, 8, 10]
-        assert cfg.reps == [1, 2, 4, 6, 8, 10]
+        assert cfg.qubits == (2, 4, 6, 8, 10)
+        assert cfg.reps == (1, 2, 4, 6, 8, 10)
         assert cfg.samples == 200
         assert cfg.backend == "heavy-hex:5,11"
         assert cfg.mode == "all-angles"
@@ -119,6 +119,18 @@ class TestConfig:
 
     def test_tuples_fill_list_fields(self):
         assert enumerate_cells(tiny_config(qubits=(2, 3))) == enumerate_cells(tiny_config(qubits=[2, 3]))
+
+    def test_config_cannot_change_after_its_checks(self, tmp_path):
+        # every worker of a sweep reads the one config, so it stays what was checked
+        cfg = tiny_config(ansatz=["ttn", "real_amplitudes"])
+        with pytest.raises(FrozenInstanceError):
+            cfg.ansatz = "ttn"
+        assert (cfg.ansatz, cfg.qubits, cfg.reps) == (("ttn", "real_amplitudes"), (2,), (1,))
+        with pytest.raises(AttributeError):
+            cfg.qubits.append(1)
+        assert replace(cfg, out_csv=str(tmp_path / "r.csv")).checkpoint == str(tmp_path / "r.jsonl")
+        with pytest.raises(ValueError, match="qubit counts must be >= 2"):
+            replace(cfg, qubits=[1])
 
 
 class TestCellEnumeration:
@@ -266,11 +278,44 @@ class TestRunSweep:
         assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in run_sweep(cfg)]
         assert len(jsonl.read_text().splitlines()) == 3
 
+    def test_resume_reruns_a_cell_of_an_edited_backend_file(self, tmp_path, monkeypatch):
+        # the line names the same file, but the device in it is another one
+        device = tmp_path / "dev.json"
+        save_backend(make_line(3), device)
+        cfg = tiny_config(ansatz=["ttn"], qubits=[3], backend=str(device), out_jsonl=str(tmp_path / "cells.jsonl"))
+        assert run_sweep(cfg)[0].g2q_phys == 5
+        save_backend(BackendModel(3, frozenset({(0, 1), (1, 2), (0, 2)})), device)
+        calls = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args) or run_cell(*args))
+        resumed = run_sweep(cfg, resume=True)
+        assert len(calls) == 1
+        assert resumed[0].g2q_phys == 2
+        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in run_sweep(cfg)]
+
+    def test_resume_reruns_a_line_without_a_device(self, tmp_path, monkeypatch):
+        # lines written before the device joined the run identity run their cells again, once
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(out_jsonl=str(jsonl))
+        first = run_sweep(cfg)
+        payload = json.loads(jsonl.read_text())
+        del payload["device"]
+        jsonl.write_text(json.dumps(payload) + "\n")
+        calls = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args) or run_cell(*args))
+        resumed = run_sweep(cfg, resume=True)
+        assert len(calls) == 1
+        assert run_sweep(cfg, resume=True) == resumed
+        assert len(calls) == 1
+        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
+
     def test_checkpoint_line_keys_pinned(self, tmp_path):
         jsonl = tmp_path / "cells.jsonl"
         run_sweep(tiny_config(out_jsonl=str(jsonl)))
         payload = json.loads(jsonl.read_text())
-        assert sorted(payload) == ["backend", "mode", "record", "samples"]
+        assert sorted(payload) == ["backend", "device", "mode", "record", "samples"]
+        assert payload["backend"] == "line:2"
+        assert payload["device"] == {"num_physical": 2, "edges": [[0, 1]], "native_1q": ["RZ", "SX", "X"],
+                                     "native_2q": ["CX"]}
         assert set(payload["record"]) == {
             "ansatz", "n", "reps", "p_log", "p_phys", "g1q_log", "g1q_phys", "g2q_log", "g2q_phys",
             "depth_log", "depth_phys", "delta_g1q", "delta_g2q", "delta_depth_dag", "delta_depth_paper",
@@ -315,6 +360,15 @@ class TestRunSweep:
         lines = [json.loads(l) for l in jsonl.read_text().splitlines()]  # every line parses again
         assert len(lines) == 2
         assert run_sweep(cfg, resume=True) == resumed
+
+    def test_resume_skips_blank_lines(self, tmp_path, monkeypatch):
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(qubits=[2, 3], backend="line:3", out_jsonl=str(jsonl))
+        first = run_sweep(cfg)
+        a, b = jsonl.read_text().splitlines(keepends=True)
+        jsonl.write_text("\n" + a + "  \n" + b)
+        monkeypatch.setattr(harness, "run_cell", lambda *args: pytest.fail("a checkpointed cell ran again"))
+        assert run_sweep(cfg, resume=True) == first
 
     def test_resume_rejects_malformed_complete_line(self, tmp_path):
         jsonl = tmp_path / "cells.jsonl"
@@ -526,6 +580,14 @@ class TestCsv:
         path.write_text(f"{header}\n{','.join(values)}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"numbers.csv:2: invalid literal for {kind}"):
             read_csv(path)
+
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        emit_csv(sample_records(), path)
+        header, first, *rest = path.read_text().splitlines()
+        expected = read_csv(path)
+        path.write_text("\n".join([header, first, "", *rest, " "]) + "\n")
+        assert read_csv(path) == expected
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

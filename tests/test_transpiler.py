@@ -161,6 +161,13 @@ class TestDecompose:
         with pytest.raises(ValueError, match="unsupported gate kind"):
             decompose_to_native(c, backend)
 
+    def test_unsupported_single_qubit_kind(self):
+        # SX is neither native here nor one of the kinds the template synthesizes
+        backend = BackendModel(2, frozenset({(0, 1)}), native_1q=frozenset({GateKind.RZ, GateKind.X}))
+        c = Circuit(2, (Gate(GateKind.SX, (1,)),), 0)
+        with pytest.raises(ValueError, match="unsupported gate kind SX"):
+            decompose_to_native(c, backend)
+
 
 class TestChooseLayout:
     # the default layout policy, which lives inside transpile
@@ -235,6 +242,17 @@ class TestRoute:
         c = Circuit(2, (Gate(GateKind.CX, (0, 1)),), 0)
         with pytest.raises(ValueError, match="injective"):
             route(c, make_line(3), (1, 1))
+
+    @pytest.mark.parametrize(
+        "layout, match",
+        [((0,), "layout covers 1 qubits, circuit has 2"), ((0, 1, 2), "layout covers 3 qubits, circuit has 2"),
+         ((0, 3), "outside the physical qubit range"), ((-1, 0), "outside the physical qubit range")],
+        ids=["short", "long", "past-the-end", "negative"],
+    )
+    def test_layout_must_place_each_qubit_on_the_device(self, layout, match):
+        c = Circuit(2, (Gate(GateKind.CX, (0, 1)),), 0)
+        with pytest.raises(ValueError, match=match):
+            route(c, make_line(3), layout)
 
 
 def rz_const(q, angle):
@@ -470,6 +488,7 @@ class TestTranspile:
         for extra, match in (
             (Gate(GateKind.CX, (0, 2)), r"two-qubit gate on uncoupled pair \(0,2\)"),
             (Gate(GateKind.RY, (1,), Const(0.5)), "non-native single-qubit gate RY"),
+            (Gate(GateKind.SWAP, (0, 1)), "non-native two-qubit gate SWAP"),
         ):
             wrong = replace(t, physical=replace(t.physical, gates=(*t.physical.gates, extra)))
             with pytest.raises(ValueError, match=match):
