@@ -21,8 +21,14 @@ cancels out of <Z_cost>, so a parameter that occurs only outside the
 cone reports a gradient of exactly 0. So do the RZ gates that end the
 cost wire, which commute with Z_cost; they are dropped from the cone too.
 
+The sweep is one float64 engine. Its state has one real plane if every
+gate in the cone is real (an RY at any angle, X, H, CX, SWAP, or a
+``Const`` rotation with a real matrix, such as RZ(0)), as in logical ttn
+and real_amplitudes; otherwise two, the real and then the imaginary
+parts of the amplitudes, (rows, 2, 2**n). The rule reads gates, not
+products: a run such as SX.SX, whose product X is real, takes two planes.
 The sweep runs the samples in row blocks of under twice ``_BLOCK_BYTES``
-of complex cone state each (a real cone's takes half), so a block's
+of two-plane cone state each (one plane takes half), so a block's
 buffers stay in a per-core L2 cache.
 It has two kinds of step: gathers, and matrix steps of one or two runs.
 Each maximal run of single-qubit gates on one wire (held back until a
@@ -36,37 +42,36 @@ rounding per entry. A run with no partner is a step alone. Routing puts
 its SWAPs beside one held wire at a time, so pairs halve the lone steps
 of compiled circuits, and the gathers in front of them.
 A step acts on the top bit of the amplitude index, or the top two, so
-each is one batched BLAS matmul with the state viewed as (rows, 2,
-2**(n-1)) or (rows, 4, 2**(n-2)). The qubits get there inside the
-gathers the sweep does anyway (as Haner & Steiger, arXiv:1704.01127,
+each is one batched dgemm by a real block of its U, dim = 2 or 4: Re U
+on one plane, [[Re U, -Im U], [Im U, Re U]] on two, with the state
+viewed as (rows, planes * dim, 2**n / dim). The qubits get there inside
+the gathers the sweep does anyway (as Haner & Steiger, arXiv:1704.01127,
 move qubits to local bits). The plan's qubit -> bit layout, from the
 ranks of the cone's qubits on, is the sweep's one qubit map: each CX and
 SWAP joins a gather on its current bits, as do the SWAPs that bring a
-step's qubits to the top bits, and a gather is one int32 array of both
-its index maps. The backward pass stacks [psi; conj(lambda)] in one
-buffer and forms a step's transition matrix G[r, a, b] = sum over the
-other qubits of conj(lambda_a) psi_b, one matmul. Each wire's 2x2 G is
-read off the step's with no permutation: a lone run's is the whole G,
-and a two-run step's 4x4 G is summed over the other wire's bit.
-Occurrence k of a run contributes coeff * Im sum_ab (W P_k W^dagger)_ab
-G_ab, W being the product of the run's gates after k.
-One matmul by [U^dagger; conj(U^dagger)] then un-applies the step.
-The cone, steps and state dtype are planned from the gates alone; each
-step's U and read-offs are then built once per call for the whole batch.
-A call allocates two flat state buffers, each 2 x (largest block's rows)
-x 2**n amplitudes. A row block views both as (2, rows, 2**n), and every
-gather and matmul writes into the one it did not read, so the sweep
-allocates no state. If every gate in the cone is real (an RY at any
-angle, X, H, CX, SWAP, or a ``Const`` rotation with a real matrix, such
-as RZ(0)), as in logical ttn and real_amplitudes, so are every U and the
-states: the sweep takes the U's real parts and runs in float64, dgemm on
-half the bytes. The read-off matrices stay complex, as RY's generator
-is imaginary. The rule reads gates, not products: a run such as SX.SX,
-whose product X is real, sweeps in complex128.
+step's qubits to the top bits. A gather is one int32 array of both its
+index maps over chunks of 2**c amplitudes, c the lowest bit any of its
+operations reads or writes, at most 2: np.take moves 32-byte chunks
+fastest. The backward pass stacks [psi; lambda] in one buffer and forms
+a step's real product Lambda Psi^T, one dgemm, whose diagonal blocks sum
+to Re G and whose upper-right minus lower-left block is Im G, G[r, a, b]
+being the transition matrix, the sum over the other qubits of
+conj(lambda_a) psi_b. Each wire's 2x2 G is read off the step's with no
+permutation: a lone run's is the whole G, and a two-run step's 4x4 G is
+summed over the other wire's bit. Occurrence k of a run contributes
+coeff * Im sum_ab (W P_k W^dagger)_ab G_ab, W being the product of the
+run's gates after k. The transpose of the step's block, which is U^dagger's,
+then un-applies the step from psi and lambda in one dgemm.
+The cone, steps and planes are planned from the gates alone; each step's
+complex U (its real part on one plane) and read-offs are then built once
+per call for the whole batch, and a row block builds the real blocks of
+its rows when it uses them. A call allocates two flat float64 state
+buffers, each 2 x (largest block's rows) x planes x 2**n. A row block
+views both as (2, rows, planes, 2**n), and every gather and matmul
+writes into the one it did not read, so the sweep allocates no state.
 Fusion and BLAS round differently from a gate-by-gate sweep (within
-~1e-14 relative on GradVar), and dgemm differently from zgemm; rows
-never mix and gathers are exact, so the results are the same bits at any
-block size, down to one row.
+~1e-14 relative on GradVar); rows never mix and gathers are exact, so
+the results are the same bits at any block size, down to one row.
 """
 
 from __future__ import annotations
@@ -95,6 +100,13 @@ from .transpiler import TranspiledCircuit
 # and larger blocks hold larger buffers. Before fusion, 0.5-1 MiB blocks
 # were best by ~10 % and unblocked sweeps were ~50 % slower.
 _BLOCK_BYTES = 1 << 19
+
+# Most low bits a gather moves together: np.take copies chunks of 2**2
+# float64 amplitudes, 32 bytes, fastest. On a 2-vCPU Xeon a gather of a
+# 32-row, two-plane block at n = 10 took 125 us amplitude by amplitude, 68
+# us in 16-byte chunks, 39 us in 32-byte and 54 us in 64-byte chunks (a
+# plain copy took 21 us).
+_CHUNK_BITS = 2
 
 
 @unique
@@ -209,6 +221,16 @@ def _light_cone(circuit: Circuit, cost_qubit: int) -> tuple[list[Gate], list[int
     return kept[::-1], sorted(live)
 
 
+def _gather_maps(n: int, ops: Sequence[tuple[GateKind, tuple[int, int]]]) -> np.ndarray:
+    """A gather of CX/SWAP ``ops`` on n bits that moves chunks of 2**c
+    amplitudes: the (2, 2**(n-c)) int32 forward and backward maps of the
+    chunks, c the lowest bit any op reads or writes, at most
+    ``_CHUNK_BITS``. The ops leave the bits below c as they are, so each
+    chunk moves whole."""
+    c = min(_CHUNK_BITS, *(bit for _, bits in ops for bit in bits))
+    return permutation_sources(n - c, [(kind, tuple(bit - c for bit in bits)) for kind, bits in ops])
+
+
 def _sweep_steps(gates: Sequence[Gate], live: Sequence[int]) -> tuple[list[np.ndarray | tuple], dict[int, int]]:
     """The gates as sweep steps on the ``live`` qubits, and the qubit -> bit
     layout they end in; it starts from the qubits' ranks. A step is a
@@ -256,7 +278,7 @@ def _sweep_steps(gates: Sequence[Gate], live: Sequence[int]) -> tuple[list[np.nd
                 other = next(x for x, b in layout.items() if b == bit)
                 layout[other], layout[r] = layout[r], bit
         if pending:
-            steps.append(permutation_sources(n, pending))
+            steps.append(_gather_maps(n, pending))
             pending.clear()
         steps.append(tuple(tuple(held.pop(r)) for r in qubits))
 
@@ -272,16 +294,17 @@ def _sweep_steps(gates: Sequence[Gate], live: Sequence[int]) -> tuple[list[np.nd
     while held:
         flush(next(iter(held)))
     if pending:
-        steps.append(permutation_sources(n, pending))
+        steps.append(_gather_maps(n, pending))
     return steps, layout
 
 
-def _plan(circuit: Circuit, cost_qubit: int) -> tuple[int, list[np.ndarray | tuple], int, type]:
+def _plan(circuit: Circuit, cost_qubit: int) -> tuple[int, list[np.ndarray | tuple], int, int]:
     """The sweep of ``circuit``, from its gates alone: (cone qubits n, steps,
-    the cost qubit's bit after the last step, state dtype). A cone over the
-    cap is refused before any index map is built. The dtype is float64 if
-    every gate in the cone is real: an RY, a gather, or a gate with a fixed
-    (not ``Affine``) matrix whose imaginary part is zero."""
+    the cost qubit's bit after the last step, state planes). A cone over the
+    cap is refused before any index map is built. The state has one real
+    plane if every gate in the cone is real: an RY, a gather, or a gate with
+    a fixed (not ``Affine``) matrix whose imaginary part is zero; two, its
+    real and imaginary parts, otherwise."""
     gates, live = _light_cone(circuit, cost_qubit)
     if len(live) > MAX_QUBITS:
         raise ValueError(f"light cone of {len(live)} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
@@ -291,7 +314,7 @@ def _plan(circuit: Circuit, cost_qubit: int) -> tuple[int, list[np.ndarray | tup
         or not isinstance(g.param, Affine) and not gate_matrix(g.kind, g.param and g.param.angle).imag.any()
         for g in gates
     )
-    return len(live), steps, layout[cost_qubit], np.float64 if real else np.complex128
+    return len(live), steps, layout[cost_qubit], 1 if real else 2
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -354,10 +377,10 @@ def _read_offs(run: tuple[Gate, ...], matrices: list[np.ndarray]) -> list[tuple[
 _StepMatrices = tuple[np.ndarray, list[list[tuple[int, float, np.ndarray]]]]
 
 
-def _step_matrices(runs: tuple[tuple[Gate, ...], ...], thetas: np.ndarray, dtype: type) -> _StepMatrices:
+def _step_matrices(runs: tuple[tuple[Gate, ...], ...], thetas: np.ndarray, planes: int) -> _StepMatrices:
     """A matrix step's per-sample unitary on its top bits, with its read-offs:
     a lone run's 2x2 product, or U_hi kron U_lo, one rounding per entry. For
-    a float64 sweep the unitary is its real part."""
+    a one-plane sweep the unitary is its real part."""
     matrices = [_matrices(run, thetas) for run in runs]
     products = [_product(run, m) for run, m in zip(runs, matrices)]
     u = products[0]
@@ -365,8 +388,37 @@ def _step_matrices(runs: tuple[tuple[Gate, ...], ...], thetas: np.ndarray, dtype
         hi, lo = products
         kron = hi[..., :, None, :, None] * lo[..., None, :, None, :]
         u = kron.reshape(kron.shape[:-4] + (4, 4))
-    u = u.real.copy() if dtype is np.float64 else u
+    u = u.real.copy() if planes == 1 else u
     return u, [_read_offs(run, m) for run, m in zip(runs, matrices)]
+
+
+def _real_block(u: np.ndarray, planes: int) -> np.ndarray:
+    """The real matrix that applies a step's ``u`` to the state's planes on
+    the top bits: the one-plane sweep's U itself, which is real, and for two
+    planes, re then im, [[Re U, -Im U], [Im U, Re U]]. Its transpose is the
+    block of U^dagger."""
+    if planes == 1:
+        return u
+    dim = u.shape[-1]
+    block = np.empty(u.shape[:-2] + (2 * dim, 2 * dim))
+    block[..., :dim, :dim] = block[..., dim:, dim:] = u.real
+    block[..., dim:, :dim] = u.imag
+    np.negative(u.imag, out=block[..., :dim, dim:])
+    return block
+
+
+def _transition(product: np.ndarray, planes: int) -> np.ndarray:
+    """A step's transition matrix G[r, a, b] = sum over the other qubits of
+    conj(lambda_a) psi_b, from the real product of the planes Lambda Psi^T:
+    with one plane it is G; with two, Re G is the sum of its two diagonal
+    blocks and Im G its upper-right block minus its lower-left."""
+    if planes == 1:
+        return product
+    dim = product.shape[-1] // 2
+    g = np.empty(product.shape[:-2] + (dim, dim), np.complex128)
+    np.add(product[..., :dim, :dim], product[..., dim:, dim:], out=g.real)
+    np.subtract(product[..., :dim, dim:], product[..., dim:, :dim], out=g.imag)
+    return g
 
 
 def _wire_transition(transition: np.ndarray, runs: int, wire: int) -> np.ndarray:
@@ -385,9 +437,25 @@ def _rows(m: np.ndarray, block: slice) -> np.ndarray:
     return m if m.ndim == 2 else m[block]
 
 
+def _move(states: np.ndarray, index_map: np.ndarray, out: np.ndarray) -> None:
+    """Gather ``states`` (..., 2**n) into ``out`` by one of a gather's chunk
+    maps. mode="clip" lets take write into out= unbuffered; the maps are
+    permutations, so it never clips."""
+    shape = (-1, index_map.size, states.shape[-1] // index_map.size)
+    np.take(states.reshape(shape), index_map, axis=1, out=out.reshape(shape), mode="clip")
+
+
+def _multiply(block: np.ndarray, states: np.ndarray, out: np.ndarray) -> None:
+    """One matmul of ``states`` (..., rows, planes, 2**n) by a step's real
+    block (rows or shared) on the top bits, into ``out``."""
+    shape = states.shape[:-2] + (block.shape[-1], -1)
+    np.matmul(block, states.reshape(shape), out=out.reshape(shape))
+
+
 def _sweep_block(
     built: list[tuple[np.ndarray | tuple, _StepMatrices | None]],
     n: int,
+    planes: int,
     block: slice,
     cost_signs: np.ndarray,
     grads: np.ndarray,
@@ -397,44 +465,39 @@ def _sweep_block(
     gradients into ``grads``, the block's rows of the gradient array.
 
     ``built`` pairs each step with its matrices, built once for the whole
-    batch (None for a gather); the sweep takes the block's rows of them.
-    The backward pass un-applies each step from the stacked buffer
-    [psi; conj(lambda)], lambda starting as ``cost_signs`` (Z on the cost
-    qubit's final bit) times psi, and reads off a step's occurrences before
-    un-applying it, each from the 2x2 transition matrix of its own wire.
+    batch (None for a gather); the sweep takes the block's rows of them and
+    builds their real blocks. The backward pass un-applies each step from
+    the stacked buffer [psi; lambda] by the real block of U^dagger, lambda
+    starting as ``cost_signs`` (Z on the cost qubit's final bit) times psi,
+    and reads off a step's occurrences before un-applying it, each from the
+    2x2 transition matrix of its own wire.
 
-    ``buffers`` are the call's two flat state buffers, viewed here as
-    (2, rows, 2**n): each step reads one and writes the other, so the
-    sweep allocates no state. The forward pass uses their psi halves.
+    ``buffers`` are the call's two flat float64 state buffers, viewed here
+    as (2, rows, planes, 2**n): each step reads one and writes the other, so
+    the sweep allocates no state. The forward pass uses their psi halves.
     """
     rows = grads.shape[0]
-    cur, spare = (b[: 2 * rows << n].reshape(2, rows, -1) for b in buffers)
+    cur, spare = (b[: 2 * rows * planes << n].reshape(2, rows, planes, -1) for b in buffers)
     cur[0].fill(0)
-    cur[0, :, 0] = 1
+    cur[0, :, 0, 0] = 1
     for step, matrices in built:
         if matrices is None:
-            # mode="clip" lets take write into out= unbuffered; the maps are
-            # permutations of range(2**n), so it never clips
-            np.take(cur[0], step[0], axis=-1, out=spare[0], mode="clip")
+            _move(cur[0], step[0], spare[0])
         else:
-            u = _rows(matrices[0], block)
-            dim = u.shape[-1]
-            np.matmul(u, cur[0].reshape(rows, dim, -1), out=spare[0].reshape(rows, dim, -1))
+            _multiply(_real_block(_rows(matrices[0], block), planes), cur[0], spare[0])
         cur, spare = spare, cur
     np.multiply(cur[0], cost_signs, out=cur[1])
-    np.conjugate(cur[1], out=cur[1])
 
     for step, matrices in reversed(built):
         if matrices is None:
-            np.take(cur, step[1], axis=-1, out=spare, mode="clip")
+            _move(cur, step[1], spare)
             cur, spare = spare, cur
             continue
         u, read_offs = matrices
-        u_dagger = _dagger(_rows(u, block))
-        dim = u_dagger.shape[-1]
-        buf = cur.reshape(2, rows, dim, -1)
+        u = _rows(u, block)
         if any(read_offs):
-            transition = buf[1] @ buf[0].swapaxes(-1, -2)
+            buf = cur.reshape(2, rows, planes * u.shape[-1], -1)
+            transition = _transition(buf[1] @ buf[0].swapaxes(-1, -2), planes)
             for wire, occurrences in enumerate(read_offs):
                 if not occurrences:
                     continue
@@ -443,34 +506,36 @@ def _sweep_block(
                     # two sums of two terms each add in one order whatever the rows;
                     # one sum over both axes adds a one-row block in another order
                     grads[:, symbol] += coeff * (_rows(p, block) * wire_transition).sum(axis=-1).sum(axis=-1).imag
-        # [U^dagger; conj(U^dagger)] un-applies the step from psi and conj(lambda)
-        stacked = np.stack((u_dagger, u_dagger.conj())).reshape(2, -1, dim, dim)
-        np.matmul(stacked, buf, out=spare.reshape(2, rows, dim, -1))
+        # the transpose of U's block, U^dagger's, un-applies the step from
+        # psi and lambda at once. It stays a transposed view: at n = 2 dgemv
+        # rounds a contiguous copy otherwise, and the one-plane cones' pinned
+        # bits were taken with the view
+        _multiply(_real_block(u, planes).swapaxes(-1, -2), cur, spare)
         cur, spare = spare, cur
 
 
 def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) -> np.ndarray:
     """Shift-rule gradients for a batch of parameter vectors, shape (B, P).
 
-    ``_plan`` gives the cone, steps and dtype; a symbol with no occurrence
+    ``_plan`` gives the cone, steps and planes; a symbol with no occurrence
     in the cone keeps gradient 0. The batch is split into near-equal row
-    blocks of at least ``_BLOCK_BYTES`` of complex cone state each (the
+    blocks of at least ``_BLOCK_BYTES`` of two-plane cone state each (the
     whole batch if it is smaller), swept one block at a time through two
-    state buffers allocated once here, each 2 x (largest block's rows) x
-    2**n amplitudes.
+    float64 state buffers allocated once here, each 2 x (largest block's
+    rows) x planes x 2**n.
     """
-    n, steps, cost_bit, dtype = _plan(circuit, cost_qubit)
+    n, steps, cost_bit, planes = _plan(circuit, cost_qubit)
     batch = thetas.shape[0]
     rows = max(1, _BLOCK_BYTES // ((1 << n) * 16))
     blocks = max(1, batch // rows)
     bounds = [batch * i // blocks for i in range(blocks + 1)]
-    built = [(step, None if isinstance(step, np.ndarray) else _step_matrices(step, thetas, dtype)) for step in steps]
+    built = [(step, None if isinstance(step, np.ndarray) else _step_matrices(step, thetas, planes)) for step in steps]
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
-    buffers = (np.empty(2 * most << n, dtype), np.empty(2 * most << n, dtype))
+    buffers = (np.empty(2 * most * planes << n), np.empty(2 * most * planes << n))
     grads = np.zeros((batch, circuit.num_symbols))
     cost_signs = _z_signs(n, cost_bit)
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(built, n, slice(start, stop), cost_signs, grads[start:stop], buffers)
+        _sweep_block(built, n, planes, slice(start, stop), cost_signs, grads[start:stop], buffers)
     return grads
 
 

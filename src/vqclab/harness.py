@@ -11,13 +11,15 @@ JSONL checkpoint lines and the progress calls come in that order at any
 thread count. A config with ``out_csv`` checkpoints to the ``.jsonl``
 file next to it unless it names ``out_jsonl``. A resume reuses only
 records whose keys are exactly ``SweepRecord``'s fields, from lines of
-the same run: the same samples, mode and device. Configs and records are
-frozen, so every worker reads the values that were checked. Failures are
-captured per cell and never abort the sweep.
+the same run: the same samples, mode and device (a digest of the
+backend's content). Configs and records are frozen, so every worker
+reads the values that were checked. Failures are captured per cell and
+never abort the sweep.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -209,6 +211,11 @@ def _worker_count(num_cells: int) -> int:
     return min(cap, num_cells)
 
 
+def _digest(payload: dict) -> str:
+    """The sha256 of ``payload`` as canonical JSON (sorted keys, no spaces)."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def _read_checkpoint(path: Path) -> list[bytes]:
     """The complete lines of the checkpoint stream. An unterminated last line
     (a crash mid-write) is cut off the file, so it is neither parsed nor
@@ -278,8 +285,9 @@ def run_sweep(
     workers = _worker_count(len(cells))
     backend = resolve_backend(config.backend)
     # what decides a cell's result beyond its own (ansatz, n, reps, seed); the
-    # device is the backend's content, so an edited backend file is another run
-    run = {"samples": config.samples, "mode": config.mode, "device": backend_payload(backend)}
+    # device is a digest of the backend's content, so an edited backend file
+    # is another run
+    run = {"samples": config.samples, "mode": config.mode, "device": _digest(backend_payload(backend))}
     done: dict[tuple, SweepRecord] = {}
     if checkpoint and Path(checkpoint).exists():
         lines = _read_checkpoint(Path(checkpoint))

@@ -12,8 +12,10 @@ per (n, qubit) it ever saw.
 
 CX and SWAP only permute basis indices. ``permutation_sources`` composes
 a run of them, each a (kind, (bit, bit)) pair, into one int32 array of
-its forward and backward index maps, so the run costs one gather; the
-gradient engine builds its gathers with it. ``gate_matrix`` is the one
+its forward and backward index maps, so the run costs one gather. The
+gradient engine builds its gathers with it on the bits from c up, c the
+lowest bit the run reads or writes (at most 2): the maps then move chunks
+of 2**c amplitudes, which the run leaves in order. ``gate_matrix`` is the one
 definition of each single-qubit gate's 2x2 matrix (per sample for a
 batch of angles): the gradient engine fuses each single-qubit run into
 one product of them. ``apply_kind`` is the reference's one gate kernel,

@@ -289,7 +289,10 @@ class TestGradvarCommand:
         assert payload["grad_var"] == expected.grad_var
         assert payload["per_param_var"] == list(expected.per_param_var)
         if mode is ReparamMode.SYMBOL_DERIVED:
-            assert payload["grad_var"] == 0.16007644570608853
+            # the bits follow the dgemm kernel: ...853 under OpenBLAS's Haswell,
+            # Zen and Sandybridge kernels, ...856 under SkylakeX (the complex128
+            # sweep read ...853 under all four)
+            assert payload["grad_var"] in (0.16007644570608853, 0.16007644570608856)
             # the gate-by-gate sweep, before single-qubit runs were fused, gave
             gate_by_gate = 0.16007644570608856
             assert abs(payload["grad_var"] - gate_by_gate) <= 1e-14 * gate_by_gate

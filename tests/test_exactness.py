@@ -2,29 +2,32 @@
 
 The digests below were computed by the fused light-cone sweep: the
 blocked adjoint sweep run on the gates and qubits of the cost qubit's
-backward light cone. Every CX and SWAP is a gather. A run that a
-two-qubit gate or the end of the circuit flushes takes a second complete
-run into its step, a 4x4 U_hi kron U_lo (the run on the gate's other
-wire whenever one is held); a run left without one is a 2x2 on the top
-bit. Each step is applied by a BLAS matmul, and every occurrence is read
-off the 2x2 transition matrix of its own wire. Every exact rewrite of
-the engine must reproduce them, and must give the same bits at any
-block size. Each grad_var stays within 1e-14 relative of the sweep that
-fused a CX or SWAP with the runs on both its wires into a permuted 4x4,
-of the sweep that fused only a CX or SWAP with two runs, of the 2x2-only
-sweep that came before blocks, of the elementwise run kernel that came
-before the matmul, of the gate-by-gate sweep that came before fusion and
-of the full-register sweep that came before the light cone; each
-compiled arm's, of the compile that numbered its qubits in device order.
+backward light cone. Every CX and SWAP is a gather, which moves chunks
+of up to four amplitudes. A run that a two-qubit gate or the end of the
+circuit flushes takes a second complete run into its step, a 4x4 U_hi
+kron U_lo (the run on the gate's other wire whenever one is held); a run
+left without one is a 2x2 on the top bit. Each step is applied by one
+dgemm on float64 planes, and every occurrence is read off the 2x2
+transition matrix of its own wire. Every exact rewrite of the engine
+must reproduce them, and must give the same bits at any block size.
+Each grad_var stays within 1e-14 relative of the complex128 sweep that
+ran complex cones with zgemm, of the sweep that fused a CX or SWAP with
+the runs on both its wires into a permuted 4x4, of the sweep that fused
+only a CX or SWAP with two runs, of the 2x2-only sweep that came before
+blocks, of the elementwise run kernel that came before the matmul, of
+the gate-by-gate sweep that came before fusion and of the full-register
+sweep that came before the light cone; each compiled arm's, of the
+compile that numbered its qubits in device order.
 
 A cone whose every gate is real (the logical ttn and real_amplitudes
-circuits) is swept in float64 with dgemm; any other in complex128 with
-zgemm. So the bits depend on the zgemm and the dgemm kernel that numpy's
-bundled OpenBLAS picks for the CPU. The pins are computed in a child
-interpreter started with ``OPENBLAS_CORETYPE=Haswell``, a kernel that
-every x86-64-v3 CPU runs, and the kernel loaded here only has to agree
-within 1e-14 relative. The logical ttn n=10 L=1 row pins dgemm across
-several row blocks.
+circuits) is swept in one real plane; any other in two, its real and
+imaginary parts, each step one dgemm by a real block of U. So the bits
+depend on the dgemm kernel alone that numpy's bundled OpenBLAS picks for
+the CPU. The pins are computed in a child interpreter started with
+``OPENBLAS_CORETYPE=Haswell``, a kernel that every x86-64-v3 CPU runs,
+and the kernel loaded here only has to agree within 1e-14 relative. The
+logical ttn n=10 L=1 row pins one plane across several row blocks, the
+efficient_su2 and compiled rows two.
 """
 
 import hashlib
@@ -63,18 +66,18 @@ def stats_digest(stats) -> str:
 # default block size; n=4 runs in one. Every logical ttn row is a real cone.
 FROZEN = {
     ("efficient_su2", 10, 1): {
-        "logical": ("0x1.b125e98b23736p-7", "92d1add4bee19676a0ead484502eb47adda487b9e813163d3620b9548aa920da"),
-        "all-angles": ("0x1.b129b3f0adefap-7", "2e32aab81d971b2dd9f4968f15d3f271d8fb427c608cf4b9e0b5c483c24d6d2c"),
-        "symbol-derived": ("0x1.b125e98b23736p-7", "24a6b235387fcaf66365be10f1050a8861cb49fe54019f0b5a011adc7236b7d6"),
+        "logical": ("0x1.b125e98b23736p-7", "1cf922fe8cc3146c34686c6058ca3c371af1e9af5a1f5e52c36b8c03a16b9b82"),
+        "all-angles": ("0x1.b129b3f0adefap-7", "5cbc88afaebb80974e71a6f104f5579daf665da94d3051ee074d6823e1b75b23"),
+        "symbol-derived": ("0x1.b125e98b23736p-7", "576c296f6b0d8e96a2fbab921ddc344eddba9b4cc06af8b70442774379515ce5"),
     },
     ("ttn", 10, 1): {
         "logical": ("0x1.73a5165790127p-5", "32625b77e14a68cd8cb8db9e9a31f39e4ff0a5295e90b485c97b0afa84f69b9b"),
-        "all-angles": ("0x1.ddf1e661e2c22p-8", "2082fc3f2fa5a083c9d9eb4a9c21c65f2c43b413b69c6a26e832b3a55c6a0ee6"),
-        "symbol-derived": ("0x1.73a5165790123p-5", "0349fd5f7c54e93f781c84408e4fbf2c3a1d54cc2817189aa674e058a41837ec"),
+        "all-angles": ("0x1.ddf1e661e2c22p-8", "68677095fba04aaec9dcfb841f7bb301ce16bcf644886221cf4558c4e4c54e29"),
+        "symbol-derived": ("0x1.73a5165790123p-5", "d8e76aea528f9ee42337b8be90b4009a983a29f1eaa1c8b4f9cc202585c20b02"),
     },
     ("ttn", 4, 2): {
         "logical": ("0x1.ca4c30ab555bdp-4", "85b3a9569d9ef30ba893aa6417b1fcee231f92b7275f04d6bdc712da5b5db0c6"),
-        "all-angles": ("0x1.3e7de162a7caap-5", "04823d286c2e10fe33f1fc7c06ce3a6e49aff7105a23b457b8c7333823a555ae"),
+        "all-angles": ("0x1.3e7de162a7caap-5", "967438bfd1d49be1acda0c5d10c6b35f4a51966714637a06b4457d4746ff2f11"),
         "symbol-derived": ("0x1.ca4c30ab555b9p-4", "1904223f81e42ee0600ef36b1efef9c5222a07c789d8481c205705b6bfb68b02"),
     },
 }
@@ -147,7 +150,7 @@ def loaded_kernel_rows():
 
 @pytest.mark.parametrize("cell", list(FROZEN), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
 def test_loaded_kernel_within_rounding_of_pins(cell, loaded_kernel_rows):
-    # whatever zgemm kernel this process loaded, its grad_var stays within
+    # whatever dgemm kernel this process loaded, its grad_var stays within
     # 1e-14 relative of the pinned kernel's
     got = loaded_kernel_rows[list(FROZEN).index(cell)]
     for mode, (pinned, _) in FROZEN[cell].items():
@@ -317,6 +320,33 @@ DEVICE_ORDER_GRAD_VAR = {
 @pytest.mark.parametrize("cell", list(DEVICE_ORDER_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
 def test_logical_order_within_rounding_of_device_order(cell):
     for mode, old in DEVICE_ORDER_GRAD_VAR[cell].items():
+        new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
+        assert abs(new - old) <= 1e-14 * abs(old)
+
+
+# grad_var.hex() of the complex arms above as the complex128 sweep computed
+# them with zgemm, before complex cones ran as two float64 planes (under the
+# Haswell kernel; their digests moved, their grad_var kept its bits).
+ZGEMM_GRAD_VAR = {
+    ("efficient_su2", 10, 1): {
+        "logical": "0x1.b125e98b23736p-7",
+        "all-angles": "0x1.b129b3f0adefap-7",
+        "symbol-derived": "0x1.b125e98b23736p-7",
+    },
+    ("ttn", 10, 1): {
+        "all-angles": "0x1.ddf1e661e2c22p-8",
+        "symbol-derived": "0x1.73a5165790123p-5",
+    },
+    ("ttn", 4, 2): {
+        "all-angles": "0x1.3e7de162a7caap-5",
+        "symbol-derived": "0x1.ca4c30ab555b9p-4",
+    },
+}
+
+
+@pytest.mark.parametrize("cell", list(ZGEMM_GRAD_VAR), ids=lambda c: f"{c[0]}-n{c[1]}-L{c[2]}")
+def test_two_planes_within_rounding_of_zgemm(cell):
+    for mode, old in ZGEMM_GRAD_VAR[cell].items():
         new, old = float.fromhex(FROZEN[cell][mode][0]), float.fromhex(old)
         assert abs(new - old) <= 1e-14 * abs(old)
 

@@ -345,7 +345,7 @@ class TestLightCone:
         assert _light_cone(c, 3) == ([Gate(GateKind.CX, (3, 1))], [1, 3])
         assert _light_cone(c, 2) == ([Gate(GateKind.H, (2,))], [2])
         steps, layout = grad._sweep_steps(*_light_cone(c, 3))
-        assert len(steps) == 1 and np.array_equal(steps[0], permutation_sources(2, [(GateKind.CX, (1, 0))]))
+        assert len(steps) == 1 and np.array_equal(element_maps(steps[0], 2), permutation_sources(2, [(GateKind.CX, (1, 0))]))
         assert layout == {1: 0, 3: 1}
         steps, layout = grad._sweep_steps(*_light_cone(c, 2))
         assert steps == [((Gate(GateKind.H, (2,)),),)] and layout == {2: 0}
@@ -368,8 +368,8 @@ class TestFusedRuns:
         assert [is_gather(s) for s in steps] == [False, True, False, True]
         assert steps[0] == ((h2,),)
         assert steps[2] == ((sx0, rz0, x0),)
-        assert np.array_equal(steps[1], permutation_sources(3, [(GateKind.CX, (1, 2)), (GateKind.SWAP, (0, 2))]))
-        assert np.array_equal(steps[3], permutation_sources(3, [(GateKind.CX, (2, 1))]))
+        assert np.array_equal(element_maps(steps[1], 3), permutation_sources(3, [(GateKind.CX, (1, 2)), (GateKind.SWAP, (0, 2))]))
+        assert np.array_equal(element_maps(steps[3], 3), permutation_sources(3, [(GateKind.CX, (2, 1))]))
         assert layout == {0: 2, 1: 1, 2: 0}
 
     def test_a_cx_between_two_held_runs_is_one_block(self):
@@ -379,9 +379,9 @@ class TestFusedRuns:
         # bit 1 by a SWAP in a gather; the two runs are one step, and the CX
         # then acts on bits (2, 1) in a gather of its own
         assert [is_gather(s) for s in steps] == [True, False, True]
-        assert np.array_equal(steps[0], permutation_sources(3, [(GateKind.SWAP, (0, 1))]))
+        assert np.array_equal(element_maps(steps[0], 3), permutation_sources(3, [(GateKind.SWAP, (0, 1))]))
         assert steps[1] == ((sx2,), (ry0,))
-        assert np.array_equal(steps[2], permutation_sources(3, [(GateKind.CX, (2, 1))]))
+        assert np.array_equal(element_maps(steps[2], 3), permutation_sources(3, [(GateKind.CX, (2, 1))]))
         assert layout == {0: 1, 1: 0, 2: 2}
 
     def test_a_cx_pairs_the_runs_on_its_own_wires(self):
@@ -537,6 +537,13 @@ def is_gather(step):
     return False
 
 
+def element_maps(step, n):
+    """A gather's (2, 2**n) forward and backward maps of single amplitudes,
+    from its maps of chunks: a chunk's amplitudes move with it, in order."""
+    chunk = (1 << n) // step.shape[1]
+    return (step[:, :, None] * chunk + np.arange(chunk)).reshape(2, -1)
+
+
 def is_block(step):
     # a matrix step holds one run or two
     if is_gather(step):
@@ -554,7 +561,7 @@ def assert_replay_reproduces_circuit(steps, layout, bound):
     state[0, 0] = 1.0
     for step in steps:
         if is_gather(step):
-            state = state[:, step[0]]
+            state = state[:, element_maps(step, n)[0]]
             continue
         for run, bit in zip(step, (n - 1, n - 2)):
             for g in run:
@@ -665,7 +672,22 @@ def sweep_buffers(circuit, thetas, cost_qubit):
     of each of its ``_sweep_block`` calls."""
     with mock.patch.object(grad, "_sweep_block", wraps=grad._sweep_block) as spy:
         grads = _gradients_batched(circuit, thetas, cost_qubit)
-    return grads, [(call.args[2], call.args[5]) for call in spy.call_args_list]
+    return grads, [(call.args[3], call.args[6]) for call in spy.call_args_list]
+
+
+def held_step_matrix_bytes(circuit, thetas, cost_qubit):
+    """The bytes of the step matrices (each U and read-off, once each) that
+    one ``_gradients_batched`` call passes to its row-block sweeps."""
+    with mock.patch.object(grad, "_sweep_block", wraps=grad._sweep_block) as spy:
+        _gradients_batched(circuit, thetas, cost_qubit)
+    assert len({id(call.args[0]) for call in spy.call_args_list}) == 1
+    arrays = {}
+    for _, matrices in spy.call_args_list[0].args[0]:
+        if matrices is not None:
+            u, read_offs = matrices
+            arrays[id(u)] = u
+            arrays.update((id(p), p) for wire in read_offs for _, _, p in wire)
+    return sum(a.nbytes for a in arrays.values())
 
 
 @st.composite
@@ -698,13 +720,13 @@ class TestStateBuffers:
     @pytest.mark.parametrize("physical", [False, True], ids=["logical", "all-angles"])
     def test_one_pair_of_buffers_serves_every_block(self, physical):
         # ttn n=10 at B=200 runs in row blocks of 33 and 34 rows; its
-        # logical arm is swept in float64, its physical arm in complex128
+        # logical arm is swept in one real plane, its physical arm in two
         circuit, cost_qubit = build_ttn(10, 1), 0
         if physical:
             t = transpile(circuit, make_heavy_hex(5, 11))
             circuit, cost_qubit = reparameterize(t, ReparamMode.ALL_ANGLES), t.cost_qubit
-        n, _, _, dtype = grad._plan(circuit, cost_qubit)
-        assert dtype is (np.complex128 if physical else np.float64)
+        n, _, _, planes = grad._plan(circuit, cost_qubit)
+        assert planes == (2 if physical else 1)
         _, calls = sweep_buffers(circuit, sample_thetas(42, 200, circuit.num_symbols), cost_qubit)
         rows = [block.stop - block.start for block, _ in calls]
         assert len(set(rows)) > 1
@@ -713,7 +735,17 @@ class TestStateBuffers:
         for _, buffers in calls:
             assert len(buffers) == 2 and all(b is f for b, f in zip(buffers, first))
         for b in first:
-            assert b.size == 2 * max(rows) << n and b.dtype == dtype
+            assert b.size == 2 * max(rows) * planes << n and b.dtype == np.float64
+
+    def test_held_step_matrices_stay_within_the_complex_sweeps_bytes(self):
+        # each step keeps its complex per-sample U, as the complex128 sweep
+        # did (6.82 MiB here), and builds its real block for a row block's
+        # rows when it is used; holding the blocks would take 11.23 MiB
+        t = transpile(build_ttn(10, 10), make_heavy_hex(5, 11))
+        circuit = reparameterize(t, ReparamMode.ALL_ANGLES)
+        assert grad._plan(circuit, t.cost_qubit)[3] == 2
+        held = held_step_matrix_bytes(circuit, sample_thetas(42, 200, circuit.num_symbols), t.cost_qubit)
+        assert held <= 6.83 * 2**20
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -725,20 +757,20 @@ class TestStateBuffers:
         circuit, cost_qubit, batch, seed = case
         thetas = sample_thetas(seed, batch, circuit.num_symbols)
 
-        def assert_sweeps_in(dtype, c):
-            assert grad._plan(c, cost_qubit)[3] is dtype
+        def assert_sweeps_in(planes, c):
+            assert grad._plan(c, cost_qubit)[3] == planes
             literal = np.array([param_shift_gradient(c, th, cost_qubit) for th in thetas])
             np.testing.assert_allclose(_gradients_batched(c, thetas, cost_qubit), literal, rtol=0, atol=1e-12)
 
-        assert_sweeps_in(np.float64, circuit)
+        assert_sweeps_in(1, circuit)
         # one complex gate inside the cone (an H follows it, so a final RZ
-        # on the cost wire is not dropped from the cone) makes the sweep
-        # complex; an RZ whose matrix is real, at angle 0, leaves it real
+        # on the cost wire is not dropped from the cone) adds the imaginary
+        # plane; an RZ whose matrix is real, at angle 0, leaves one plane
         h = Gate(GateKind.H, (cost_qubit,))
         extra = Gate(kind, (cost_qubit,), None if kind is GateKind.SX else Const(angle))
-        assert_sweeps_in(np.complex128, replace(circuit, gates=(*circuit.gates, extra, h)))
+        assert_sweeps_in(2, replace(circuit, gates=(*circuit.gates, extra, h)))
         rz0 = Gate(GateKind.RZ, (cost_qubit,), Const(0.0))
-        assert_sweeps_in(np.float64, replace(circuit, gates=(*circuit.gates, rz0, h)))
+        assert_sweeps_in(1, replace(circuit, gates=(*circuit.gates, rz0, h)))
 
 
 @st.composite
@@ -771,16 +803,16 @@ def any_kind_circuits(draw):
 
 
 class TestPlan:
-    def test_stock_arm_dtypes(self):
+    def test_stock_arm_planes(self):
         # every stock arm, from the plan alone: the default cells on
         # heavy-hex:5,11 and the three families at n=12 L=1 on line:12, each
         # logical, all-angles and symbol-derived; only the logical ttn and
-        # real_amplitudes arms (RY and CX) are real
+        # real_amplitudes arms (RY and CX) are real, one plane
         config = default_sweep_config()
         cells = [(kind, n, reps, config.backend) for _, kind, n, reps, _ in enumerate_cells(config)]
         cells += [(kind, 12, 1, "line:12") for kind in config.ansatz]
         backends = {ref: resolve_backend(ref) for ref in (config.backend, "line:12")}
-        float64 = []
+        one_plane = []
         for kind, n, reps, ref in cells:
             logical = build_ansatz(kind, n, reps)
             t = transpile(logical, backends[ref])
@@ -790,24 +822,24 @@ class TestPlan:
                 "symbol-derived": (reparameterize(t, ReparamMode.SYMBOL_DERIVED), t.cost_qubit),
             }
             for arm, (circuit, cost_qubit) in arms.items():
-                dtype = grad._plan(circuit, cost_qubit)[3]
-                assert dtype in (np.float64, np.complex128)
-                if dtype is np.float64:
-                    float64.append((kind, n, reps, arm))
+                planes = grad._plan(circuit, cost_qubit)[3]
+                assert planes in (1, 2)
+                if planes == 1:
+                    one_plane.append((kind, n, reps, arm))
         assert len(cells) == 93
-        assert float64 == [(k, n, r, "logical") for k, n, r, _ in cells if k in ("real_amplitudes", "ttn")]
-        assert len(float64) == 62
+        assert one_plane == [(k, n, r, "logical") for k, n, r, _ in cells if k in ("real_amplitudes", "ttn")]
+        assert len(one_plane) == 62
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(any_kind_circuits())
-    def test_float64_plans_build_only_real_matrices(self, case):
+    def test_one_plane_plans_build_only_real_matrices(self, case):
         circuit, cost_qubit, batch, seed = case
         thetas = sample_thetas(seed, batch, circuit.num_symbols)
-        _, steps, _, dtype = grad._plan(circuit, cost_qubit)
-        if dtype is np.float64:
+        _, steps, _, planes = grad._plan(circuit, cost_qubit)
+        if planes == 1:
             for step in steps:
                 if not is_gather(step):
-                    assert not grad._step_matrices(step, thetas, np.complex128)[0].imag.any()
+                    assert not grad._step_matrices(step, thetas, 2)[0].imag.any()
         literal = np.array([param_shift_gradient(circuit, th, cost_qubit) for th in thetas])
         np.testing.assert_allclose(_gradients_batched(circuit, thetas, cost_qubit), literal, rtol=0, atol=1e-12)
 
@@ -822,20 +854,67 @@ class TestPlan:
         assert n == 10 and any(map(is_gather, steps))
         assert built == []
 
-    def test_a_real_run_of_complex_gates_sweeps_in_complex128(self):
+    def test_a_real_run_of_complex_gates_sweeps_in_two_planes(self):
         # SX.SX is exactly X, so every step's U is real; the plan reads the
-        # gates, not their products, and sweeps in complex128
+        # gates, not their products, and sweeps in two planes
         sx = Gate(GateKind.SX, (1,))
         ry0, ry1 = Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.RY, (0,), Affine(1, -1, 0.3))
         circuit = Circuit(2, (ry0, Gate(GateKind.CX, (0, 1)), sx, sx, Gate(GateKind.CX, (1, 0)), ry1), 2)
         thetas = sample_thetas(5, 6, 2)
-        _, steps, _, dtype = grad._plan(circuit, 0)
-        assert dtype is np.complex128
+        _, steps, _, planes = grad._plan(circuit, 0)
+        assert planes == 2
         matrix_steps = [s for s in steps if not is_gather(s)]
         assert (sx, sx) in [run for s in matrix_steps for run in s]
-        assert not any(grad._step_matrices(s, thetas, np.complex128)[0].imag.any() for s in matrix_steps)
+        assert not any(grad._step_matrices(s, thetas, 2)[0].imag.any() for s in matrix_steps)
         literal = np.array([param_shift_gradient(circuit, th, 0) for th in thetas])
         np.testing.assert_allclose(_gradients_batched(circuit, thetas, 0), literal, rtol=0, atol=1e-12)
+
+
+@st.composite
+def permutation_runs(draw):
+    """n <= 6 bits and a run of one to eight CX/SWAP operations on them."""
+    n = draw(st.integers(2, 6))
+    bits = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
+    ops = draw(st.lists(st.tuples(st.sampled_from((GateKind.CX, GateKind.SWAP)), bits), min_size=1, max_size=8))
+    return n, ops
+
+
+class TestChunkedGathers:
+    @settings(max_examples=200, deadline=None)
+    @given(permutation_runs(), st.integers(0, 2**32))
+    def test_chunked_gather_equals_the_element_gather(self, case, seed):
+        # a gather moves chunks of 2**c amplitudes, c the lowest bit that any
+        # operation reads or writes (a CX's control too), at most 2
+        n, ops = case
+        maps = grad._gather_maps(n, ops)
+        c = min(2, *(bit for _, bits in ops for bit in bits))
+        assert maps.shape == (2, 1 << (n - c)) and maps.dtype == np.int32
+        elements = permutation_sources(n, ops)
+        states = np.random.default_rng(seed).standard_normal((3, 2, 1 << n))
+        for direction in (0, 1):
+            out = np.empty_like(states)
+            grad._move(states, maps[direction], out)
+            assert np.array_equal(out, states[..., elements[direction]])
+
+    # the CX's control on bit 0 (a two-qubit cone) or bit 1, its target on
+    # the bit above; the chunks must not span the control
+    @pytest.mark.parametrize(
+        "circuit, cost_qubit, chunks",
+        [
+            (Circuit(2, (Gate(GateKind.RY, (0,), Affine(0, 1, 0.3)), Gate(GateKind.RY, (1,), Affine(1, 1, 0.3)),
+                         Gate(GateKind.CX, (0, 1))), 2), 1, 4),
+            (Circuit(3, (Gate(GateKind.RX, (2,), Affine(0, 1, 0.3)), Gate(GateKind.RX, (1,), Affine(1, -1, 0.3)),
+                         Gate(GateKind.CX, (1, 2))), 2), 2, 4),
+        ],
+        ids=["control-on-bit-0", "control-on-bit-1"],
+    )
+    def test_a_gather_whose_cx_control_is_low_moves_small_chunks(self, circuit, cost_qubit, chunks):
+        steps = grad._plan(circuit, cost_qubit)[1]
+        assert is_gather(steps[-1]) and steps[-1].shape[1] == chunks
+        thetas = sample_thetas(4, 5, circuit.num_symbols)
+        literal = np.array([param_shift_gradient(circuit, th, cost_qubit) for th in thetas])
+        assert np.abs(literal).max() > 0.1
+        np.testing.assert_allclose(_gradients_batched(circuit, thetas, cost_qubit), literal, rtol=0, atol=1e-12)
 
 
 def make_transpiled_fixture():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vqclab import harness
-from vqclab.backend import BackendModel, make_line, save_backend
+from vqclab.backend import BackendModel, backend_payload, make_line, resolve_backend, save_backend
 from vqclab.grad import grad_variance
 from vqclab.harness import (
     CELL_SEED_STRIDE,
@@ -308,14 +309,34 @@ class TestRunSweep:
         assert len(calls) == 1
         assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
 
+    def test_resume_reruns_a_line_that_holds_the_device_payload(self, tmp_path, monkeypatch):
+        # lines that held the backend's content itself under "device", before
+        # its digest, run their cells again, once
+        jsonl = tmp_path / "cells.jsonl"
+        cfg = tiny_config(out_jsonl=str(jsonl))
+        first = run_sweep(cfg)
+        payload = json.loads(jsonl.read_text())
+        payload["device"] = backend_payload(resolve_backend(cfg.backend))
+        jsonl.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        calls = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args) or run_cell(*args))
+        resumed = run_sweep(cfg, resume=True)
+        assert len(calls) == 1
+        assert run_sweep(cfg, resume=True) == resumed
+        assert len(calls) == 1
+        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
+        assert len(jsonl.read_text().splitlines()) == 2
+
     def test_checkpoint_line_keys_pinned(self, tmp_path):
         jsonl = tmp_path / "cells.jsonl"
         run_sweep(tiny_config(out_jsonl=str(jsonl)))
         payload = json.loads(jsonl.read_text())
         assert sorted(payload) == ["backend", "device", "mode", "record", "samples"]
         assert payload["backend"] == "line:2"
-        assert payload["device"] == {"num_physical": 2, "edges": [[0, 1]], "native_1q": ["RZ", "SX", "X"],
-                                     "native_2q": ["CX"]}
+        # the sha256 of the device's canonical JSON, not the JSON itself
+        canonical = '{"edges":[[0,1]],"native_1q":["RZ","SX","X"],"native_2q":["CX"],"num_physical":2}'
+        assert payload["device"] == hashlib.sha256(canonical.encode()).hexdigest()
+        assert payload["device"] == "3e1aa4a31f401b8855411d349ad96647a09cdf26003ae6a5502125a23ac49785"
         assert set(payload["record"]) == {
             "ansatz", "n", "reps", "p_log", "p_phys", "g1q_log", "g1q_phys", "g2q_log", "g2q_phys",
             "depth_log", "depth_phys", "delta_g1q", "delta_g2q", "delta_depth_dag", "delta_depth_paper",
