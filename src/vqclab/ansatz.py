@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from enum import Enum, unique
 
-from .circuit import Circuit, Const, Gate, GateKind, free_all_angles
+from .circuit import Circuit, Const, Gate, GateKind, as_index, free_all_angles
 
 
 @unique
@@ -27,6 +27,7 @@ class AnsatzKind(Enum):
 
 
 def _check_shape(n: int, reps: int) -> None:
+    n, reps = as_index(n, "n"), as_index(reps, "reps")
     if n < 2 or reps < 1:
         raise ValueError(f"invalid ansatz shape: need n >= 2 and reps >= 1, got n={n} reps={reps}")
 

@@ -52,7 +52,9 @@ SWAP joins a gather on its current bits, as do the SWAPs that bring a
 step's qubits to the top bits. A gather is one int32 array of both its
 index maps over chunks of 2**c amplitudes, c the lowest bit any of its
 operations reads or writes, at most 2: np.take moves 32-byte chunks
-fastest. The backward pass stacks [psi; lambda] in one buffer and forms
+fastest; the maps are composed here, not in the reference simulator.
+The backward pass stacks [psi; lambda] in one buffer, lambda starting in
+place as psi negated where the cost qubit's bit is 1, and forms
 a step's real product Lambda Psi^T, one dgemm, whose diagonal blocks sum
 to Re G and whose upper-right minus lower-left block is Im G, G[r, a, b]
 being the transition matrix, the sum over the other qubits of
@@ -85,7 +87,7 @@ import numpy as np
 
 from .circuit import TWO_QUBIT_KINDS, Affine, Circuit, Const, Gate, GateKind, as_index, bind, free_all_angles
 from .rng import GOLDEN, angles_from_u64, mix64_array
-from .sim import GENERATORS, MAX_QUBITS, _z_signs, check_qubit, expect_z, gate_matrix, permutation_sources
+from .sim import GENERATORS, MAX_QUBITS, check_qubit, expect_z, gate_matrix
 from .transpiler import TranspiledCircuit
 
 # Least bytes of complex state per row block of the adjoint sweep (a
@@ -226,9 +228,23 @@ def _gather_maps(n: int, ops: Sequence[tuple[GateKind, tuple[int, int]]]) -> np.
     amplitudes: the (2, 2**(n-c)) int32 forward and backward maps of the
     chunks, c the lowest bit any op reads or writes, at most
     ``_CHUNK_BITS``. The ops leave the bits below c as they are, so each
-    chunk moves whole."""
+    chunk moves whole. Each op takes chunk i from its source: i with the
+    target's bit flipped where the control's is 1 (CX), or with the two
+    bits exchanged (SWAP)."""
     c = min(_CHUNK_BITS, *(bit for _, bits in ops for bit in bits))
-    return permutation_sources(n - c, [(kind, tuple(bit - c for bit in bits)) for kind, bits in ops])
+    idx = np.arange(1 << (n - c), dtype=np.int32)
+    maps = np.empty((2, idx.size), dtype=np.int32)
+    maps[0] = idx
+    for kind, (a, b) in ops:
+        a, b = a - c, b - c
+        if kind is GateKind.CX:
+            sources = idx ^ (((idx >> a) & 1) << b)
+        else:
+            diff = ((idx >> a) ^ (idx >> b)) & 1
+            sources = idx ^ (diff << a) ^ (diff << b)
+        maps[0] = maps[0][sources]
+    maps[1][maps[0]] = idx
+    return maps
 
 
 def _sweep_steps(gates: Sequence[Gate], live: Sequence[int]) -> tuple[list[np.ndarray | tuple], dict[int, int]]:
@@ -457,7 +473,7 @@ def _sweep_block(
     n: int,
     planes: int,
     block: slice,
-    cost_signs: np.ndarray,
+    cost_bit: int,
     grads: np.ndarray,
     buffers: tuple[np.ndarray, np.ndarray],
 ) -> None:
@@ -468,9 +484,10 @@ def _sweep_block(
     batch (None for a gather); the sweep takes the block's rows of them and
     builds their real blocks. The backward pass un-applies each step from
     the stacked buffer [psi; lambda] by the real block of U^dagger, lambda
-    starting as ``cost_signs`` (Z on the cost qubit's final bit) times psi,
-    and reads off a step's occurrences before un-applying it, each from the
-    2x2 transition matrix of its own wire.
+    starting in place as psi negated where the cost qubit's final bit
+    ``cost_bit`` is 1 (Z_cost psi, exactly), and reads off a step's
+    occurrences before un-applying it, each from the 2x2 transition matrix
+    of its own wire.
 
     ``buffers`` are the call's two flat float64 state buffers, viewed here
     as (2, rows, planes, 2**n): each step reads one and writes the other, so
@@ -486,7 +503,9 @@ def _sweep_block(
         else:
             _multiply(_real_block(_rows(matrices[0], block), planes), cur[0], spare[0])
         cur, spare = spare, cur
-    np.multiply(cur[0], cost_signs, out=cur[1])
+    cur[1] = cur[0]
+    ones = cur[1].reshape(rows, planes, -1, 2, 1 << cost_bit)[..., 1, :]
+    np.negative(ones, out=ones)
 
     for step, matrices in reversed(built):
         if matrices is None:
@@ -533,9 +552,8 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
     buffers = (np.empty(2 * most * planes << n), np.empty(2 * most * planes << n))
     grads = np.zeros((batch, circuit.num_symbols))
-    cost_signs = _z_signs(n, cost_bit)
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(built, n, planes, slice(start, stop), cost_signs, grads[start:stop], buffers)
+        _sweep_block(built, n, planes, slice(start, stop), cost_bit, grads[start:stop], buffers)
     return grads
 
 

@@ -32,19 +32,29 @@ from typing import Callable, Sequence
 
 from .ansatz import AnsatzKind, build_ansatz
 from .backend import BackendModel, backend_payload, resolve_backend
-from .circuit import parse_float, parse_int
+from .circuit import as_index, parse_float, parse_int
 from .grad import ReparamMode, delta_gradvar, grad_variance, reparameterize
 from .transpiler import overhead, transpile
 
 CELL_SEED_STRIDE = 1000003
 
 
-# What a value must be to fill a SweepConfig field of each annotation; a
-# string is not a list of names, and only an int is a count (not a bool).
-# A list field is stored as a tuple.
+def _plain(value):
+    """``value`` as a Python int if ``as_index`` takes it (numpy's integers
+    are not JSON), else as it is, for its field's check."""
+    try:
+        return as_index(value, "")
+    except ValueError:
+        return value
+
+
+# What a value must be to fill a SweepConfig field of each annotation,
+# after ``_plain`` (item by item in a list); a string is not a list of
+# names, and only an int is a count (not a bool). A list field is stored
+# as a tuple.
 _ACCEPTS = {
-    "list[str]": lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
-    "list[int]": lambda v: isinstance(v, (list, tuple)) and all(type(x) is int for x in v),
+    "list[str]": lambda v: isinstance(v, tuple) and all(isinstance(x, str) for x in v),
+    "list[int]": lambda v: isinstance(v, tuple) and all(type(x) is int for x in v),
     "int": lambda v: type(v) is int,
     "str": lambda v: isinstance(v, str),
     "str | None": lambda v: v is None or isinstance(v, str),
@@ -66,13 +76,15 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not _ACCEPTS[f.type](getattr(self, f.name)):
-                raise TypeError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
+            given = getattr(self, f.name)
+            value = tuple(map(_plain, given)) if isinstance(given, (list, tuple)) else _plain(given)
+            if not _ACCEPTS[f.type](value):
+                raise TypeError(f"{f.name} must be {f.type}, got {given!r}")
+            object.__setattr__(self, f.name, value)
         if not self.ansatz or not self.qubits or not self.reps:
             raise ValueError("ansatz, qubits and reps lists must be non-empty")
         for name in ("ansatz", "qubits", "reps"):
-            values = tuple(getattr(self, name))
-            object.__setattr__(self, name, values)
+            values = getattr(self, name)
             for i, value in enumerate(values):
                 if value in values[:i]:
                     # a repeat would be a second cell, with its own seed, under the same key
@@ -244,9 +256,6 @@ def _load_checkpoints(run: dict, path: Path, lines: list[bytes]) -> dict[tuple, 
             raise ValueError(f"{path}:{lineno}: malformed checkpoint line: {e}") from e
         if not isinstance(payload, dict) or not isinstance(payload.get("record"), dict):
             raise ValueError(f"{path}:{lineno}: malformed checkpoint line: not an object with a record")
-        if payload.get("meta_seeds", 1) != 1:
-            # written by a sweep that averaged GradVar over several seeds, which no sweep does now
-            raise ValueError(f"{path}:{lineno}: checkpoint line with meta_seeds {payload['meta_seeds']!r}, not 1")
         if any(payload.get(name) != value for name, value in run.items()):
             continue
         if payload["record"].keys() != _RECORD_FIELDS:

@@ -1,32 +1,23 @@
-"""Dense statevector simulation.
+"""Dense statevector simulation: the reference the gradient engine is
+tested against.
 
 Convention: qubit 0 is the least-significant bit of the amplitude index.
 The kernels act on batches of states shaped (B, 2**n) with one matrix
 or angle for the whole batch, and rows never mix; ``simulate`` runs the
-batch of one. The gradient engine applies its per-sample matrices
-itself, in its own state buffers: its row blocks meet none of these
-kernels, only the index maps of ``permutation_sources`` and the Z signs
-that start its costate. The Z signs are built per call, once per GradVar
-call or expectation, and never cached: a cache would keep a 2**n array
-per (n, qubit) it ever saw.
+batch of one. ``gate_matrix`` is the one definition of each single-qubit
+gate's 2x2 matrix (per sample for a batch of angles). ``apply_kind`` is
+the one gate kernel, one path per arity: CX and SWAP exchange two quarter
+slices of the state, and every single-qubit gate mixes its qubit's halves
+by ``gate_matrix``. The Z signs of an expectation are built per call and
+never cached: a cache would keep a 2**n array per (n, qubit) it ever saw.
 
-CX and SWAP only permute basis indices. ``permutation_sources`` composes
-a run of them, each a (kind, (bit, bit)) pair, into one int32 array of
-its forward and backward index maps, so the run costs one gather. The
-gradient engine builds its gathers with it on the bits from c up, c the
-lowest bit the run reads or writes (at most 2): the maps then move chunks
-of 2**c amplitudes, which the run leaves in order. ``gate_matrix`` is the one
-definition of each single-qubit gate's 2x2 matrix (per sample for a
-batch of angles): the gradient engine fuses each single-qubit run into
-one product of them. ``apply_kind`` is the reference's one gate kernel,
-one path per arity (``gate_matrix`` for every single-qubit gate), and
-builds no index map, so ``simulate``, the literal reference that the
-gradient engine is tested against, shares no code with its gathers.
+The gradient engine (``grad``) takes only definitions from here: the gate
+matrices and generators, the qubit cap and the qubit rule. It meets none
+of these kernels; it composes its own gathers and starts its own costate,
+so ``simulate`` and ``expect_z`` check it with code it does not run.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -44,35 +35,6 @@ _FIXED_1Q = {GateKind.SX: _SX, GateKind.H: _H, GateKind.X: _PAULI_X}
 GENERATORS = {GateKind.RX: _PAULI_X, GateKind.RY: _PAULI_Y, GateKind.RZ: _PAULI_Z}
 for _m in (*_FIXED_1Q.values(), _PAULI_Y, _PAULI_Z):
     _m.setflags(write=False)
-
-
-def _cx_sources(idx: np.ndarray, control: int, target: int) -> np.ndarray:
-    return idx ^ (((idx >> control) & 1) << target)
-
-
-def _swap_sources(idx: np.ndarray, a: int, b: int) -> np.ndarray:
-    diff = ((idx >> a) ^ (idx >> b)) & 1
-    return idx ^ (diff << a) ^ (diff << b)
-
-
-# The source index of every amplitude after a CX or SWAP, given the indices.
-_PERMUTATION_SOURCES = {GateKind.CX: _cx_sources, GateKind.SWAP: _swap_sources}
-
-
-def permutation_sources(n: int, ops: Sequence[tuple[GateKind, tuple[int, int]]]) -> np.ndarray:
-    """The index maps of a run of CX/SWAP operations ``(kind, (bit, bit))``:
-    one int32 array shaped (2, 2**n), forward then backward.
-
-    ``states[:, maps[0]]`` equals applying the operations in order and
-    ``states[:, maps[1]]`` un-applies the run; both are exact.
-    """
-    idx = np.arange(1 << n, dtype=np.int32)
-    maps = np.empty((2, 1 << n), dtype=np.int32)
-    maps[0] = idx
-    for kind, bits in ops:
-        maps[0] = maps[0][_PERMUTATION_SOURCES[kind](idx, *bits)]
-    maps[1][maps[0]] = idx
-    return maps
 
 
 def _z_signs(n: int, q: int) -> np.ndarray:

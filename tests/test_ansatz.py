@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,8 +100,17 @@ def test_invalid_shape(builder, n, reps):
         builder(n, reps)
 
 
+@pytest.mark.parametrize("builder", [build_real_amplitudes, build_efficient_su2, build_ttn])
+@pytest.mark.parametrize("n,reps,name", [(2.0, 1, "n"), (2, 1.0, "reps"), (True, 1, "n")])
+def test_shape_must_be_integers(builder, n, reps, name):
+    # the library's one integer rule, as_index: no float, no bool
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {n if name == 'n' else reps}"):
+        builder(n, reps)
+
+
 def test_dispatcher():
     assert build_ansatz("ttn", 2, 1) == build_ttn(2, 1)
+    assert build_ansatz("ttn", np.int64(4), np.int32(2)) == build_ttn(4, 2)
     assert build_ansatz(AnsatzKind.EFFICIENT_SU2, 2, 1) == build_efficient_su2(2, 1)
 
 

@@ -35,7 +35,7 @@ from vqclab.grad import (
 )
 from vqclab.harness import default_sweep_config, enumerate_cells
 from vqclab.rng import GOLDEN, SplitMix64, mix64
-from vqclab.sim import MAX_QUBITS, apply_kind, expect_z, gate_matrix, permutation_sources, simulate
+from vqclab.sim import MAX_QUBITS, apply_kind, expect_z, gate_matrix, simulate
 from vqclab.transpiler import TranspiledCircuit, transpile
 
 BUILDERS = [build_real_amplitudes, build_efficient_su2, build_ttn]
@@ -345,7 +345,7 @@ class TestLightCone:
         assert _light_cone(c, 3) == ([Gate(GateKind.CX, (3, 1))], [1, 3])
         assert _light_cone(c, 2) == ([Gate(GateKind.H, (2,))], [2])
         steps, layout = grad._sweep_steps(*_light_cone(c, 3))
-        assert len(steps) == 1 and np.array_equal(element_maps(steps[0], 2), permutation_sources(2, [(GateKind.CX, (1, 0))]))
+        assert len(steps) == 1 and np.array_equal(element_maps(steps[0], 2), reference_maps(2, [(GateKind.CX, (1, 0))]))
         assert layout == {1: 0, 3: 1}
         steps, layout = grad._sweep_steps(*_light_cone(c, 2))
         assert steps == [((Gate(GateKind.H, (2,)),),)] and layout == {2: 0}
@@ -368,8 +368,8 @@ class TestFusedRuns:
         assert [is_gather(s) for s in steps] == [False, True, False, True]
         assert steps[0] == ((h2,),)
         assert steps[2] == ((sx0, rz0, x0),)
-        assert np.array_equal(element_maps(steps[1], 3), permutation_sources(3, [(GateKind.CX, (1, 2)), (GateKind.SWAP, (0, 2))]))
-        assert np.array_equal(element_maps(steps[3], 3), permutation_sources(3, [(GateKind.CX, (2, 1))]))
+        assert np.array_equal(element_maps(steps[1], 3), reference_maps(3, [(GateKind.CX, (1, 2)), (GateKind.SWAP, (0, 2))]))
+        assert np.array_equal(element_maps(steps[3], 3), reference_maps(3, [(GateKind.CX, (2, 1))]))
         assert layout == {0: 2, 1: 1, 2: 0}
 
     def test_a_cx_between_two_held_runs_is_one_block(self):
@@ -379,9 +379,9 @@ class TestFusedRuns:
         # bit 1 by a SWAP in a gather; the two runs are one step, and the CX
         # then acts on bits (2, 1) in a gather of its own
         assert [is_gather(s) for s in steps] == [True, False, True]
-        assert np.array_equal(element_maps(steps[0], 3), permutation_sources(3, [(GateKind.SWAP, (0, 1))]))
+        assert np.array_equal(element_maps(steps[0], 3), reference_maps(3, [(GateKind.SWAP, (0, 1))]))
         assert steps[1] == ((sx2,), (ry0,))
-        assert np.array_equal(element_maps(steps[2], 3), permutation_sources(3, [(GateKind.CX, (2, 1))]))
+        assert np.array_equal(element_maps(steps[2], 3), reference_maps(3, [(GateKind.CX, (2, 1))]))
         assert layout == {0: 1, 1: 0, 2: 2}
 
     def test_a_cx_pairs_the_runs_on_its_own_wires(self):
@@ -535,6 +535,23 @@ def is_gather(step):
         return True
     assert isinstance(step, tuple)
     return False
+
+
+def applied(states, n, ops):
+    """A copy of ``states`` (B, 2**n) with the CX/SWAP ``ops``, each a
+    (kind, (bit, bit)) pair, applied one at a time by the reference kernel."""
+    out = states.copy()
+    for kind, bits in ops:
+        apply_kind(out, n, kind, bits)
+    return out
+
+
+def reference_maps(n, ops):
+    """The (2, 2**n) forward and backward maps of single amplitudes of the
+    CX/SWAP ``ops``: the amplitude indices with the ops applied by the
+    reference kernel, in order and (each op is its own inverse) reversed."""
+    idx = np.arange(1 << n)[None]
+    return np.concatenate([applied(idx, n, ops), applied(idx, n, ops[::-1])])
 
 
 def element_maps(step, n):
@@ -889,12 +906,14 @@ class TestChunkedGathers:
         maps = grad._gather_maps(n, ops)
         c = min(2, *(bit for _, bits in ops for bit in bits))
         assert maps.shape == (2, 1 << (n - c)) and maps.dtype == np.int32
-        elements = permutation_sources(n, ops)
+        # forward applies the ops in order, backward un-applies them; the
+        # reference kernel applies them one at a time, CX and SWAP being
+        # their own inverses
         states = np.random.default_rng(seed).standard_normal((3, 2, 1 << n))
-        for direction in (0, 1):
+        for direction, order in ((0, ops), (1, ops[::-1])):
             out = np.empty_like(states)
             grad._move(states, maps[direction], out)
-            assert np.array_equal(out, states[..., elements[direction]])
+            assert np.array_equal(out, applied(states.reshape(6, -1), n, order).reshape(states.shape))
 
     # the CX's control on bit 0 (a two-qubit cone) or bit 1, its target on
     # the bit above; the chunks must not span the control

@@ -10,6 +10,7 @@ from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,11 +113,30 @@ class TestConfig:
             (dict(base_seed=2.0), "base_seed must be int"),
             (dict(backend=None), "backend must be str"),
             (dict(out_csv=1), "out_csv must be str | None"),
+            (dict(samples="50"), "samples must be int"),
+            (dict(reps=[1.0]), "reps must be list[int]"),
         ],
     )
     def test_each_field_checked_against_its_annotation(self, bad, message):
         with pytest.raises(TypeError, match=re.escape(message)):
             tiny_config(**bad)
+
+    def test_numpy_integers_fill_int_fields(self, tmp_path):
+        # a count is what as_index takes, as in grad_variance; it is stored
+        # as a Python int, so the checkpoint line is still JSON
+        cfg = tiny_config(samples=np.int64(50), base_seed=np.int32(9), out_jsonl=str(tmp_path / "c.jsonl"))
+        assert (type(cfg.samples), type(cfg.base_seed)) == (int, int)
+        assert cfg == tiny_config(out_jsonl=str(tmp_path / "c.jsonl"))
+        assert run_sweep(cfg)[0].error is None
+        assert json.loads((tmp_path / "c.jsonl").read_text())["samples"] == 50
+
+    def test_numpy_integers_fill_list_fields(self, tmp_path):
+        cfg = tiny_config(qubits=[np.int64(2)], reps=(np.int16(1),), out_jsonl=str(tmp_path / "c.jsonl"))
+        assert [type(x) for x in (*cfg.qubits, *cfg.reps)] == [int, int]
+        assert cfg == tiny_config(out_jsonl=str(tmp_path / "c.jsonl"))
+        record = run_sweep(cfg)[0]
+        assert record.error is None and type(record.n) is int
+        assert json.loads((tmp_path / "c.jsonl").read_text())["record"]["n"] == 2
 
     def test_tuples_fill_list_fields(self):
         assert enumerate_cells(tiny_config(qubits=(2, 3))) == enumerate_cells(tiny_config(qubits=[2, 3]))
@@ -294,20 +314,24 @@ class TestRunSweep:
         assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in run_sweep(cfg)]
 
     def test_resume_reruns_a_line_without_a_device(self, tmp_path, monkeypatch):
-        # lines written before the device joined the run identity run their cells again, once
+        # lines written before the device joined the run identity run their
+        # cells again, once; so do the older lines that carry "meta_seeds"
+        # (from sweeps that averaged GradVar over several seeds), whatever its value
         jsonl = tmp_path / "cells.jsonl"
         cfg = tiny_config(out_jsonl=str(jsonl))
         first = run_sweep(cfg)
         payload = json.loads(jsonl.read_text())
         del payload["device"]
-        jsonl.write_text(json.dumps(payload) + "\n")
         calls = []
         monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args) or run_cell(*args))
-        resumed = run_sweep(cfg, resume=True)
-        assert len(calls) == 1
-        assert run_sweep(cfg, resume=True) == resumed
-        assert len(calls) == 1
-        assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
+        for old in (payload, {**payload, "meta_seeds": 3}):
+            jsonl.write_text(json.dumps(old) + "\n")
+            calls.clear()
+            resumed = run_sweep(cfg, resume=True)
+            assert len(calls) == 1
+            assert run_sweep(cfg, resume=True) == resumed
+            assert len(calls) == 1
+            assert [replace(r, wall_time=0.0) for r in resumed] == [replace(r, wall_time=0.0) for r in first]
 
     def test_resume_reruns_a_line_that_holds_the_device_payload(self, tmp_path, monkeypatch):
         # lines that held the backend's content itself under "device", before
@@ -343,29 +367,6 @@ class TestRunSweep:
             "gradvar_log", "gradvar_phys", "delta_gradvar", "stderr_log", "stderr_phys", "seed",
             "wall_time", "error",
         }
-
-    def test_resume_reuses_line_with_one_meta_seed(self, tmp_path):
-        # lines written before meta seeds were removed carry "meta_seeds": 1
-        jsonl = tmp_path / "cells.jsonl"
-        cfg = tiny_config(out_jsonl=str(jsonl))
-        first = run_sweep(cfg)
-        payload = json.loads(jsonl.read_text())
-        payload["meta_seeds"] = 1
-        jsonl.write_text(json.dumps(payload) + "\n")
-        assert run_sweep(cfg, resume=True) == first
-        assert len(jsonl.read_text().splitlines()) == 1
-
-    def test_resume_rejects_line_with_other_meta_seeds(self, tmp_path, monkeypatch):
-        jsonl = tmp_path / "cells.jsonl"
-        cfg = tiny_config(qubits=[2, 3], backend="line:3", out_jsonl=str(jsonl))
-        run_sweep(cfg)
-        first, second = jsonl.read_text().splitlines()
-        jsonl.write_text(first + "\n" + json.dumps({**json.loads(second), "meta_seeds": 3}) + "\n")
-        calls = []
-        monkeypatch.setattr(harness, "run_cell", lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="cells.jsonl:2: .*meta_seeds 3"):
-            run_sweep(cfg, resume=True)
-        assert calls == []
 
     def test_resume_skips_torn_last_line(self, tmp_path):
         jsonl = tmp_path / "cells.jsonl"

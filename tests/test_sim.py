@@ -8,7 +8,7 @@ import pytest
 from vqclab import sim
 from vqclab.ansatz import build_efficient_su2, build_real_amplitudes, build_ttn
 from vqclab.circuit import Circuit, Const, Gate, GateKind, bind
-from vqclab.sim import MAX_QUBITS, apply_kind, apply_pauli, expect_z, permutation_sources, simulate, state_expect_z
+from vqclab.sim import MAX_QUBITS, apply_kind, apply_pauli, expect_z, simulate, state_expect_z
 
 
 def concrete(num_qubits, *gates):
@@ -120,20 +120,6 @@ def random_states(rng, batch, n):
 
 
 class TestApplyKind:
-    @pytest.mark.parametrize("kind", [GateKind.CX, GateKind.SWAP])
-    def test_two_qubit_gates_permute_like_the_index_maps(self, kind):
-        rng = np.random.default_rng(5)
-        for n in range(2, 6):
-            for qubits in permutations(range(n), 2):
-                states = random_states(rng, 3, n)
-                maps = permutation_sources(n, [(kind, qubits)])
-                assert maps.shape == (2, 1 << n) and maps.dtype == np.int32
-                assert np.array_equal(maps[0][maps[1]], np.arange(1 << n))  # backward un-applies forward
-                expected = states[:, maps[0]]
-                out = apply_kind(states, n, kind, qubits)
-                assert out is states
-                assert out.tobytes() == expected.tobytes()
-
     def test_x_flips_its_bit(self):
         rng = np.random.default_rng(6)
         for n in range(1, 6):

@@ -389,6 +389,9 @@ PEEPHOLE_RULES = {
     "rz-zero-drop": (2, [SX0, rz_const(0, 0.0), Gate(GateKind.CX, (0, 1)), rz_const(1, 2 * math.pi)], 0, 2),
     "cx-pair-cancel": (2, [SX0, Gate(GateKind.CX, (1, 0)), Gate(GateKind.CX, (1, 0)), rz_affine(1, 0, -1, 1.0)], 1, 2),
     "sx4-collapse": (1, [rz_affine(0, 0, 1, 0.0), SX0, SX0, SX0, SX0, Gate(GateKind.X, (0,))], 1, 2),
+    # a Const RZ then an Affine one merge too; an SX pair is X, and stays
+    "rz-merge-const-first": (1, [SX0, rz_const(0, 0.7), rz_affine(0, 0, 1, 0.3), SX0], 1, 3),
+    "sx-pair-kept": (1, [rz_affine(0, 0, 1, 0.0), SX0, SX0], 1, 3),
 }
 
 
