@@ -76,13 +76,15 @@ def _cmd_gradvar(args: argparse.Namespace) -> int:
 
 
 def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
-    """The JSON config with the flags that were given merged in, validated once."""
+    """The JSON config, validated once. With ``--out-csv`` the sweep
+    checkpoints to the ``.jsonl`` next to the CSV, unless the config names
+    its own ``out_jsonl``."""
     try:
         payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(payload, dict):
             raise TypeError(f"a sweep config must be a JSON object, got {type(payload).__name__}")
-        flags = {"out_csv": args.out_csv, "out_dir": args.out_dir}
-        payload.update({name: value for name, value in flags.items() if value is not None})
+        if args.out_csv and payload.get("out_jsonl") is None:
+            payload["out_jsonl"] = str(Path(args.out_csv).with_suffix(".jsonl"))
         return SweepConfig(**payload)
     except (TypeError, ValueError) as e:  # bad JSON, an unknown or missing field, or a bad value
         raise ValueError(f"{args.config}: {e}") from None
@@ -99,14 +101,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"({record.wall_time:.1f}s)")
 
     records = run_sweep(config, resume=args.resume, progress=progress)
-    if config.out_csv:
-        emit_csv(records, config.out_csv)
-        print(f"wrote {config.out_csv}")
+    if args.out_csv:
+        emit_csv(records, args.out_csv)
+        print(f"wrote {args.out_csv}")
     failures = [r for r in records if r.error]
     if failures:
-        print(f"{len(failures)} cell(s) failed; see the JSONL checkpoint for details")
-    if config.out_dir:
-        out_dir = Path(config.out_dir)
+        where = (f"see the JSONL checkpoint {config.out_jsonl} for details" if config.out_jsonl
+                 else "no checkpoint was kept, so each reason is on its progress line above")
+        print(f"{len(failures)} cell(s) failed; {where}")
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for kind in config.ansatz:
             path = out_dir / f"delta_gradvar_{kind}.svg"

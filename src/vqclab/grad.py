@@ -504,8 +504,10 @@ def _sweep_block(
             _multiply(_real_block(_rows(matrices[0], block), planes), cur[0], spare[0])
         cur, spare = spare, cur
     cur[1] = cur[0]
-    ones = cur[1].reshape(rows, planes, -1, 2, 1 << cost_bit)[..., 1, :]
-    np.negative(ones, out=ones)
+    # in C order of the swapped view the inner loop runs across the blocks,
+    # not along one block's 2**cost_bit amplitudes, few on a low cost bit
+    ones = cur[1].reshape(rows, planes, -1, 2, 1 << cost_bit)[..., 1, :].swapaxes(-1, -2)
+    np.negative(ones, out=ones, order="C")
 
     for step, matrices in reversed(built):
         if matrices is None:

@@ -8,8 +8,9 @@ Cells run in a thread pool capped by the VQCLAB_THREADS environment
 variable; per-cell seeding makes parallel and serial runs emit identical
 results. The sweep takes the results in canonical cell order, so the
 JSONL checkpoint lines and the progress calls come in that order at any
-thread count. A config with ``out_csv`` checkpoints to the ``.jsonl``
-file next to it unless it names ``out_jsonl``. A resume reuses only
+thread count. The sweep writes one file, the JSONL checkpoint named by
+``out_jsonl``; its caller writes the CSV and the heatmaps from the
+records (``emit_csv``, ``emit_heatmap_svg``). A resume reuses only
 records whose keys are exactly ``SweepRecord``'s fields, from lines of
 the same run: the same samples, mode and device (a digest of the
 backend's content). Configs and records are frozen, so every worker
@@ -70,8 +71,6 @@ class SweepConfig:
     base_seed: int = 42
     backend: str = "heavy-hex:5,11"
     mode: str = ReparamMode.ALL_ANGLES.value
-    out_csv: str | None = None
-    out_dir: str | None = None
     out_jsonl: str | None = None
 
     def __post_init__(self) -> None:
@@ -98,13 +97,6 @@ class SweepConfig:
         for name in self.ansatz:
             AnsatzKind(name)
         ReparamMode(self.mode)
-
-    @property
-    def checkpoint(self) -> str | None:
-        """The JSONL checkpoint: ``out_jsonl``, else the file next to ``out_csv``."""
-        if self.out_jsonl is None and self.out_csv:
-            return str(Path(self.out_csv).with_suffix(".jsonl"))
-        return self.out_jsonl
 
 
 def default_sweep_config(**overrides) -> SweepConfig:
@@ -287,7 +279,7 @@ def run_sweep(
     a crash can lose finished but unwritten work of up to (workers - 1)
     times the longest cell's time.
     """
-    checkpoint = config.checkpoint
+    checkpoint = config.out_jsonl
     if resume and not checkpoint:
         raise ValueError("resume needs out_jsonl, the JSONL checkpoint to resume from")
     cells = enumerate_cells(config)

@@ -370,13 +370,17 @@ class TestSweepCommand:
             {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "samples": 1},
             '{"ansatz": ["ttn"],',
             {"ansatz": ["ttn"], "qubits": [2, 2], "reps": [1]},
+            # the CSV and the heatmap directory are named by the flags alone
+            {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "out_csv": "results.csv"},
+            {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "out_dir": "maps"},
         ],
         ids=["unknown-key", "missing-ansatz", "qubits-not-a-list", "not-an-object", "ansatz-a-string",
              "fractional-samples", "fractional-base-seed", "float-qubits", "too-few-samples", "not-json",
-             "repeated-qubits"],
+             "repeated-qubits", "out-csv-field", "out-dir-field"],
     )
-    def test_bad_config_fails_cleanly(self, tmp_path, capsys, payload):
-        # a string payload is the file's raw text
+    def test_bad_config_fails_cleanly(self, tmp_path, capsys, monkeypatch, payload):
+        # a string payload is the file's raw text; a relative path in one lands here
+        monkeypatch.chdir(tmp_path)
         config_path = tmp_path / "sweep.json"
         config_path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         csv_path = tmp_path / "results.csv"
@@ -397,9 +401,41 @@ class TestSweepCommand:
             argv += ["--out-dir", tmp_path / "maps"]
         assert run(*argv) == 1
         captured = capsys.readouterr()
-        assert "1 cell(s) failed" in captured.out
+        assert f"1 cell(s) failed; see the JSONL checkpoint {tmp_path / 'results.jsonl'} for details" in captured.out
         if with_out_dir:
             assert "no records for ansatz 'ttn'" in captured.err
+
+    def test_failed_cell_without_outputs_names_no_checkpoint(self, tmp_path, capsys, monkeypatch):
+        # ttn n=3 does not fit line:2; with no output flag no file is written,
+        # so the reason is only on the progress line
+        monkeypatch.chdir(tmp_path)
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(
+            {"ansatz": ["ttn"], "qubits": [3], "reps": [1], "samples": 4, "backend": "line:2"}
+        ))
+        assert run("sweep", "--config", config_path) == 1
+        out = capsys.readouterr().out
+        assert "[1/1] ttn n=3 L=1 error: " in out
+        assert "1 cell(s) failed; no checkpoint was kept, so each reason is on its progress line above" in out
+        assert list(tmp_path.iterdir()) == [config_path]
+
+    def test_out_csv_implies_checkpoint_next_to_it(self, tmp_path, capsys):
+        jsonl = tmp_path / "results.jsonl"
+        argv = ["sweep", "--config", self.one_cell_config(tmp_path), "--out-csv", tmp_path / "results.csv"]
+        assert run(*argv) == 0
+        first = (tmp_path / "results.csv").read_bytes()
+        assert len(jsonl.read_text().splitlines()) == 1
+        assert run(*argv, "--resume") == 0
+        assert (tmp_path / "results.csv").read_bytes() == first
+        assert len(jsonl.read_text().splitlines()) == 1
+
+    def test_config_out_jsonl_wins_over_the_out_csv_neighbour(self, tmp_path, capsys):
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps({"ansatz": ["ttn"], "qubits": [2], "reps": [1], "backend": "line:2",
+                                           "out_jsonl": str(tmp_path / "cells.jsonl")}))
+        assert run("sweep", "--config", config_path, "--out-csv", tmp_path / "results.csv") == 0
+        assert len((tmp_path / "cells.jsonl").read_text().splitlines()) == 1
+        assert not (tmp_path / "results.jsonl").exists()
 
     def test_bad_thread_count_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VQCLAB_THREADS", "abc")

@@ -6,7 +6,7 @@ import tempfile
 import time
 import warnings
 import xml.etree.ElementTree as ET
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -56,9 +56,10 @@ def resume_grid(**overrides):
 def uninterrupted(tmp_path_factory):
     """The checkpoint bytes and the CSV bytes of an uninterrupted run of
     ``resume_grid``."""
-    cfg = resume_grid(out_csv=str(tmp_path_factory.mktemp("uninterrupted") / "results.csv"))
-    emit_csv(run_sweep(cfg), cfg.out_csv)
-    return Path(cfg.checkpoint).read_bytes(), Path(cfg.out_csv).read_bytes()
+    out = tmp_path_factory.mktemp("uninterrupted")
+    cfg = resume_grid(out_jsonl=str(out / "results.jsonl"))
+    emit_csv(run_sweep(cfg), out / "results.csv")
+    return Path(cfg.out_jsonl).read_bytes(), (out / "results.csv").read_bytes()
 
 
 class TestConfig:
@@ -104,6 +105,12 @@ class TestConfig:
         with pytest.raises(TypeError, match="meta_seeds"):
             tiny_config(meta_seeds=1)
 
+    def test_the_checkpoint_is_the_one_output_path(self):
+        # the sweep writes only its checkpoint; its caller writes the CSV and
+        # the heatmaps, so a config naming out_csv or out_dir is refused
+        assert [f.name for f in fields(SweepConfig)] == [
+            "ansatz", "qubits", "reps", "samples", "base_seed", "backend", "mode", "out_jsonl"]
+
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -112,7 +119,7 @@ class TestConfig:
             (dict(samples=True), "samples must be int"),
             (dict(base_seed=2.0), "base_seed must be int"),
             (dict(backend=None), "backend must be str"),
-            (dict(out_csv=1), "out_csv must be str | None"),
+            (dict(out_jsonl=1), "out_jsonl must be str | None"),
             (dict(samples="50"), "samples must be int"),
             (dict(reps=[1.0]), "reps must be list[int]"),
         ],
@@ -149,7 +156,7 @@ class TestConfig:
         assert (cfg.ansatz, cfg.qubits, cfg.reps) == (("ttn", "real_amplitudes"), (2,), (1,))
         with pytest.raises(AttributeError):
             cfg.qubits.append(1)
-        assert replace(cfg, out_csv=str(tmp_path / "r.csv")).checkpoint == str(tmp_path / "r.jsonl")
+        assert replace(cfg, out_jsonl=str(tmp_path / "r.jsonl")).out_jsonl == str(tmp_path / "r.jsonl")
         with pytest.raises(ValueError, match="qubit counts must be >= 2"):
             replace(cfg, qubits=[1])
 
@@ -248,22 +255,6 @@ class TestRunSweep:
         lines = [json.loads(l)["record"] for l in jsonl.read_text().splitlines()]
         assert [(l["n"], l["reps"]) for l in lines] == order
         assert [(r.n, r.reps) for r in records] == order
-
-    def test_out_csv_implies_checkpoint_next_to_it(self, tmp_path):
-        jsonl = tmp_path / "results.jsonl"
-        cfg = tiny_config(out_csv=str(tmp_path / "results.csv"))
-        assert cfg.checkpoint == str(jsonl)
-        assert tiny_config(out_csv=str(tmp_path / "results.csv"), out_jsonl="cells.jsonl").checkpoint == "cells.jsonl"
-        first = run_sweep(cfg)
-        assert len(jsonl.read_text().splitlines()) == 1
-        assert run_sweep(cfg, resume=True) == first
-        assert len(jsonl.read_text().splitlines()) == 1
-
-    def test_replaced_out_csv_moves_the_checkpoint(self, tmp_path):
-        cfg = replace(tiny_config(out_csv=str(tmp_path / "a.csv")), out_csv=str(tmp_path / "b.csv"))
-        assert cfg.out_jsonl is None and cfg.checkpoint == str(tmp_path / "b.jsonl")
-        run_sweep(cfg)
-        assert (tmp_path / "b.jsonl").exists() and not (tmp_path / "a.jsonl").exists()
 
     def test_csv_bytes_reproducible(self, tmp_path):
         cfg = tiny_config(ansatz=["ttn"], qubits=[2, 3], samples=40, backend="line:3")
@@ -456,8 +447,8 @@ class TestRunSweep:
         cells = enumerate_cells(resume_grid())
         ran = []
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = resume_grid(out_csv=str(Path(tmp) / "results.csv"))
-            Path(cfg.checkpoint).write_bytes(checkpoint[:cut])
+            cfg, out_csv = resume_grid(out_jsonl=str(Path(tmp) / "results.jsonl")), Path(tmp) / "results.csv"
+            Path(cfg.out_jsonl).write_bytes(checkpoint[:cut])
 
             def spy(*args):
                 ran.append(args[5])  # the cell's seed
@@ -466,10 +457,10 @@ class TestRunSweep:
             with mock.patch.dict(os.environ, {"VQCLAB_THREADS": threads}), \
                     mock.patch.object(harness, "run_cell", spy), warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                emit_csv(run_sweep(cfg, resume=True), cfg.out_csv)
-            assert Path(cfg.out_csv).read_bytes() == csv
+                emit_csv(run_sweep(cfg, resume=True), out_csv)
+            assert out_csv.read_bytes() == csv
             # every line parses again, one per cell in cell order
-            lines = Path(cfg.checkpoint).read_bytes().splitlines()
+            lines = Path(cfg.out_jsonl).read_bytes().splitlines()
             assert [json.loads(line)["record"]["seed"] for line in lines] == [seed for *_, seed in cells]
         assert sorted(ran) == [seed for *_, seed in cells[kept:]]
         torn = cut > 0 and checkpoint[cut - 1] != ord("\n")
