@@ -92,6 +92,9 @@ def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_sweep_config(args)
+    # before run_sweep, which appends to the checkpoint and may truncate its last line
+    if args.out_csv and config.out_jsonl and Path(args.out_csv).resolve() == Path(config.out_jsonl).resolve():
+        raise ValueError(f"--out-csv {args.out_csv} is the checkpoint {config.out_jsonl}; name another CSV")
 
     def progress(record, done, total):
         status = f"error: {record.error}" if record.error else (

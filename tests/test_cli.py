@@ -288,14 +288,6 @@ class TestGradvarCommand:
         expected = grad_variance(reparameterize(t, mode), 20, 42, 0)
         assert payload["grad_var"] == expected.grad_var
         assert payload["per_param_var"] == list(expected.per_param_var)
-        if mode is ReparamMode.SYMBOL_DERIVED:
-            # the bits follow the dgemm kernel: ...853 under OpenBLAS's Haswell,
-            # Zen and Sandybridge kernels, ...856 under SkylakeX (the complex128
-            # sweep read ...853 under all four)
-            assert payload["grad_var"] in (0.16007644570608853, 0.16007644570608856)
-            # the gate-by-gate sweep, before single-qubit runs were fused, gave
-            gate_by_gate = 0.16007644570608856
-            assert abs(payload["grad_var"] - gate_by_gate) <= 1e-14 * gate_by_gate
         # an explicit --cost-qubit reads another qubit
         assert run("gradvar", "--in", phys, "--mode", mode.value, "--samples", "20", "--cost-qubit", "1") == 0
         assert json.loads(capsys.readouterr().out)["grad_var"] == (
@@ -436,6 +428,24 @@ class TestSweepCommand:
         assert run("sweep", "--config", config_path, "--out-csv", tmp_path / "results.csv") == 0
         assert len((tmp_path / "cells.jsonl").read_text().splitlines()) == 1
         assert not (tmp_path / "results.jsonl").exists()
+
+    @pytest.mark.parametrize("configured", [False, True], ids=["derived", "configured"])
+    def test_out_csv_may_not_be_the_checkpoint(self, tmp_path, capsys, monkeypatch, configured):
+        # the checkpoint is the .jsonl next to --out-csv, or the config's
+        # relative out_jsonl; a CSV written over it would end every --resume
+        monkeypatch.chdir(tmp_path)
+        payload = {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "backend": "line:2"}
+        if configured:
+            payload["out_jsonl"] = "x.csv"
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(payload))
+        checkpoint = "x.csv" if configured else "r.jsonl"
+        assert run("sweep", "--config", config_path, *([] if configured else ["--out-csv", "r.csv"])) == 0
+        kept = (tmp_path / checkpoint).read_bytes()
+        out_csv = tmp_path / "x.csv" if configured else "r.jsonl"
+        assert run("sweep", "--config", config_path, "--out-csv", out_csv) == 1
+        assert capsys.readouterr().err == f"error: --out-csv {out_csv} is the checkpoint {checkpoint}; name another CSV\n"
+        assert (tmp_path / checkpoint).read_bytes() == kept
 
     def test_bad_thread_count_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VQCLAB_THREADS", "abc")
