@@ -92,9 +92,16 @@ def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_sweep_config(args)
-    # before run_sweep, which appends to the checkpoint and may truncate its last line
-    if args.out_csv and config.out_jsonl and Path(args.out_csv).resolve() == Path(config.out_jsonl).resolve():
+    # the config, the checkpoint and the CSV are three files, checked before
+    # run_sweep, which appends to the checkpoint and may truncate its last line
+    config_file = Path(args.config).resolve()
+    csv, checkpoint = (Path(p).resolve() if p else None for p in (args.out_csv, config.out_jsonl))
+    if csv is not None and csv == checkpoint:
         raise ValueError(f"--out-csv {args.out_csv} is the checkpoint {config.out_jsonl}; name another CSV")
+    if csv == config_file:
+        raise ValueError(f"--out-csv {args.out_csv} is the config {args.config}; name another CSV")
+    if checkpoint == config_file:
+        raise ValueError(f"the checkpoint {config.out_jsonl} is the config {args.config}; name another out_jsonl")
 
     def progress(record, done, total):
         status = f"error: {record.error}" if record.error else (

@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vqclab.backend import (
     BackendModel,
@@ -19,6 +18,8 @@ from vqclab.backend import (
 )
 from vqclab.circuit import Circuit, Gate, GateKind
 from vqclab.transpiler import transpile
+
+from cases import connected_backends
 
 
 def degrees(model):
@@ -193,18 +194,8 @@ class TestFileFormat:
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), n=st.integers(2, 12))
-def test_save_load_random_connected_graphs(tmp_path_factory, data, n):
-    # random spanning tree plus extra edges is always connected
-    edges = set()
-    for v in range(1, n):
-        u = data.draw(st.integers(0, v - 1))
-        edges.add((u, v))
-    extra = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
-    for a, b in extra:
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    m = BackendModel(n, frozenset(edges))
+@given(connected_backends(12))
+def test_save_load_random_connected_graphs(tmp_path_factory, m):
     path = tmp_path_factory.mktemp("backend") / "m.json"
     save_backend(m, path)
     assert load_backend(path) == m

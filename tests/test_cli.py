@@ -447,6 +447,28 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: --out-csv {out_csv} is the checkpoint {checkpoint}; name another CSV\n"
         assert (tmp_path / checkpoint).read_bytes() == kept
 
+    @pytest.mark.parametrize("newline", [True, False], ids=["newline", "no-newline"])
+    @pytest.mark.parametrize("role", ["out-csv", "out-jsonl"])
+    def test_the_config_is_neither_the_csv_nor_the_checkpoint(self, tmp_path, capsys, monkeypatch, role, newline):
+        # a CSV written over the config leaves nothing to rerun; a checkpoint
+        # that is the config has records appended to it, and a config with no
+        # final newline is cut off whole as an unterminated line
+        monkeypatch.chdir(tmp_path)
+        payload = {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "backend": "line:2"}
+        if role == "out-jsonl":
+            payload["out_jsonl"] = "sweep.json"
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(payload) + ("\n" if newline else ""))
+        kept = config_path.read_bytes()
+        if role == "out-csv":
+            assert run("sweep", "--config", "sweep.json", "--out-csv", config_path) == 1
+            expected = f"--out-csv {config_path} is the config sweep.json; name another CSV"
+        else:
+            assert run("sweep", "--config", config_path) == 1
+            expected = f"the checkpoint sweep.json is the config {config_path}; name another out_jsonl"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert config_path.read_bytes() == kept
+
     def test_bad_thread_count_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VQCLAB_THREADS", "abc")
         csv_path = tmp_path / "results.csv"

@@ -38,15 +38,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
 from vqclab import grad
 from vqclab.ansatz import build_ansatz
 from vqclab.backend import make_line, resolve_backend
 from vqclab.circuit import Affine, Circuit, Const, Gate, GateKind
-from vqclab.grad import ReparamMode, _gradients_batched, grad_variance, param_shift_gradient, reparameterize
+from vqclab.grad import ReparamMode, grad_variance, reparameterize
 from vqclab.harness import emit_csv, run_sweep
 from vqclab.transpiler import transpile
+
+from cases import (
+    assert_equals_literal_shift_rule,
+    block_heavy_circuits,
+    cell_arms,
+    circuits,
+    gradients_in_blocks,
+    run_heavy_circuits,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,6 +85,10 @@ FROZEN = {
     },
 }
 
+# The last line of tests/stock_bits.py under the same kernel: the sha256 of
+# all 279 stock arms' bits, which CI checks. A re-pin updates it with FROZEN.
+STOCK_BITS = "279 arms, sha256 84a6af09863bc3c549e607d0f1d73db79a962b3e034f1186b9c5b92cc166c400"
+
 PINNED_KERNEL = "Haswell"
 
 
@@ -84,13 +96,8 @@ def frozen_rows() -> list[dict[str, list[str]]]:
     """The FROZEN rows, in order, as this interpreter computes them."""
     rows = []
     for family, n, reps in FROZEN:
-        logical = build_ansatz(family, n, reps)
-        t = transpile(logical, resolve_backend("heavy-hex:5,11"))
-        circuits = {"logical": (logical, 0)}
-        for mode in ReparamMode:
-            circuits[mode.value] = (reparameterize(t, mode), t.cost_qubit)
         row = {}
-        for mode, (circuit, cost_qubit) in circuits.items():
+        for mode, circuit, cost_qubit in cell_arms(family, n, reps, resolve_backend("heavy-hex:5,11")):
             stats = grad_variance(circuit, 200, 42, cost_qubit)
             row[mode] = [stats.grad_var.hex(), stats_digest(stats)]
         rows.append(row)
@@ -328,10 +335,8 @@ def test_block_size_engages_at_ten_qubits():
     assert 200 // (grad._BLOCK_BYTES // ((1 << 10) * 16)) > 1
     assert 200 // (grad._BLOCK_BYTES // ((1 << 4) * 16)) == 0
     for family, n, reps in FROZEN:
-        logical = build_ansatz(family, n, reps)
-        t = transpile(logical, resolve_backend("heavy-hex:5,11"))
-        assert len(grad._light_cone(logical, 0)[1]) == n
-        assert len(grad._light_cone(t.physical, t.cost_qubit)[1]) == t.physical.num_qubits == n
+        for _, circuit, cost_qubit in cell_arms(family, n, reps, resolve_backend("heavy-hex:5,11")):
+            assert len(grad._light_cone(circuit, cost_qubit)[1]) == circuit.num_qubits == n
 
 
 def test_demo_sweep_csv_regenerates_byte_identical(tmp_path):
@@ -345,98 +350,6 @@ def test_demo_sweep_csv_regenerates_byte_identical(tmp_path):
 
 # ---------------------------------------------------------------------------
 # Property tests over random circuits on the full gate set
-
-FIXED_KINDS = (GateKind.X, GateKind.SX, GateKind.H)
-ROTATIONS = (GateKind.RX, GateKind.RY, GateKind.RZ)
-angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
-
-
-@st.composite
-def random_circuits(draw):
-    n = draw(st.integers(1, 6))
-    num_symbols = draw(st.integers(1, 4))
-    gates = []
-    for _ in range(draw(st.integers(1, 30))):
-        choice = draw(st.sampled_from(("2q", "fixed", "affine", "const") if n > 1 else ("fixed", "affine", "const")))
-        if choice == "2q":
-            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-            gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (a, b)))
-            continue
-        q = draw(st.integers(0, n - 1))
-        if choice == "fixed":
-            gates.append(Gate(draw(st.sampled_from(FIXED_KINDS)), (q,)))
-        elif choice == "affine":
-            coeff = draw(st.sampled_from((1, -1)))
-            param = Affine(draw(st.integers(0, num_symbols - 1)), coeff, draw(angles))
-            gates.append(Gate(draw(st.sampled_from(ROTATIONS)), (q,), param))
-        else:
-            gates.append(Gate(draw(st.sampled_from(ROTATIONS)), (q,), Const(draw(angles))))
-    return _case(draw, n, gates)
-
-
-def one_qubit_gate(draw, q, symbol):
-    """SX, H, X, or a rotation at a ``Const`` angle or ``Affine`` in ``symbol`` (coeff +-1)."""
-    kind = draw(st.sampled_from(FIXED_KINDS + ROTATIONS))
-    if kind in FIXED_KINDS:
-        return Gate(kind, (q,))
-    if draw(st.booleans()):
-        return Gate(kind, (q,), Affine(symbol, draw(st.sampled_from((1, -1))), draw(angles)))
-    return Gate(kind, (q,), Const(draw(angles)))
-
-
-@st.composite
-def run_heavy_circuits(draw):
-    """One or two qubits in long single-qubit runs (up to 12 gates, one
-    symbol used throughout each run, coeff -1 among them); on two qubits a
-    CX or SWAP ends each run. On one qubit the circuit is a single run."""
-    n = draw(st.integers(1, 2))
-    num_symbols = draw(st.integers(1, 3))
-    gates = []
-    for _ in range(draw(st.integers(1, 4))):
-        q = draw(st.integers(0, n - 1))
-        symbol = draw(st.integers(0, num_symbols - 1))
-        gates.extend(one_qubit_gate(draw, q, symbol) for _ in range(draw(st.integers(1, 12))))
-        if n == 2:
-            gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (q, 1 - q)))
-    return _case(draw, n, gates)
-
-
-@st.composite
-def block_heavy_circuits(draw):
-    """Two to four qubits where every CX or SWAP sits after runs (up to four
-    gates) on both its wires, so it pairs them into one 4x4 step; symbols
-    repeat within and across runs, coeff -1 among them."""
-    n = draw(st.integers(2, 4))
-    num_symbols = draw(st.integers(1, 3))
-    gates = []
-    for _ in range(draw(st.integers(1, 5))):
-        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        for q in (a, b):
-            for _ in range(draw(st.integers(1, 4))):
-                gates.append(one_qubit_gate(draw, q, draw(st.integers(0, num_symbols - 1))))
-        gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (a, b)))
-    return _case(draw, n, gates)
-
-
-def _case(draw, n, gates):
-    """A random case from a gate list: symbols renumbered densely (RY(theta_0)
-    on qubit 0 added if there are none), a cost qubit, a batch size, a seed."""
-    used = sorted({g.param.symbol for g in gates if isinstance(g.param, Affine)})
-    if not used:
-        gates.append(Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)))
-        used = [0]
-    renumber = {s: i for i, s in enumerate(used)}
-    gates = [
-        Gate(g.kind, g.qubits, Affine(renumber[g.param.symbol], g.param.coeff, g.param.offset))
-        if isinstance(g.param, Affine)
-        else g
-        for g in gates
-    ]
-    cost_qubit = draw(st.integers(0, n - 1))
-    batch = draw(st.integers(2, 9))
-    seed = draw(st.integers(0, 2**32))
-    return Circuit(n, tuple(gates), len(used)), cost_qubit, batch, seed
-
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -528,14 +441,15 @@ def test_cost_bit_three_examples_keep_their_plan(case, planes):
 
 
 @PROPERTY_SETTINGS
-@given(random_circuits())
+@given(circuits())
 @example(FIXED_RUNS)
 @example(FIXED_RUN_BLOCKS)
 @example(GATELESS_PAIRS)
 @example(COST_BIT_THREE_TWO_PLANES)
 @example(COST_BIT_THREE_ONE_PLANE)
 def test_batched_equals_literal_shift_rule(case):
-    assert_equals_literal_shift_rule(case)
+    circuit, cost_qubit, batch, seed = case
+    assert_equals_literal_shift_rule(circuit, grad.sample_thetas(seed, batch, circuit.num_symbols), cost_qubit)
 
 
 @PROPERTY_SETTINGS
@@ -543,27 +457,8 @@ def test_batched_equals_literal_shift_rule(case):
 @example(ONE_RUN)
 @example(FIXED_RUNS)
 def test_fused_runs_equal_literal_shift_rule(case):
-    assert_equals_literal_shift_rule(case)
-
-
-def assert_equals_literal_shift_rule(case):
     circuit, cost_qubit, batch, seed = case
-    thetas = grad.sample_thetas(seed, batch, circuit.num_symbols)
-    literal = np.array([param_shift_gradient(circuit, th, cost_qubit) for th in thetas])
-    # at the default block size, and in one-row blocks
-    for block_bytes in (grad._BLOCK_BYTES, 1):
-        fast = gradients_in_blocks(block_bytes, circuit, thetas, cost_qubit)
-        np.testing.assert_allclose(fast, literal, rtol=0, atol=1e-12)
-
-
-def gradients_in_blocks(block_bytes, circuit, thetas, cost_qubit):
-    """``_gradients_batched`` with ``grad._BLOCK_BYTES`` set to ``block_bytes``."""
-    original = grad._BLOCK_BYTES
-    grad._BLOCK_BYTES = block_bytes
-    try:
-        return _gradients_batched(circuit, thetas, cost_qubit)
-    finally:
-        grad._BLOCK_BYTES = original
+    assert_equals_literal_shift_rule(circuit, grad.sample_thetas(seed, batch, circuit.num_symbols), cost_qubit)
 
 
 # Two two-run steps: CX(1, 0) after runs on both wires, then SWAP(0, 2)
@@ -586,7 +481,8 @@ TWO_BLOCKS = (
 @example(TWO_BLOCKS)
 @example(FIXED_RUN_BLOCKS)
 def test_blocks_equal_literal_shift_rule(case):
-    assert_equals_literal_shift_rule(case)
+    circuit, cost_qubit, batch, seed = case
+    assert_equals_literal_shift_rule(circuit, grad.sample_thetas(seed, batch, circuit.num_symbols), cost_qubit)
 
 
 @PROPERTY_SETTINGS
@@ -598,7 +494,7 @@ def test_blocks_block_size_never_changes_bits(case):
 
 
 @PROPERTY_SETTINGS
-@given(random_circuits())
+@given(circuits())
 @example(FIXED_RUNS)
 @example(FIXED_RUN_BLOCKS)
 @example(GATELESS_PAIRS)

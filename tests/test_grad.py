@@ -4,14 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vqclab import grad
 from vqclab.ansatz import build_ansatz, build_efficient_su2, build_real_amplitudes, build_ttn
-from vqclab.backend import make_heavy_hex, make_line, resolve_backend
+from vqclab.backend import make_heavy_hex, make_line
 from vqclab.circuit import (
-    ROTATION_KINDS,
     TWO_QUBIT_KINDS,
     Affine,
     Circuit,
@@ -33,10 +32,11 @@ from vqclab.grad import (
     reparameterize,
     sample_thetas,
 )
-from vqclab.harness import default_sweep_config, enumerate_cells
 from vqclab.rng import GOLDEN, SplitMix64, mix64
 from vqclab.sim import MAX_QUBITS, apply_kind, expect_z, gate_matrix, simulate
 from vqclab.transpiler import TranspiledCircuit, transpile
+
+from cases import REAL_KINDS, assert_equals_literal_shift_rule, circuits, stock_arms
 
 BUILDERS = [build_real_amplitudes, build_efficient_su2, build_ttn]
 
@@ -172,19 +172,13 @@ class TestParamShiftGradient:
     def test_batched_equals_literal(self, builder):
         c = builder(3, 2)
         rng = np.random.default_rng(37)
-        thetas = rng.uniform(0, 2 * math.pi, (4, c.num_symbols))
-        fast = _gradients_batched(c, thetas, 0)
-        literal = np.array([param_shift_gradient(c, th, 0) for th in thetas])
-        np.testing.assert_allclose(fast, literal, atol=1e-12)
+        assert_equals_literal_shift_rule(c, rng.uniform(0, 2 * math.pi, (4, c.num_symbols)), 0)
 
     def test_batched_equals_literal_on_physical(self):
         t = transpile(build_efficient_su2(3, 1), make_line(3))
         phys = reparameterize(t, ReparamMode.ALL_ANGLES)
         rng = np.random.default_rng(41)
-        thetas = rng.uniform(0, 2 * math.pi, (3, phys.num_symbols))
-        fast = _gradients_batched(phys, thetas, t.cost_qubit)
-        literal = np.array([param_shift_gradient(phys, th, t.cost_qubit) for th in thetas])
-        np.testing.assert_allclose(fast, literal, atol=1e-12)
+        assert_equals_literal_shift_rule(phys, rng.uniform(0, 2 * math.pi, (3, phys.num_symbols)), t.cost_qubit)
 
     def test_batched_equals_literal_multi_occurrence(self):
         gates = (
@@ -193,77 +187,25 @@ class TestParamShiftGradient:
             Gate(GateKind.RY, (0,), Affine(1, 1, 0.0)),
         )
         c = Circuit(1, gates, 2)
-        thetas = np.random.default_rng(43).uniform(0, 2 * math.pi, (6, 2))
-        np.testing.assert_allclose(
-            _gradients_batched(c, thetas, 0),
-            np.array([param_shift_gradient(c, th, 0) for th in thetas]),
-            atol=1e-12,
-        )
+        assert_equals_literal_shift_rule(c, np.random.default_rng(43).uniform(0, 2 * math.pi, (6, 2)), 0)
 
 
-def finish_case(draw, n, gates):
-    """(circuit, cost qubit, batch, seed) from ``gates`` on ``n`` qubits, their
-    symbols renumbered 0..P-1 (an RY on the last qubit is added if none is
-    used)."""
-    used = sorted({g.param.symbol for g in gates if isinstance(g.param, Affine)})
-    if not used:
-        gates.append(Gate(GateKind.RY, (n - 1,), Affine(0, 1, 0.0)))
-        used = [0]
-    renumber = {s: i for i, s in enumerate(used)}
-    gates = [
-        Gate(g.kind, g.qubits, Affine(renumber[g.param.symbol], g.param.coeff, g.param.offset))
-        if isinstance(g.param, Affine)
-        else g
-        for g in gates
-    ]
-    cost_qubit = draw(st.integers(0, n - 1))
-    return Circuit(n, tuple(gates), len(used)), cost_qubit, draw(st.integers(2, 6)), draw(st.integers(0, 2**32))
-
-
-@st.composite
-def partial_cone_circuits(draw):
-    """Random circuits on n <= 5 qubits with a random cost qubit.
-
-    Symbols are drawn from a small pool, so some are used more than once.
-    When ``split`` is drawn, two-qubit gates never cross between qubits
-    below and at or above it, so the cost qubit's light cone leaves out a
-    whole group of qubits and the symbols used only there.
-    """
-    n = draw(st.integers(1, 5))
-    split = draw(st.integers(1, n - 1)) if n > 1 and draw(st.booleans()) else None
-    pool = draw(st.integers(1, 4))
-    gates = []
-    for _ in range(draw(st.integers(1, 20))):
-        choice = draw(st.sampled_from(("2q", "fixed", "affine", "const") if n > 1 else ("fixed", "affine", "const")))
-        if choice == "2q":
-            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-            if split is not None and (a < split) != (b < split):
-                continue
-            gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (a, b)))
-            continue
-        q = draw(st.integers(0, n - 1))
-        if choice == "fixed":
-            gates.append(Gate(draw(st.sampled_from((GateKind.SX, GateKind.H, GateKind.X))), (q,)))
-            continue
-        kind = draw(st.sampled_from((GateKind.RX, GateKind.RY, GateKind.RZ)))
-        angle = draw(st.floats(0.0, 2 * math.pi, allow_nan=False))
-        if choice == "affine":
-            param = Affine(draw(st.integers(0, pool - 1)), draw(st.sampled_from((1, -1))), angle)
-        else:
-            param = Const(angle)
-        gates.append(Gate(kind, (q,), param))
-    return finish_case(draw, n, gates)
+# Qubits 2 and 3 never meet the cost qubit 0's group: symbols 1 and 2 lie
+# outside its cone, symbol 0 inside (twice, once with coeff -1).
+SPLIT_CONE = (Circuit(4, (
+    Gate(GateKind.RY, (0,), Affine(0, 1, 0.2)), Gate(GateKind.RX, (2,), Affine(1, 1, 0.7)), Gate(GateKind.CX, (0, 1)),
+    Gate(GateKind.SWAP, (3, 2)), Gate(GateKind.RZ, (3,), Affine(2, -1, 1.4)), Gate(GateKind.CX, (2, 3)),
+    Gate(GateKind.RY, (1,), Affine(0, -1, 0.5)), Gate(GateKind.H, (1,)), Gate(GateKind.CX, (1, 0)),
+), 3), 0, 6, 29)
 
 
 class TestLightCone:
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(partial_cone_circuits())
+    @given(circuits(5, max_gates=20))
+    @example(SPLIT_CONE)
     def test_cone_sweep_equals_literal_shift_rule(self, case):
         circuit, cost_qubit, batch, seed = case
-        thetas = sample_thetas(seed, batch, circuit.num_symbols)
-        fast = _gradients_batched(circuit, thetas, cost_qubit)
-        literal = np.array([param_shift_gradient(circuit, th, cost_qubit) for th in thetas])
-        np.testing.assert_allclose(fast, literal, rtol=0, atol=1e-12)
+        fast = assert_equals_literal_shift_rule(circuit, sample_thetas(seed, batch, circuit.num_symbols), cost_qubit)
         in_cone = {g.param.symbol for g in _light_cone(circuit, cost_qubit)[0] if isinstance(g.param, Affine)}
         outside = [s for s in range(circuit.num_symbols) if s not in in_cone]
         assert np.all(fast[:, outside] == 0.0)
@@ -456,7 +398,7 @@ class TestFusedRuns:
         assert steps[1] == ((sx3,), (ry0,))
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(partial_cone_circuits())
+    @given(circuits(5, max_gates=20))
     def test_each_wire_keeps_its_maximal_runs(self, case):
         circuit = case[0]
         bound = bind(circuit, np.random.default_rng(case[3]).uniform(0, 2 * math.pi, circuit.num_symbols))
@@ -707,32 +649,6 @@ def held_step_matrix_bytes(circuit, thetas, cost_qubit):
     return sum(a.nbytes for a in arrays.values())
 
 
-@st.composite
-def real_circuits(draw):
-    """Random circuits of RY (``Affine`` and ``Const``), CX, SWAP, X and H on
-    n <= 4 qubits with P <= 6 symbols: every step of their sweep is real."""
-    n = draw(st.integers(1, 4))
-    pool = draw(st.integers(1, 6))
-    gates = []
-    for _ in range(draw(st.integers(1, 24))):
-        choice = draw(st.sampled_from(("2q", "fixed", "affine", "const") if n > 1 else ("fixed", "affine", "const")))
-        if choice == "2q":
-            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-            gates.append(Gate(draw(st.sampled_from((GateKind.CX, GateKind.SWAP))), (a, b)))
-            continue
-        q = draw(st.integers(0, n - 1))
-        if choice == "fixed":
-            gates.append(Gate(draw(st.sampled_from((GateKind.X, GateKind.H))), (q,)))
-            continue
-        angle = draw(st.floats(0.0, 2 * math.pi, allow_nan=False))
-        if choice == "affine":
-            param = Affine(draw(st.integers(0, pool - 1)), draw(st.sampled_from((1, -1))), angle)
-        else:
-            param = Const(angle)
-        gates.append(Gate(GateKind.RY, (q,), param))
-    return finish_case(draw, n, gates)
-
-
 class TestStateBuffers:
     @pytest.mark.parametrize("physical", [False, True], ids=["logical", "all-angles"])
     def test_one_pair_of_buffers_serves_every_block(self, physical):
@@ -766,7 +682,7 @@ class TestStateBuffers:
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
-        real_circuits(),
+        circuits(4, REAL_KINDS, 24),
         st.sampled_from((GateKind.RZ, GateKind.SX, GateKind.RX)),
         st.floats(0.1, 3.0, allow_nan=False),
     )
@@ -776,8 +692,7 @@ class TestStateBuffers:
 
         def assert_sweeps_in(planes, c):
             assert grad._plan(c, cost_qubit)[3] == planes
-            literal = np.array([param_shift_gradient(c, th, cost_qubit) for th in thetas])
-            np.testing.assert_allclose(_gradients_batched(c, thetas, cost_qubit), literal, rtol=0, atol=1e-12)
+            assert_equals_literal_shift_rule(c, thetas, cost_qubit)
 
         assert_sweeps_in(1, circuit)
         # one complex gate inside the cone (an H follows it, so a final RZ
@@ -790,65 +705,29 @@ class TestStateBuffers:
         assert_sweeps_in(1, replace(circuit, gates=(*circuit.gates, rz0, h)))
 
 
-@st.composite
-def any_kind_circuits(draw):
-    """Random circuits of every gate kind on n <= 4 qubits, each rotation's
-    angle an ``Affine`` or a ``Const``. Four gates in five are drawn from RY,
-    X, H, CX and SWAP, and a third of the angles are 0, so many cones hold
-    only real gates, some of them a ``Const`` RX(0) or RZ(0)."""
-    n = draw(st.integers(1, 4))
-    pool = draw(st.integers(1, 4))
-    kinds = [k for k in GateKind if n > 1 or k not in TWO_QUBIT_KINDS]
-    real = [k for k in kinds if k in (GateKind.RY, GateKind.X, GateKind.H, *TWO_QUBIT_KINDS)]
-    gates = []
-    for _ in range(draw(st.integers(1, 16))):
-        kind = draw(st.sampled_from(real if draw(st.integers(0, 4)) else kinds))
-        if kind in TWO_QUBIT_KINDS:
-            gates.append(Gate(kind, tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))))
-            continue
-        q = draw(st.integers(0, n - 1))
-        if kind not in ROTATION_KINDS:
-            gates.append(Gate(kind, (q,)))
-            continue
-        angle = 0.0 if draw(st.integers(0, 2)) == 0 else draw(st.floats(0.0, 2 * math.pi, allow_nan=False))
-        if draw(st.booleans()):
-            param = Affine(draw(st.integers(0, pool - 1)), draw(st.sampled_from((1, -1))), angle)
-        else:
-            param = Const(angle)
-        gates.append(Gate(kind, (q,), param))
-    return finish_case(draw, n, gates)
+# A real cone but for a Const RX(0) and RZ(0), whose matrices are real: one
+# plane.
+ZERO_ROTATIONS_IN_A_REAL_CONE = (Circuit(3, (
+    Gate(GateKind.RY, (0,), Affine(0, 1, 0.3)), Gate(GateKind.RX, (1,), Const(0.0)), Gate(GateKind.CX, (1, 0)),
+    Gate(GateKind.RZ, (0,), Const(0.0)), Gate(GateKind.H, (0,)), Gate(GateKind.RY, (1,), Affine(1, -1, 1.1)),
+    Gate(GateKind.SWAP, (0, 2)), Gate(GateKind.RY, (2,), Affine(0, 1, 2.0)), Gate(GateKind.CX, (2, 1)),
+    Gate(GateKind.X, (1,)),
+), 2), 1, 5, 17)
 
 
 class TestPlan:
     def test_stock_arm_planes(self):
-        # every stock arm, from the plan alone: the default cells on
-        # heavy-hex:5,11 and the three families at n=12 L=1 on line:12, each
-        # logical, all-angles and symbol-derived; only the logical ttn and
+        # every stock arm, from the plan alone; only the logical ttn and
         # real_amplitudes arms (RY and CX) are real, one plane
-        config = default_sweep_config()
-        cells = [(kind, n, reps, config.backend) for _, kind, n, reps, _ in enumerate_cells(config)]
-        cells += [(kind, 12, 1, "line:12") for kind in config.ansatz]
-        backends = {ref: resolve_backend(ref) for ref in (config.backend, "line:12")}
-        one_plane = []
-        for kind, n, reps, ref in cells:
-            logical = build_ansatz(kind, n, reps)
-            t = transpile(logical, backends[ref])
-            arms = {
-                "logical": (logical, 0),
-                "all-angles": (reparameterize(t, ReparamMode.ALL_ANGLES), t.cost_qubit),
-                "symbol-derived": (reparameterize(t, ReparamMode.SYMBOL_DERIVED), t.cost_qubit),
-            }
-            for arm, (circuit, cost_qubit) in arms.items():
-                planes = grad._plan(circuit, cost_qubit)[3]
-                assert planes in (1, 2)
-                if planes == 1:
-                    one_plane.append((kind, n, reps, arm))
-        assert len(cells) == 93
-        assert one_plane == [(k, n, r, "logical") for k, n, r, _ in cells if k in ("real_amplitudes", "ttn")]
+        planes = {name: grad._plan(circuit, cost_qubit)[3] for name, circuit, cost_qubit in stock_arms()}
+        assert len(planes) == 279 and set(planes.values()) == {1, 2}
+        one_plane = [name for name, p in planes.items() if p == 1]
+        assert one_plane == [n for n in planes if n.startswith(("real_amplitudes ", "ttn ")) and n.endswith(" logical")]
         assert len(one_plane) == 62
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(any_kind_circuits())
+    @given(circuits(4, max_gates=16))
+    @example(ZERO_ROTATIONS_IN_A_REAL_CONE)
     def test_one_plane_plans_build_only_real_matrices(self, case):
         circuit, cost_qubit, batch, seed = case
         thetas = sample_thetas(seed, batch, circuit.num_symbols)
@@ -857,8 +736,7 @@ class TestPlan:
             for step in steps:
                 if not is_gather(step):
                     assert not grad._step_matrices(step, thetas, 2)[0].imag.any()
-        literal = np.array([param_shift_gradient(circuit, th, cost_qubit) for th in thetas])
-        np.testing.assert_allclose(_gradients_batched(circuit, thetas, cost_qubit), literal, rtol=0, atol=1e-12)
+        assert_equals_literal_shift_rule(circuit, thetas, cost_qubit)
 
     def test_the_plan_builds_no_gate(self, monkeypatch):
         # the cone selects the circuit's own gates and a gather is made from
@@ -883,8 +761,7 @@ class TestPlan:
         matrix_steps = [s for s in steps if not is_gather(s)]
         assert (sx, sx) in [run for s in matrix_steps for run in s]
         assert not any(grad._step_matrices(s, thetas, 2)[0].imag.any() for s in matrix_steps)
-        literal = np.array([param_shift_gradient(circuit, th, 0) for th in thetas])
-        np.testing.assert_allclose(_gradients_batched(circuit, thetas, 0), literal, rtol=0, atol=1e-12)
+        assert_equals_literal_shift_rule(circuit, thetas, 0)
 
 
 @st.composite
@@ -930,10 +807,8 @@ class TestChunkedGathers:
     def test_a_gather_whose_cx_control_is_low_moves_small_chunks(self, circuit, cost_qubit, chunks):
         steps = grad._plan(circuit, cost_qubit)[1]
         assert is_gather(steps[-1]) and steps[-1].shape[1] == chunks
-        thetas = sample_thetas(4, 5, circuit.num_symbols)
-        literal = np.array([param_shift_gradient(circuit, th, cost_qubit) for th in thetas])
-        assert np.abs(literal).max() > 0.1
-        np.testing.assert_allclose(_gradients_batched(circuit, thetas, cost_qubit), literal, rtol=0, atol=1e-12)
+        fast = assert_equals_literal_shift_rule(circuit, sample_thetas(4, 5, circuit.num_symbols), cost_qubit)
+        assert np.abs(fast).max() > 0.1
 
 
 def make_transpiled_fixture():

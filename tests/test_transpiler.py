@@ -16,7 +16,6 @@ from vqclab.ansatz import build_efficient_su2, build_real_amplitudes, build_ttn
 from vqclab.backend import BackendModel, make_heavy_hex, make_line, save_backend
 from vqclab.circuit import (
     ROTATION_KINDS,
-    TWO_QUBIT_KINDS,
     Affine,
     Circuit,
     Const,
@@ -38,6 +37,8 @@ from vqclab.transpiler import (
     transpile,
 )
 from vqclab.verify import logical_physical_fidelity
+
+from cases import ANGLES, NATIVE_KINDS, circuits, transpile_cases
 
 BUILDERS = [build_real_amplitudes, build_efficient_su2, build_ttn]
 
@@ -405,43 +406,11 @@ def test_peephole_rule_preserves_unitary(rule):
     assert len(opt.gates) == fired_count
 
 
-# Quarter turns make merged angles land on 0 and 2*pi; small angles sit on
-# either side of the RZ(0) drop.
-native_angles = (
-    st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-    | st.floats(-1.0, 1.0)
-    | st.floats(-2 * math.pi, 2 * math.pi)
-)
-
-
-@st.composite
-def native_circuits_and_thetas(draw):
-    """Random RZ/SX/X/CX lists on 1-3 qubits; RZ angles are Const or Affine,
-    and an Affine reuses an earlier symbol or takes the next new one."""
-    n = draw(st.integers(1, 3))
-    qubit = st.integers(0, n - 1)
-    kinds = [GateKind.RZ, GateKind.SX, GateKind.X] + ([GateKind.CX] if n > 1 else [])
-    gates, num_symbols = [], 0
-    for _ in range(draw(st.integers(0, 24))):
-        kind = draw(st.sampled_from(kinds))
-        if kind is GateKind.CX:
-            gates.append(Gate(kind, tuple(draw(st.lists(qubit, min_size=2, max_size=2, unique=True)))))
-        elif kind is GateKind.RZ and draw(st.booleans()):
-            symbol = draw(st.integers(0, num_symbols))
-            num_symbols = max(num_symbols, symbol + 1)
-            gates.append(rz_affine(draw(qubit), symbol, draw(st.sampled_from((1, -1))), draw(native_angles)))
-        elif kind is GateKind.RZ:
-            gates.append(rz_const(draw(qubit), draw(native_angles)))
-        else:
-            gates.append(Gate(kind, (draw(qubit),)))
-    theta = draw(st.lists(native_angles, min_size=num_symbols, max_size=num_symbols))
-    return Circuit(n, tuple(gates), num_symbols), theta
-
-
 @settings(max_examples=200, deadline=None)
-@given(native_circuits_and_thetas())
-def test_optimize_preserves_unitary_on_random_native_circuits(case):
-    circuit, theta = case
+@given(circuits(3, NATIVE_KINDS, 24), st.data())
+def test_optimize_preserves_unitary_on_random_native_circuits(case, data):
+    circuit = case[0]
+    theta = data.draw(st.lists(ANGLES, min_size=circuit.num_symbols, max_size=circuit.num_symbols))
     try:
         assert_optimize_preserves_unitary(circuit, theta)
     except ValueError as e:
@@ -598,52 +567,6 @@ class TestSemanticEquivalence:
 # ---------------------------------------------------------------------------
 # Property tests over random circuits on random connected backends
 
-angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
-
-
-@st.composite
-def random_backends(draw):
-    """A random spanning tree plus extra edges on 2..8 physical qubits."""
-    num_physical = draw(st.integers(2, 8))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, num_physical)}
-    qubit = st.integers(0, num_physical - 1)
-    for a, b in draw(st.sets(st.tuples(qubit, qubit), max_size=6)):
-        if a != b:
-            edges.add((a, b))
-    return BackendModel(num_physical, frozenset(edges))
-
-
-@st.composite
-def random_logical_circuits(draw, max_qubits):
-    """Random circuits over the full gate set; each symbol is used once."""
-    n = draw(st.integers(1, max_qubits))
-    gates = []
-    symbols = 0
-    for _ in range(draw(st.integers(0, 25))):
-        kind = draw(st.sampled_from([k for k in GateKind if n > 1 or k not in TWO_QUBIT_KINDS]))
-        if kind in TWO_QUBIT_KINDS:
-            pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-            gates.append(Gate(kind, tuple(pair)))
-        elif kind in ROTATION_KINDS:
-            if draw(st.booleans()):
-                param = Affine(symbols, draw(st.sampled_from((1, -1))), draw(angles))
-                symbols += 1
-            else:
-                param = Const(draw(angles))
-            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), param))
-        else:
-            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),)))
-    return Circuit(n, tuple(gates), symbols)
-
-
-@st.composite
-def transpile_cases(draw):
-    backend = draw(random_backends())
-    circuit = draw(random_logical_circuits(backend.num_physical))
-    layout_seed = draw(st.none() | st.integers(0, 2**32))
-    theta = draw(st.lists(angles, min_size=circuit.num_symbols, max_size=circuit.num_symbols))
-    return backend, circuit, layout_seed, theta
-
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(transpile_cases())
@@ -651,7 +574,12 @@ def transpile_cases(draw):
 @example((make_line(8), build_ttn(4, 1), 3, [0.1 + 0.3 * i for i in range(build_ttn(4, 1).num_symbols)]))
 def test_transpile_properties_on_random_backends(case):
     backend, circuit, layout_seed, theta = case
-    t = transpile(circuit, backend, layout_seed=layout_seed)
+    try:
+        t = transpile(circuit, backend, layout_seed=layout_seed)
+    except ValueError as e:
+        # RZ(theta) RZ(-theta) merge away every occurrence of theta
+        assume("removed every occurrence" not in str(e))
+        raise
     assert logical_physical_fidelity(circuit, t, theta) >= 1 - 1e-10
     check_constraints(t, backend)
     assert t.physical.num_symbols == circuit.num_symbols
