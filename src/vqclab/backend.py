@@ -143,9 +143,13 @@ def load_backend(path: str | Path) -> BackendModel:
         raise ValueError(f"{path}: {e}") from None
 
 
+# the prefixes of a backend reference that names a built-in device, not a file
+SPEC_PREFIXES = ("line:", "heavy-hex:")
+
+
 def resolve_backend(ref: str) -> BackendModel:
     """Build a backend from ``line:n``, ``heavy-hex:R,C`` or a JSON file path."""
-    if ref.startswith(("line:", "heavy-hex:")):
+    if ref.startswith(SPEC_PREFIXES):
         m = re.fullmatch("line:([0-9]+)|heavy-hex:([0-9]+),([0-9]+)", ref)
         if m is None:
             raise ValueError(f"bad backend {ref!r}: expected line:n, heavy-hex:R,C or a JSON file path")

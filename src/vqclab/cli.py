@@ -16,7 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .ansatz import AnsatzKind, build_ansatz
-from .backend import resolve_backend
+from .backend import SPEC_PREFIXES, resolve_backend
 from .circuit import bind, free_all_angles, load_circuit, parse_float, parse_int, save_circuit
 from .grad import ReparamMode, grad_variance
 from .harness import SweepConfig, emit_csv, emit_heatmap_svg, run_sweep
@@ -92,16 +92,20 @@ def _load_sweep_config(args: argparse.Namespace) -> SweepConfig:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_sweep_config(args)
-    # the config, the checkpoint and the CSV are three files, checked before
-    # run_sweep, which appends to the checkpoint and may truncate its last line
-    config_file = Path(args.config).resolve()
+    # the CSV and the checkpoint are two files, and neither is an input: the
+    # config or a backend file. Checked before run_sweep, which appends to the
+    # checkpoint and may truncate its last line
     csv, checkpoint = (Path(p).resolve() if p else None for p in (args.out_csv, config.out_jsonl))
     if csv is not None and csv == checkpoint:
         raise ValueError(f"--out-csv {args.out_csv} is the checkpoint {config.out_jsonl}; name another CSV")
-    if csv == config_file:
-        raise ValueError(f"--out-csv {args.out_csv} is the config {args.config}; name another CSV")
-    if checkpoint == config_file:
-        raise ValueError(f"the checkpoint {config.out_jsonl} is the config {args.config}; name another out_jsonl")
+    inputs = {Path(args.config).resolve(): f"the config {args.config}"}
+    if not config.backend.startswith(SPEC_PREFIXES):
+        inputs.setdefault(Path(config.backend).resolve(), f"the backend {config.backend}")
+    for path, name in inputs.items():
+        if csv == path:
+            raise ValueError(f"--out-csv {args.out_csv} is {name}; name another CSV")
+        if checkpoint == path:
+            raise ValueError(f"the checkpoint {config.out_jsonl} is {name}; name another out_jsonl")
 
     def progress(record, done, total):
         status = f"error: {record.error}" if record.error else (

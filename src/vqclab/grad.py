@@ -41,18 +41,30 @@ held. Such a step's 4x4 is U_hi kron U_lo, a Kronecker product, one
 rounding per entry. A run with no partner is a step alone. Routing puts
 its SWAPs beside one held wire at a time, so pairs halve the lone steps
 of compiled circuits, and the gathers in front of them.
-A step acts on the top bit of the amplitude index, or the top two, so
-each is one batched dgemm by a real block of its U, dim = 2 or 4: Re U
-on one plane, [[Re U, -Im U], [Im U, Re U]] on two, with the state
-viewed as (rows, planes * dim, 2**n / dim). The qubits get there inside
-the gathers the sweep does anyway (as Haner & Steiger, arXiv:1704.01127,
-move qubits to local bits). The plan's qubit -> bit layout, from the
-ranks of the cone's qubits on, is the sweep's one qubit map: each CX and
-SWAP joins a gather on its current bits, as do the SWAPs that bring a
-step's qubits to the top bits. A gather is one int32 array of both its
-index maps over chunks of 2**c amplitudes, c the lowest bit any of its
-operations reads or writes, at most 2: np.take moves 32-byte chunks
-fastest; the maps are composed here, not in the reference simulator.
+The state holds only the register: the cone's qubits that have left
+|0>, on bits 0..a-1 in the order they joined, every other qubit being
+exactly |0> (as Haner & Steiger, arXiv:1704.01127, keep only the live
+qubits on local bits). It starts as one amplitude and grows to at most
+the cone's 2**n. A step acts on the top bit of the register's amplitude
+index, or the top two, so each is one batched dgemm by a real block of
+its U, dim = 2 or 4: Re U on one plane, [[Re U, -Im U], [Im U, Re U]] on
+two, with the state viewed as (rows, planes * dim, 2**a / dim). A run
+whose qubit is outside the register puts it on a new top bit: the
+block then reads only the |0> columns of U, the first dim >> joins of
+each plane, and the state grows 2**joins-fold. A CX whose control is
+outside the register is the identity and is dropped; one onto an outside
+target first joins the target by an identity step; a SWAP with one side
+outside moves the other side's bit over to it, a relabel. If the cost
+qubit never joins, <Z_cost> is 1 and every gradient is exactly 0.
+The register's qubits get to the top bits inside the gathers the sweep
+does anyway.
+The plan's qubit -> bit layout of the register is the sweep's one qubit
+map: each other CX and SWAP joins a gather on its current bits, as do
+the SWAPs that bring a step's qubits to the top bits. A gather is one
+int32 array of both its index maps over chunks of 2**c amplitudes, c the
+lowest bit any of its operations reads or writes, at most 2: np.take
+moves 32-byte chunks fastest; the maps are composed here, not in the
+reference simulator.
 The backward pass stacks [psi; lambda] in one buffer, lambda starting in
 place as psi negated where the cost qubit's bit is 1, and forms
 a step's real product Lambda Psi^T, one dgemm, whose diagonal blocks sum
@@ -63,14 +75,17 @@ permutation: a lone run's is the whole G, and a two-run step's 4x4 G is
 summed over the other wire's bit. Occurrence k of a run contributes
 coeff * Im sum_ab (W P_k W^dagger)_ab G_ab, W being the product of the
 run's gates after k. The transpose of the step's block, which is U^dagger's,
-then un-applies the step from psi and lambda in one dgemm.
+then un-applies the step from psi and lambda in one dgemm. For a step
+that joined qubits it drops their |1> rows, so the register shrinks back:
+psi is exactly 0 there, so the half of lambda it drops never contributes.
 The cone, steps and planes are planned from the gates alone; each step's
 complex U (its real part on one plane) and read-offs are then built once
 per call for the whole batch, and a row block builds the real blocks of
 its rows when it uses them. A call allocates two flat float64 state
-buffers, each 2 x (largest block's rows) x planes x 2**n. A row block
-views both as (2, rows, planes, 2**n), and every gather and matmul
-writes into the one it did not read, so the sweep allocates no state.
+buffers, each 2 x (largest block's rows) x planes x 2**n, sized by the
+cone. A row block views the front of both as (2, rows, planes, 2**a) for
+the register at hand, and every gather and matmul writes into the one it
+did not read, so the sweep allocates no state.
 Fusion and BLAS round differently from a gate-by-gate sweep (within
 ~1e-14 relative on GradVar); rows never mix and gathers are exact, so
 the results are the same bits at any block size, down to one row.
@@ -247,23 +262,28 @@ def _gather_maps(n: int, ops: Sequence[tuple[GateKind, tuple[int, int]]]) -> np.
     return maps
 
 
-def _sweep_steps(gates: Sequence[Gate], live: Sequence[int]) -> tuple[list[np.ndarray | tuple], dict[int, int]]:
-    """The gates as sweep steps on the ``live`` qubits, and the qubit -> bit
-    layout they end in; it starts from the qubits' ranks. A step is a
-    gather, the (2, 2**n) int32 array of its forward and backward index
-    maps, or a matrix step, the tuple of its one or two runs of single-qubit
-    gates on the top bits, n-1 and then n-2. Each maximal run on one wire
-    is held back until a two-qubit gate touches that wire or the circuit
-    ends, and then flushed by one rule: it takes a second held run into its
-    step if one is complete (no single-qubit gate follows it on its wire, so
-    no run is split), the one whose next two-qubit gate comes first. That is
-    the run on the other wire of the flushing CX or SWAP whenever one is
-    held. Every CX and SWAP joins the pending gather on its current bits.
-    Before a step whose qubits are not on the top bits, SWAPs that bring
-    them there join the gather (or open one)."""
-    n = len(live)
+def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[int, int]]:
+    """The gates as sweep steps on the register, and the qubit -> bit layout
+    of the register they end in. The register holds the qubits that have
+    left |0>, on bits 0..a-1 in the order they joined; it starts empty, the
+    state one amplitude. A step is a gather, the (2, 2**(a-c)) int32 array of
+    its forward and backward chunk maps, or a matrix step (runs, joins): its
+    one or two runs of single-qubit gates on the top bits of the register
+    after it, a-1 and then a-2, and how many of their qubits join the
+    register there. Each maximal run on one wire is held back until a
+    two-qubit gate touches that wire or the circuit ends, and then flushed
+    by one rule: it takes a second held run into its step if one is
+    complete (no single-qubit gate follows it on its wire, so no run is
+    split), the one whose next two-qubit gate comes first. That is the run
+    on the other wire of the flushing CX or SWAP whenever one is held.
+    Before a step whose register qubits are not on the top bits, SWAPs that
+    bring them there join the gather (or open one); its other qubits join
+    above them. Every qubit outside the register is |0>: a CX whose control
+    is one is dropped, a CX onto one first joins it by an identity step (a
+    run of no gates), and a SWAP with one is a relabel. Every other CX and
+    SWAP joins the pending gather on its current bits."""
     steps: list[np.ndarray | tuple] = []
-    layout = {q: bit for bit, q in enumerate(live)}
+    layout: dict[int, int] = {}
     pending: list[tuple[GateKind, tuple[int, int]]] = []
     held: dict[int, list[Gate]] = {}
     # follows[i]: the index of the two-qubit gate after single-qubit gate i
@@ -281,22 +301,36 @@ def _sweep_steps(gates: Sequence[Gate], live: Sequence[int]) -> tuple[list[np.nd
         for q in g.qubits:
             next_gate[q] = i
 
-    def flush(q: int) -> None:
-        qubits = (q,)
-        partners = [p for p in held if p != q and run_end[p] is not None]
-        if partners:
-            p = min(partners, key=run_end.__getitem__)
-            # a qubit already on one of the top two bits stays there
-            qubits = (p, q) if n - 1 == layout[p] or n - 2 == layout[q] else (q, p)
-        for r, bit in zip(qubits, (n - 1, n - 2)):
+    def put(qubits: tuple[int, ...], runs: tuple[tuple[Gate, ...], ...]) -> None:
+        # qubits, top bit first, lists those that join before those that stay
+        top = len(layout)
+        staying = [r for r in qubits if r in layout]
+        for r, bit in zip(staying, (top - 1, top - 2)):
             if layout[r] != bit:
                 pending.append((GateKind.SWAP, (layout[r], bit)))
                 other = next(x for x, b in layout.items() if b == bit)
                 layout[other], layout[r] = layout[r], bit
         if pending:
-            steps.append(_gather_maps(n, pending))
+            steps.append(_gather_maps(top, pending))
             pending.clear()
-        steps.append(tuple(tuple(held.pop(r)) for r in qubits))
+        joins = len(qubits) - len(staying)
+        for r in reversed(qubits[:joins]):
+            layout[r] = len(layout)
+        steps.append((runs, joins))
+
+    def flush(q: int) -> None:
+        qubits = (q,)
+        partners = [p for p in held if p != q and run_end[p] is not None]
+        if partners:
+            p = min(partners, key=run_end.__getitem__)
+            # a qubit that joins goes above one that stays; of two that stay,
+            # one already on one of the top two bits stays there
+            top = len(layout)
+            if p not in layout or q in layout and (top - 1 == layout[p] or top - 2 == layout[q]):
+                qubits = (p, q)
+            else:
+                qubits = (q, p)
+        put(qubits, tuple(tuple(held.pop(r)) for r in qubits))
 
     for i, g in enumerate(gates):
         if g.kind not in TWO_QUBIT_KINDS:
@@ -306,31 +340,47 @@ def _sweep_steps(gates: Sequence[Gate], live: Sequence[int]) -> tuple[list[np.nd
         for q in g.qubits:
             if q in held:
                 flush(q)
-        pending.append((g.kind, tuple(layout[q] for q in g.qubits)))
+        a, b = g.qubits
+        if g.kind is GateKind.SWAP and not (a in layout and b in layout):
+            # the |0> side takes the other side's bit, if it has one
+            for x, y in ((a, b), (b, a)):
+                if x in layout:
+                    layout[y] = layout.pop(x)
+                    break
+            continue
+        if g.kind is GateKind.CX:
+            if a not in layout:
+                continue
+            if b not in layout:
+                put((b,), ((),))
+        pending.append((g.kind, (layout[a], layout[b])))
     while held:
         flush(next(iter(held)))
     if pending:
-        steps.append(_gather_maps(n, pending))
+        steps.append(_gather_maps(len(layout), pending))
     return steps, layout
 
 
-def _plan(circuit: Circuit, cost_qubit: int) -> tuple[int, list[np.ndarray | tuple], int, int]:
+def _plan(circuit: Circuit, cost_qubit: int) -> tuple[int, list[np.ndarray | tuple], int | None, int]:
     """The sweep of ``circuit``, from its gates alone: (cone qubits n, steps,
-    the cost qubit's bit after the last step, state planes). A cone over the
-    cap is refused before any index map is built. The state has one real
-    plane if every gate in the cone is real: an RY, a gather, or a gate with
-    a fixed (not ``Affine``) matrix whose imaginary part is zero; two, its
-    real and imaginary parts, otherwise."""
+    the cost qubit's bit in the register after the last step, state planes).
+    The register (see ``_sweep_steps``) holds the cone qubits that have left
+    |0>, so it grows from none to at most n; the cost bit is None if the cost
+    qubit never leaves |0>, and every gradient is then 0. A cone over the cap
+    is refused before any index map is built. The state has one real plane
+    if every gate in the cone is real: an RY, a gather, or a gate with a
+    fixed (not ``Affine``) matrix whose imaginary part is zero; two, its real
+    and imaginary parts, otherwise."""
     gates, live = _light_cone(circuit, cost_qubit)
     if len(live) > MAX_QUBITS:
         raise ValueError(f"light cone of {len(live)} qubits exceeds the {MAX_QUBITS}-qubit simulator cap")
-    steps, layout = _sweep_steps(gates, live)
+    steps, layout = _sweep_steps(gates)
     real = all(
         g.kind in (GateKind.RY, *TWO_QUBIT_KINDS)
         or not isinstance(g.param, Affine) and not gate_matrix(g.kind, g.param and g.param.angle).imag.any()
         for g in gates
     )
-    return len(live), steps, layout[cost_qubit], 1 if real else 2
+    return len(live), steps, layout.get(cost_qubit), 1 if real else 2
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -361,8 +411,11 @@ def _product(run: tuple[Gate, ...], matrices: list[np.ndarray]) -> np.ndarray:
     varies from sample to sample. A product of fixed gates alone would
     round the same way in every run of every sample and bias the state's
     norm: built from the last gate, the SX.RZ(pi) tails of symbol-derived
-    ttn n=10 L=10 moved its GradVar by -7e-14 relative.
+    ttn n=10 L=10 moved its GradVar by -7e-14 relative. A run of no gates,
+    the step that joins a CX's |0> target to the register, is the identity.
     """
+    if not run:
+        return np.eye(2, dtype=complex)
     first = next((i for i, g in enumerate(run) if isinstance(g.param, Affine)), 0)
     u = matrices[first]
     for m in reversed(matrices[:first]):
@@ -408,18 +461,27 @@ def _step_matrices(runs: tuple[tuple[Gate, ...], ...], thetas: np.ndarray, plane
     return u, [_read_offs(run, m) for run, m in zip(runs, matrices)]
 
 
-def _real_block(u: np.ndarray, planes: int) -> np.ndarray:
+def _real_block(u: np.ndarray, planes: int, joins: int) -> np.ndarray:
     """The real matrix that applies a step's ``u`` to the state's planes on
     the top bits: the one-plane sweep's U itself, which is real, and for two
-    planes, re then im, [[Re U, -Im U], [Im U, Re U]]. Its transpose is the
-    block of U^dagger."""
-    if planes == 1:
-        return u
+    planes, re then im, [[Re U, -Im U], [Im U, Re U]]. A step whose runs put
+    ``joins`` qubits on the register's new top bits reads only their |0>
+    columns, the first dim >> joins of each plane. Its transpose is the block
+    of U^dagger, which drops their |1> rows."""
     dim = u.shape[-1]
-    block = np.empty(u.shape[:-2] + (2 * dim, 2 * dim))
-    block[..., :dim, :dim] = block[..., dim:, dim:] = u.real
-    block[..., dim:, :dim] = u.imag
-    np.negative(u.imag, out=block[..., :dim, dim:])
+    parts = [u] if planes == 1 else [u.real, u.imag]
+    if joins:
+        # contiguous copies: numpy 2.4.6's negative reads a one-column view
+        # of a shared or one-row U's imaginary part with the wrong stride
+        parts = [np.ascontiguousarray(part[..., : dim >> joins]) for part in parts]
+    if planes == 1:
+        return parts[0]
+    re, im = parts
+    cols = re.shape[-1]
+    block = np.empty(u.shape[:-2] + (2 * dim, 2 * cols))
+    block[..., :dim, :cols] = block[..., dim:, cols:] = re
+    block[..., dim:, :cols] = im
+    np.negative(im, out=block[..., :dim, cols:])
     return block
 
 
@@ -462,15 +524,18 @@ def _move(states: np.ndarray, index_map: np.ndarray, out: np.ndarray) -> None:
 
 
 def _multiply(block: np.ndarray, states: np.ndarray, out: np.ndarray) -> None:
-    """One matmul of ``states`` (..., rows, planes, 2**n) by a step's real
-    block (rows or shared) on the top bits, into ``out``."""
-    shape = states.shape[:-2] + (block.shape[-1], -1)
-    np.matmul(block, states.reshape(shape), out=out.reshape(shape))
+    """One matmul of ``states`` (..., rows, planes, 2**a) by a step's real
+    block (rows or shared) on the top bits, into ``out``, whose register is
+    larger by the qubits the block joins (or smaller, by its transpose)."""
+    np.matmul(
+        block,
+        states.reshape(states.shape[:-2] + (block.shape[-1], -1)),
+        out=out.reshape(out.shape[:-2] + (block.shape[-2], -1)),
+    )
 
 
 def _sweep_block(
     built: list[tuple[np.ndarray | tuple, _StepMatrices | None]],
-    n: int,
     planes: int,
     block: slice,
     cost_bit: int,
@@ -482,42 +547,53 @@ def _sweep_block(
 
     ``built`` pairs each step with its matrices, built once for the whole
     batch (None for a gather); the sweep takes the block's rows of them and
-    builds their real blocks. The backward pass un-applies each step from
-    the stacked buffer [psi; lambda] by the real block of U^dagger, lambda
-    starting in place as psi negated where the cost qubit's final bit
-    ``cost_bit`` is 1 (Z_cost psi, exactly), and reads off a step's
-    occurrences before un-applying it, each from the 2x2 transition matrix
-    of its own wire.
+    builds their real blocks. The forward pass grows the register from none
+    of the cone's qubits, one amplitude, as the steps join them. The backward
+    pass un-applies each step from the stacked buffer [psi; lambda] by the
+    real block of U^dagger, which shrinks the register back, lambda starting
+    in place as psi negated where the cost qubit's final bit ``cost_bit`` is
+    1 (Z_cost psi, exactly), and reads off a step's occurrences before
+    un-applying it, each from the 2x2 transition matrix of its own wire.
 
     ``buffers`` are the call's two flat float64 state buffers, viewed here
-    as (2, rows, planes, 2**n): each step reads one and writes the other, so
-    the sweep allocates no state. The forward pass uses their psi halves.
+    as (2, rows, planes, 2**a) for a register of a bits: each step reads one
+    and writes the other, so the sweep allocates no state. The forward pass
+    uses their psi halves.
     """
     rows = grads.shape[0]
-    cur, spare = (b[: 2 * rows * planes << n].reshape(2, rows, planes, -1) for b in buffers)
-    cur[0].fill(0)
-    cur[0, :, 0, 0] = 1
+
+    def view(buffer: np.ndarray, a: int) -> np.ndarray:
+        return buffer[: 2 * rows * planes << a].reshape(2, rows, planes, -1)
+
+    cur, spare = buffers
+    a = 0
+    psi = view(cur, a)[0]
+    psi.fill(0)
+    psi[:, 0, 0] = 1
     for step, matrices in built:
         if matrices is None:
-            _move(cur[0], step[0], spare[0])
+            _move(view(cur, a)[0], step[0], view(spare, a)[0])
         else:
-            _multiply(_real_block(_rows(matrices[0], block), planes), cur[0], spare[0])
+            joins = step[1]
+            _multiply(_real_block(_rows(matrices[0], block), planes, joins), view(cur, a)[0], view(spare, a + joins)[0])
+            a += joins
         cur, spare = spare, cur
-    cur[1] = cur[0]
+    state = view(cur, a)
+    state[1] = state[0]
     # in C order of the swapped view the inner loop runs across the blocks,
     # not along one block's 2**cost_bit amplitudes, few on a low cost bit
-    ones = cur[1].reshape(rows, planes, -1, 2, 1 << cost_bit)[..., 1, :].swapaxes(-1, -2)
+    ones = state[1].reshape(rows, planes, -1, 2, 1 << cost_bit)[..., 1, :].swapaxes(-1, -2)
     np.negative(ones, out=ones, order="C")
 
     for step, matrices in reversed(built):
         if matrices is None:
-            _move(cur, step[1], spare)
+            _move(view(cur, a), step[1], view(spare, a))
             cur, spare = spare, cur
             continue
         u, read_offs = matrices
         u = _rows(u, block)
         if any(read_offs):
-            buf = cur.reshape(2, rows, planes * u.shape[-1], -1)
+            buf = view(cur, a).reshape(2, rows, planes * u.shape[-1], -1)
             transition = _transition(buf[1] @ buf[0].swapaxes(-1, -2), planes)
             for wire, occurrences in enumerate(read_offs):
                 if not occurrences:
@@ -531,7 +607,9 @@ def _sweep_block(
         # psi and lambda at once. It stays a transposed view: at n = 2 dgemv
         # rounds a contiguous copy otherwise, and the one-plane cones' pinned
         # bits were taken with the view
-        _multiply(_real_block(u, planes).swapaxes(-1, -2), cur, spare)
+        joins = step[1]
+        _multiply(_real_block(u, planes, joins).swapaxes(-1, -2), view(cur, a), view(spare, a - joins))
+        a -= joins
         cur, spare = spare, cur
 
 
@@ -539,23 +617,28 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     """Shift-rule gradients for a batch of parameter vectors, shape (B, P).
 
     ``_plan`` gives the cone, steps and planes; a symbol with no occurrence
-    in the cone keeps gradient 0. The batch is split into near-equal row
-    blocks of at least ``_BLOCK_BYTES`` of two-plane cone state each (the
-    whole batch if it is smaller), swept one block at a time through two
-    float64 state buffers allocated once here, each 2 x (largest block's
-    rows) x planes x 2**n.
+    in the cone keeps gradient 0, as does every symbol if the cost qubit
+    never leaves |0>. The batch is split into near-equal row blocks of at
+    least ``_BLOCK_BYTES`` of two-plane cone state each (the whole batch if
+    it is smaller), swept one block at a time through two float64 state
+    buffers allocated once here, each 2 x (largest block's rows) x planes x
+    2**n, n the cone's qubits, which the register never exceeds.
     """
     n, steps, cost_bit, planes = _plan(circuit, cost_qubit)
     batch = thetas.shape[0]
+    grads = np.zeros((batch, circuit.num_symbols))
+    if cost_bit is None:
+        return grads
     rows = max(1, _BLOCK_BYTES // ((1 << n) * 16))
     blocks = max(1, batch // rows)
     bounds = [batch * i // blocks for i in range(blocks + 1)]
-    built = [(step, None if isinstance(step, np.ndarray) else _step_matrices(step, thetas, planes)) for step in steps]
+    built = [
+        (step, None if isinstance(step, np.ndarray) else _step_matrices(step[0], thetas, planes)) for step in steps
+    ]
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
     buffers = (np.empty(2 * most * planes << n), np.empty(2 * most * planes << n))
-    grads = np.zeros((batch, circuit.num_symbols))
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(built, n, planes, slice(start, stop), cost_bit, grads[start:stop], buffers)
+        _sweep_block(built, planes, slice(start, stop), cost_bit, grads[start:stop], buffers)
     return grads
 
 

@@ -11,7 +11,7 @@ from vqclab.grad import ReparamMode, free_all_angles, grad_variance, reparameter
 from vqclab.harness import read_csv
 from vqclab.sim import expect_z
 from vqclab.transpiler import transpile
-from vqclab.backend import make_line
+from vqclab.backend import make_line, save_backend
 
 
 def run(*argv):
@@ -468,6 +468,28 @@ class TestSweepCommand:
             expected = f"the checkpoint sweep.json is the config {config_path}; name another out_jsonl"
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert config_path.read_bytes() == kept
+
+    @pytest.mark.parametrize("role", ["out-csv", "out-jsonl"])
+    def test_the_backend_file_is_neither_the_csv_nor_the_checkpoint(self, tmp_path, capsys, monkeypatch, role):
+        # an output written over the config's backend file leaves the next
+        # run no device to read
+        monkeypatch.chdir(tmp_path)
+        device = tmp_path / "device.json"
+        save_backend(make_line(2), device)
+        kept = device.read_bytes()
+        payload = {"ansatz": ["ttn"], "qubits": [2], "reps": [1], "backend": "device.json"}
+        if role == "out-jsonl":
+            payload["out_jsonl"] = str(device)
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(payload))
+        if role == "out-csv":
+            assert run("sweep", "--config", config_path, "--out-csv", device) == 1
+            expected = f"--out-csv {device} is the backend device.json; name another CSV"
+        else:
+            assert run("sweep", "--config", config_path) == 1
+            expected = f"the checkpoint {device} is the backend device.json; name another out_jsonl"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert device.read_bytes() == kept
 
     def test_bad_thread_count_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VQCLAB_THREADS", "abc")

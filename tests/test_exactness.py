@@ -2,11 +2,14 @@
 
 The digests below were computed by the fused light-cone sweep: the
 blocked adjoint sweep run on the gates and qubits of the cost qubit's
-backward light cone. Every CX and SWAP is a gather, which moves chunks
-of up to four amplitudes. A run that a two-qubit gate or the end of the
-circuit flushes takes a second complete run into its step, a 4x4 U_hi
-kron U_lo (the run on the gate's other wire whenever one is held); a run
-left without one is a 2x2 on the top bit. Each step is applied by one
+backward light cone, its state held on a register of the cone qubits that
+have left |0>, which a step grows by reading only the |0> columns of its
+U. A CX or SWAP that meets a |0> qubit is dropped, joins it or relabels
+it; every other is a gather, which moves chunks of up to four
+amplitudes. A run that a two-qubit gate or the end of the circuit
+flushes takes a second complete run into its step, a 4x4 U_hi kron U_lo
+(the run on the gate's other wire whenever one is held); a run left
+without one is a 2x2 on the top bit. Each step is applied by one
 dgemm on float64 planes, and every occurrence is read off the 2x2
 transition matrix of its own wire. Every exact rewrite of the engine
 must reproduce them, and must give the same bits at any block size.
@@ -69,25 +72,25 @@ def stats_digest(stats) -> str:
 # default block size; n=4 runs in one. Every logical ttn row is a real cone.
 FROZEN = {
     ("efficient_su2", 10, 1): {
-        "logical": ("0x1.b125e98b23736p-7", "1cf922fe8cc3146c34686c6058ca3c371af1e9af5a1f5e52c36b8c03a16b9b82"),
-        "all-angles": ("0x1.b129b3f0adefap-7", "5cbc88afaebb80974e71a6f104f5579daf665da94d3051ee074d6823e1b75b23"),
-        "symbol-derived": ("0x1.b125e98b23736p-7", "576c296f6b0d8e96a2fbab921ddc344eddba9b4cc06af8b70442774379515ce5"),
+        "logical": ("0x1.b125e98b23736p-7", "0d4865db467c10f9d83512bac2fd4059f0a560a058a5b47a8095f0196a0dfda6"),
+        "all-angles": ("0x1.b129b3f0adefap-7", "2fc7d676f764722dfb9543176bc4effa7e3c60c9aeb134cf6f2a9f0e73bda60a"),
+        "symbol-derived": ("0x1.b125e98b23736p-7", "361e439b9da666246fde487a7572a09f889dbdaaa4172b823829cf5a13dd9223"),
     },
     ("ttn", 10, 1): {
-        "logical": ("0x1.73a5165790127p-5", "32625b77e14a68cd8cb8db9e9a31f39e4ff0a5295e90b485c97b0afa84f69b9b"),
-        "all-angles": ("0x1.ddf1e661e2c22p-8", "68677095fba04aaec9dcfb841f7bb301ce16bcf644886221cf4558c4e4c54e29"),
-        "symbol-derived": ("0x1.73a5165790123p-5", "d8e76aea528f9ee42337b8be90b4009a983a29f1eaa1c8b4f9cc202585c20b02"),
+        "logical": ("0x1.73a5165790127p-5", "3a5699ee5592650efd2ae7a71a6df34547efc3277b40ccf5ddbcee528edb3f4c"),
+        "all-angles": ("0x1.ddf1e661e2c22p-8", "6e5d3c4e15d07783bf0ab483f5844d735e257e6c6832b316c4e00a1c246d19fd"),
+        "symbol-derived": ("0x1.73a5165790123p-5", "75cfabbfa0a06d49865b7348234b820919a649c0c59bb2b6f8370efb372e731d"),
     },
     ("ttn", 4, 2): {
-        "logical": ("0x1.ca4c30ab555bdp-4", "85b3a9569d9ef30ba893aa6417b1fcee231f92b7275f04d6bdc712da5b5db0c6"),
-        "all-angles": ("0x1.3e7de162a7caap-5", "967438bfd1d49be1acda0c5d10c6b35f4a51966714637a06b4457d4746ff2f11"),
-        "symbol-derived": ("0x1.ca4c30ab555b9p-4", "1904223f81e42ee0600ef36b1efef9c5222a07c789d8481c205705b6bfb68b02"),
+        "logical": ("0x1.ca4c30ab555bdp-4", "5c4013fd72fb01e8828cb917ab0ce8d29092d0f615da34cb57385bc211220619"),
+        "all-angles": ("0x1.3e7de162a7caap-5", "f871a8dc4bbb3f0bc4aba5687c874eb8767b4dd0be57d610524c599190d26d24"),
+        "symbol-derived": ("0x1.ca4c30ab555b8p-4", "dae5e8168cd3f33e7c173173cbf5ca91a72d4a7a358f8945fc47ddca0e207663"),
     },
 }
 
 # The last line of tests/stock_bits.py under the same kernel: the sha256 of
 # all 279 stock arms' bits, which CI checks. A re-pin updates it with FROZEN.
-STOCK_BITS = "279 arms, sha256 84a6af09863bc3c549e607d0f1d73db79a962b3e034f1186b9c5b92cc166c400"
+STOCK_BITS = "279 arms, sha256 7eedf78c64e16c587f7597da93c047992e1f48269de276f70ddecaed5a68d150"
 
 PINNED_KERNEL = "Haswell"
 
@@ -302,6 +305,28 @@ HISTORY = {
             },
         },
     ),
+    "whole-cone": (
+        "grad_var.hex() of the cells above as the sweep computed them when its state "
+        "held every qubit of the light cone from the first step, before the register "
+        "grew from none of them as they left |0> (under the Haswell kernel).",
+        {
+            ("efficient_su2", 10, 1): {
+                "logical": "0x1.b125e98b23736p-7",
+                "all-angles": "0x1.b129b3f0adefap-7",
+                "symbol-derived": "0x1.b125e98b23736p-7",
+            },
+            ("ttn", 10, 1): {
+                "logical": "0x1.73a5165790127p-5",
+                "all-angles": "0x1.ddf1e661e2c22p-8",
+                "symbol-derived": "0x1.73a5165790123p-5",
+            },
+            ("ttn", 4, 2): {
+                "logical": "0x1.ca4c30ab555bdp-4",
+                "all-angles": "0x1.3e7de162a7caap-5",
+                "symbol-derived": "0x1.ca4c30ab555b9p-4",
+            },
+        },
+    ),
 }
 
 
@@ -321,9 +346,10 @@ def test_seeded_layout_cell_within_rounding_of_gate_by_gate():
     t = transpile(build_ansatz("ttn", 4, 1), make_line(8), layout_seed=3)
     grad_var = grad_variance(reparameterize(t, ReparamMode.SYMBOL_DERIVED), 20, 42, 0).grad_var
     # the bits follow the dgemm kernel: ...853 under OpenBLAS's Haswell,
-    # Zen and Sandybridge kernels, ...856 under SkylakeX (the complex128
-    # sweep read ...853 under all four)
-    assert grad_var in (0.16007644570608853, 0.16007644570608856)
+    # Zen and SkylakeX kernels, ...850 under Sandybridge (the whole-cone
+    # sweep read ...856 under SkylakeX and ...853 under the other three, the
+    # complex128 sweep ...853 under all four)
+    assert grad_var in (0.1600764457060885, 0.16007644570608853)
     # the gate-by-gate sweep, before single-qubit runs were fused, gave
     gate_by_gate = 0.16007644570608856
     assert abs(grad_var - gate_by_gate) <= 1e-14 * gate_by_gate
@@ -408,11 +434,15 @@ GATELESS_PAIRS = (
 )
 
 
-# Five-qubit cones that end the cost qubit on bit 3, not the top bit, so
-# the costate starts on a middle bit: in two planes, and in one (RX on
-# qubit 1 is outside the second cone). Each rotation has its own symbol.
+# Five-qubit cones that end the cost qubit on bit 3 of a five-qubit
+# register, not the top bit, so the costate starts on a middle bit: in two
+# planes, and in one (RX on qubit 1 is outside the second cone). Each
+# rotation has its own symbol. The leading H gates take qubits out of |0>
+# early: without them, CXs whose control is |0> would be dropped and SWAPs
+# with a |0> qubit relabelled, and the register would end at two qubits.
 COST_BIT_THREE_TWO_PLANES = (
     Circuit(5, (
+        Gate(GateKind.H, (0,)), Gate(GateKind.H, (1,)),
         Gate(GateKind.SWAP, (1, 0)), Gate(GateKind.CX, (0, 2)), Gate(GateKind.RX, (4,), Affine(0, 1, 0.0)),
         Gate(GateKind.CX, (1, 3)), Gate(GateKind.SWAP, (0, 4)), Gate(GateKind.RX, (0,), Affine(1, 1, 0.0)),
         Gate(GateKind.RY, (1,), Affine(2, 1, 0.0)), Gate(GateKind.RZ, (3,), Affine(3, 1, 0.0)),
@@ -422,6 +452,7 @@ COST_BIT_THREE_TWO_PLANES = (
 )
 COST_BIT_THREE_ONE_PLANE = (
     Circuit(5, (
+        Gate(GateKind.H, (2,)),
         Gate(GateKind.CX, (2, 3)), Gate(GateKind.SWAP, (3, 2)), Gate(GateKind.CX, (3, 0)), Gate(GateKind.CX, (0, 1)),
         Gate(GateKind.RY, (4,), Affine(0, 1, 0.0)), Gate(GateKind.RY, (0,), Affine(1, 1, 0.0)),
         Gate(GateKind.RX, (1,), Affine(2, 1, 0.0)), Gate(GateKind.CX, (4, 0)), Gate(GateKind.SWAP, (3, 4)),
@@ -436,8 +467,9 @@ COST_BIT_THREE_ONE_PLANE = (
 )
 def test_cost_bit_three_examples_keep_their_plan(case, planes):
     circuit, cost_qubit, _, _ = case
-    n, _, cost_bit, got_planes = grad._plan(circuit, cost_qubit)
-    assert (n, cost_bit, got_planes) == (5, 3, planes)
+    n, steps, cost_bit, got_planes = grad._plan(circuit, cost_qubit)
+    register = sum(step[1] for step in steps if not isinstance(step, np.ndarray))
+    assert (n, register, cost_bit, got_planes) == (5, 5, 3, planes)
 
 
 @PROPERTY_SETTINGS

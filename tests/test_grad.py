@@ -1,10 +1,11 @@
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from vqclab import grad
@@ -36,7 +37,7 @@ from vqclab.rng import GOLDEN, SplitMix64, mix64
 from vqclab.sim import MAX_QUBITS, apply_kind, expect_z, gate_matrix, simulate
 from vqclab.transpiler import TranspiledCircuit, transpile
 
-from cases import REAL_KINDS, assert_equals_literal_shift_rule, circuits, stock_arms
+from cases import REAL_KINDS, assert_equals_literal_shift_rule, cell_arms, circuits, stock_arms
 
 BUILDERS = [build_real_amplitudes, build_efficient_su2, build_ttn]
 
@@ -281,16 +282,113 @@ class TestLightCone:
         sweep_steps.assert_not_called()
 
     def test_live_qubits_renumbered_in_order(self):
-        # the cone keeps its gates' own qubits; the sweep's layout starts
-        # from the ranks of the live qubits, which is the renumbering
+        # the cone keeps its gates' own qubits; the sweep's register numbers
+        # them in the order they leave |0>, which is the renumbering
         c = Circuit(4, (Gate(GateKind.X, (0,)), Gate(GateKind.CX, (3, 1)), Gate(GateKind.H, (2,))), 0)
         assert _light_cone(c, 3) == ([Gate(GateKind.CX, (3, 1))], [1, 3])
         assert _light_cone(c, 2) == ([Gate(GateKind.H, (2,))], [2])
-        steps, layout = grad._sweep_steps(*_light_cone(c, 3))
-        assert len(steps) == 1 and np.array_equal(element_maps(steps[0], 2), reference_maps(2, [(GateKind.CX, (1, 0))]))
-        assert layout == {1: 0, 3: 1}
-        steps, layout = grad._sweep_steps(*_light_cone(c, 2))
-        assert steps == [((Gate(GateKind.H, (2,)),),)] and layout == {2: 0}
+        # the CX's control is |0>: the CX is dropped, and no qubit joins
+        assert grad._sweep_steps(_light_cone(c, 3)[0]) == ([], {})
+        steps, layout = grad._sweep_steps(_light_cone(c, 2)[0])
+        assert steps == [(((Gate(GateKind.H, (2,)),),), 1)] and layout == {2: 0}
+        # qubit 3 leaves |0> first and takes bit 0; the CX's |0> target,
+        # qubit 1, then joins on bit 1 by an identity step
+        h3 = Gate(GateKind.H, (3,))
+        steps, layout = grad._sweep_steps([h3, Gate(GateKind.CX, (3, 1))])
+        assert steps[:2] == [(((h3,),), 1), (((),), 1)] and len(steps) == 3
+        assert np.array_equal(element_maps(steps[2], 2), reference_maps(2, [(GateKind.CX, (0, 1))]))
+        assert layout == {3: 0, 1: 1}
+
+
+# Cost qubit 0 meets every |0> rule: CX(0, 1) joins its |0> target, CX(2, 0)
+# is dropped (its control is |0>), and SWAP(1, 2) and SWAP(1, 0) each carry
+# a qubit's bit over to a |0> qubit.
+ZERO_QUBIT_GATES = (Circuit(3, (
+    Gate(GateKind.RY, (0,), Affine(0, 1, 0.3)), Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (2, 0)),
+    Gate(GateKind.SWAP, (1, 2)), Gate(GateKind.RX, (2,), Affine(1, -1, 0.8)), Gate(GateKind.CX, (2, 0)),
+    Gate(GateKind.RY, (0,), Affine(2, 1, 0.0)), Gate(GateKind.SWAP, (1, 0)), Gate(GateKind.H, (0,)),
+    Gate(GateKind.CX, (0, 2)), Gate(GateKind.RY, (2,), Affine(0, -1, 1.9)), Gate(GateKind.CX, (2, 0)),
+), 3), 0, 5, 7)
+
+
+def zero_qubit_rules(gates):
+    """The |0> rules that ``gates`` meet. A qubit leaves |0> at its first
+    single-qubit gate, or as the target of a CX whose control has left it; a
+    SWAP exchanges two qubits' states."""
+    left, rules = set(), set()
+    for g in gates:
+        if g.kind not in TWO_QUBIT_KINDS:
+            left.add(g.qubits[0])
+            continue
+        a, b = g.qubits
+        if g.kind is GateKind.CX and a not in left:
+            rules.add("cx-control")
+        elif g.kind is GateKind.CX and b not in left:
+            rules.add("cx-target")
+            left.add(b)
+        elif g.kind is GateKind.SWAP and (a in left) != (b in left):
+            rules.add("swap")
+            left ^= {a, b}
+    return rules
+
+
+class TestRegister:
+    # one cone in six to eight meets a given rule
+    @pytest.mark.parametrize("rule", ["cx-control", "cx-target", "swap"])
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(case=circuits())
+    @example(case=ZERO_QUBIT_GATES)
+    def test_gates_that_meet_a_zero_qubit_equal_literal_shift_rule(self, rule, case):
+        circuit, cost_qubit, batch, seed = case
+        assume(rule in zero_qubit_rules(_light_cone(circuit, cost_qubit)[0]))
+        assert_equals_literal_shift_rule(circuit, sample_thetas(seed, batch, circuit.num_symbols), cost_qubit)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(circuits(4, max_gates=16), st.booleans())
+    def test_a_cost_qubit_that_never_leaves_zero_reads_exact_zeros(self, case, swapped):
+        # the cost qubit is a fresh qubit f that only controls a CX onto each
+        # other qubit, or the drawn one, swapped with f at the end
+        circuit, cost_qubit, batch, seed = case
+        f = circuit.num_qubits
+        if swapped:
+            extra = (Gate(GateKind.SWAP, (cost_qubit, f)),)
+        else:
+            extra, cost_qubit = tuple(Gate(GateKind.CX, (f, q)) for q in range(f)), f
+        circuit = Circuit(f + 1, (*circuit.gates, *extra), circuit.num_symbols)
+        assert grad._plan(circuit, cost_qubit)[2] is None
+        fast = assert_equals_literal_shift_rule(circuit, sample_thetas(seed, batch, circuit.num_symbols), cost_qubit)
+        assert not fast.any()
+
+    def test_ttn_wakes_its_qubits_two_at_a_time(self):
+        # each RY(a) RY(b) pair of the tree's first level is one step that
+        # puts both qubits in the register; the later levels find them there
+        for mode, circuit, cost_qubit in cell_arms("ttn", 12, 1, make_line(12)):
+            sizes = registers(grad._plan(circuit, cost_qubit)[1])
+            assert sizes[:6] == [2, 4, 6, 8, 10, 12] and set(sizes[6:]) == {12}, mode
+
+    @pytest.mark.parametrize("rows", [None, 1, 3], ids=["shared", "one-row", "rows"])
+    @pytest.mark.parametrize("dim, joins", [(2, 0), (2, 1), (4, 0), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("planes", [1, 2])
+    def test_real_block_is_the_block_written_out(self, planes, dim, joins, rows):
+        # a per-sample U is a row block's slice of the batch's, as the sweep
+        # takes it; a joining step keeps the first dim >> joins columns
+        rng = np.random.default_rng(10 * dim + joins)
+        batch = rng.standard_normal((5, dim, dim)) + 1j * rng.standard_normal((5, dim, dim))
+        if planes == 1:
+            batch = batch.real.copy()
+        u = batch[0] if rows is None else batch[1 : 1 + rows]
+        cols = dim >> joins
+        want = np.zeros(u.shape[:-2] + (planes * dim, planes * cols))
+        for index in np.ndindex(u.shape[:-2]):
+            for i in range(dim):
+                for j in range(cols):
+                    z = complex(u[index][i, j])
+                    want[index][i, j] = z.real
+                    if planes == 2:
+                        want[index][dim + i, cols + j] = z.real
+                        want[index][dim + i, j] = z.imag
+                        want[index][i, cols + j] = -z.imag
+        assert np.array_equal(grad._real_block(u, planes, joins), want)
 
 
 class TestFusedRuns:
@@ -302,42 +400,44 @@ class TestFusedRuns:
             Gate(GateKind.H, (2,)),
         )
         cx12, cx01 = Gate(GateKind.CX, (1, 2)), Gate(GateKind.CX, (0, 1))
-        steps, layout = grad._sweep_steps([sx0, h2, rz0, cx12, x0, cx01], range(3))
-        # the CX on (1, 2) flushes H(2), already on the top bit; the run on
-        # qubit 0 (X included) waits for CX(0, 1), the SWAP that brings it
-        # to the top bit joins the pending gather, and CX(0, 1) then acts
-        # on bits (2, 1) in a new gather
-        assert [is_gather(s) for s in steps] == [False, True, False, True]
-        assert steps[0] == ((h2,),)
-        assert steps[2] == ((sx0, rz0, x0),)
-        assert np.array_equal(element_maps(steps[1], 3), reference_maps(3, [(GateKind.CX, (1, 2)), (GateKind.SWAP, (0, 2))]))
-        assert np.array_equal(element_maps(steps[3], 3), reference_maps(3, [(GateKind.CX, (2, 1))]))
-        assert layout == {0: 2, 1: 1, 2: 0}
+        steps, layout = grad._sweep_steps([sx0, h2, rz0, cx12, x0, cx01])
+        # the CX on (1, 2) flushes H(2), which joins on bit 0, and is dropped:
+        # its control is |0>. The run on qubit 0 (X included) waits for
+        # CX(0, 1) and joins on bit 1; the CX's |0> target joins on bit 2 by
+        # an identity step, and the CX then acts on bits (1, 2) in a gather
+        assert [is_gather(s) for s in steps] == [False, False, False, True]
+        assert steps[:3] == [(((h2,),), 1), (((sx0, rz0, x0),), 1), (((),), 1)]
+        assert np.array_equal(element_maps(steps[3], 3), reference_maps(3, [(GateKind.CX, (1, 2))]))
+        assert layout == {2: 0, 0: 1, 1: 2}
 
     def test_a_cx_between_two_held_runs_is_one_block(self):
         ry0, sx2 = Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.SX, (2,))
-        steps, layout = grad._sweep_steps([ry0, sx2, Gate(GateKind.CX, (2, 0))], range(3))
-        # qubit 2 is on the top bit already and stays; qubit 0 joins it on
-        # bit 1 by a SWAP in a gather; the two runs are one step, and the CX
-        # then acts on bits (2, 1) in a gather of its own
-        assert [is_gather(s) for s in steps] == [True, False, True]
-        assert np.array_equal(element_maps(steps[0], 3), reference_maps(3, [(GateKind.SWAP, (0, 1))]))
-        assert steps[1] == ((sx2,), (ry0,))
-        assert np.array_equal(element_maps(steps[2], 3), reference_maps(3, [(GateKind.CX, (2, 1))]))
-        assert layout == {0: 1, 1: 0, 2: 2}
+        h0, rx2 = Gate(GateKind.H, (0,)), Gate(GateKind.RX, (2,), Affine(1, 1, 0.0))
+        cx20 = Gate(GateKind.CX, (2, 0))
+        steps, layout = grad._sweep_steps([ry0, sx2, cx20, h0, rx2, cx20])
+        # the two runs are one step, in which both qubits join: 2 on bit 0,
+        # 0 above it; the CX then acts on bits (0, 1) in a gather. The next
+        # two runs find their qubits on the top bits already, and stay there:
+        # no SWAP joins that gather
+        assert [is_gather(s) for s in steps] == [False, True, False, True]
+        assert steps[0] == (((ry0,), (sx2,)), 2)
+        assert steps[2] == (((h0,), (rx2,)), 0)
+        for gather in steps[1::2]:
+            assert np.array_equal(element_maps(gather, 2), reference_maps(2, [(GateKind.CX, (0, 1))]))
+        assert layout == {2: 0, 0: 1}
 
     def test_a_cx_pairs_the_runs_on_its_own_wires(self):
         sx2, ry0, h1 = Gate(GateKind.SX, (2,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.H, (1,))
         # the run on qubit 2 is complete and held first, but its CX comes
         # later: CX(0, 1) flushes the runs on its own two wires together
-        steps, _ = grad._sweep_steps([sx2, ry0, h1, Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (2, 0))], range(3))
-        assert [s for s in steps if not is_gather(s)] == [((ry0,), (h1,)), ((sx2,),)]
+        steps, _ = grad._sweep_steps([sx2, ry0, h1, Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (2, 0))])
+        assert runs_of(steps) == [((h1,), (ry0,)), ((sx2,),)]
 
     @pytest.mark.parametrize("family", ["efficient_su2", "ttn"])
     def test_every_run_acts_on_the_top_bit(self, family):
         t = transpile(build_ansatz(family, 4, 2), make_heavy_hex(2, 3))
         bound = bind(t.physical, np.random.default_rng(5).uniform(0, 2 * math.pi, t.physical.num_symbols))
-        steps, layout = grad._sweep_steps(bound.gates, range(bound.num_qubits))
+        steps, layout = grad._sweep_steps(bound.gates)
         assert any(is_block(s) for s in steps)
         assert_replay_reproduces_circuit(steps, layout, bound)
 
@@ -348,54 +448,58 @@ class TestFusedRuns:
         logical = build_ansatz("ttn", 12, 1)
         t = transpile(logical, make_line(12))
         bound = bind(logical, np.random.default_rng(3).uniform(0, 2 * math.pi, logical.num_symbols))
-        steps, layout = grad._sweep_steps(*_light_cone(bound, 0))
+        steps, layout = grad._sweep_steps(_light_cone(bound, 0)[0])
         assert len(steps) <= 24
         assert sum(is_block(s) for s in steps) == 11
         assert_replay_reproduces_circuit(steps, layout, bound)
         physical = reparameterize(t, ReparamMode.ALL_ANGLES)
-        assert len(grad._sweep_steps(*_light_cone(physical, t.cost_qubit))[0]) <= 34
+        assert len(grad._sweep_steps(_light_cone(physical, t.cost_qubit)[0])[0]) <= 34
 
     def test_a_run_after_a_cx_adds_no_gather(self):
         def counts(gates):
-            steps = grad._sweep_steps(gates, range(3))[0]
+            steps = grad._sweep_steps(gates)[0]
             gathers = sum(map(is_gather, steps))
             return gathers, len(steps) - gathers
 
-        cx01, sx0, h1 = Gate(GateKind.CX, (0, 1)), Gate(GateKind.SX, (0,)), Gate(GateKind.H, (1,))
-        assert counts([cx01]) == (1, 0)
+        # one step puts qubits 0 and 1 (or 0 and 2) in the register, 0 on the
+        # top bit, and the CX then acts on both
+        h0, h1, h2 = (Gate(GateKind.H, (q,)) for q in range(3))
+        cx01, sx0, sx1 = Gate(GateKind.CX, (0, 1)), Gate(GateKind.SX, (0,)), Gate(GateKind.SX, (1,))
+        assert counts([h0, h1, cx01]) == (1, 1)
         # the SWAP that moves qubit 0 to the top bit joins the CX's gather
-        assert counts([cx01, sx0]) == (1, 1)
-        # two runs that end the circuit are one step; both SWAPs join the gather
-        assert counts([cx01, sx0, h1]) == (1, 1)
+        assert counts([h0, h1, cx01, sx0]) == (1, 2)
+        # two runs that end the circuit are one step; its SWAPs join the gather
+        assert counts([h0, h1, cx01, sx0, sx1]) == (1, 2)
         # a run whose qubit is on the top bit already needs no SWAP
-        assert counts([Gate(GateKind.CX, (0, 2)), Gate(GateKind.SX, (2,))]) == (1, 1)
+        assert counts([h0, h2, Gate(GateKind.CX, (0, 2)), Gate(GateKind.SX, (2,))]) == (1, 2)
 
     def test_two_complete_lone_runs_are_one_step(self):
         h2, ry0, sx1 = Gate(GateKind.H, (2,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.SX, (1,))
         cx01 = Gate(GateKind.CX, (0, 1))
         # CX(0, 1) meets a run on qubit 0 only; the run on qubit 2, which no
-        # single-qubit gate follows, joins its step on the top two bits
-        steps, layout = grad._sweep_steps([h2, ry0, cx01], range(3))
-        assert [is_gather(s) for s in steps] == [True, False, True]
-        assert steps[1] == ((h2,), (ry0,))
-        assert layout == {0: 1, 1: 0, 2: 2}
-        # the runs that end the circuit are flushed in pairs too
-        steps, _ = grad._sweep_steps([cx01, h2, ry0, sx1], range(3))
-        assert [is_gather(s) for s in steps] == [True, False, True, False]
-        assert steps[1] == ((h2,), (ry0,))
-        assert steps[3] == ((sx1,),)
+        # single-qubit gate follows, joins its step; both join the register,
+        # and the CX's |0> target then joins by an identity step
+        steps, layout = grad._sweep_steps([h2, ry0, cx01])
+        assert [is_gather(s) for s in steps] == [False, False, True]
+        assert steps[:2] == [(((h2,), (ry0,)), 2), (((),), 1)]
+        assert layout == {0: 0, 2: 1, 1: 2}
+        # the runs that end the circuit are flushed in pairs too (the CX
+        # before them is dropped: its control is |0>)
+        steps, _ = grad._sweep_steps([cx01, h2, ry0, sx1])
+        assert steps == [(((ry0,), (h2,)), 2), (((sx1,),), 1)]
 
     def test_a_run_that_a_single_qubit_gate_follows_is_no_partner(self):
         h2, ry0, x2 = Gate(GateKind.H, (2,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.0)), Gate(GateKind.X, (2,))
-        # X(2) still extends the run H(2) when CX(0, 1) flushes RY(0)
-        steps, _ = grad._sweep_steps([h2, ry0, Gate(GateKind.CX, (0, 1)), x2], range(3))
-        assert [s for s in steps if not is_gather(s)] == [((ry0,),), ((h2, x2),)]
+        # X(2) still extends the run H(2) when CX(0, 1) flushes RY(0); the
+        # CX's |0> target joins alone, by a run of no gates
+        steps, _ = grad._sweep_steps([h2, ry0, Gate(GateKind.CX, (0, 1)), x2])
+        assert runs_of(steps) == [((ry0,),), ((),), ((h2, x2),)]
 
     def test_the_partner_is_the_run_whose_two_qubit_gate_comes_first(self):
         h2, sx3, ry0 = Gate(GateKind.H, (2,)), Gate(GateKind.SX, (3,)), Gate(GateKind.RY, (0,), Affine(0, 1, 0.0))
         gates = [h2, sx3, ry0, Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 3)), Gate(GateKind.CX, (2, 1))]
-        steps, _ = grad._sweep_steps(gates, range(4))
-        assert steps[1] == ((sx3,), (ry0,))
+        steps, _ = grad._sweep_steps(gates)
+        assert steps[0] == (((sx3,), (ry0,)), 2)
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(circuits(5, max_gates=20))
@@ -414,11 +518,11 @@ class TestFusedRuns:
                 open_runs[q] = []
                 maximal[q].append(open_runs[q])
             open_runs[q].append(g)
-        steps, layout = grad._sweep_steps(bound.gates, range(bound.num_qubits))
+        steps, layout = grad._sweep_steps(bound.gates)
         planned = {q: [] for q in range(circuit.num_qubits)}
-        for step in steps:
-            for run in () if is_gather(step) else step:
-                planned[run[0].qubits[0]].append(list(run))
+        # an identity step's run holds no gate
+        for run in (run for runs in runs_of(steps) for run in runs if run):
+            planned[run[0].qubits[0]].append(list(run))
         assert planned == maximal
         assert_replay_reproduces_circuit(steps, layout, bound)
 
@@ -429,7 +533,7 @@ class TestFusedRuns:
         # 12 and 12 (efficient_su2)
         t = transpile(build_ansatz(family, 12, 1), make_line(12))
         physical = reparameterize(t, ReparamMode.ALL_ANGLES)
-        steps, _ = grad._sweep_steps(*_light_cone(physical, t.cost_qubit))
+        steps, _ = grad._sweep_steps(_light_cone(physical, t.cost_qubit)[0])
         gathers = sum(map(is_gather, steps))
         assert gathers <= most
         assert len(steps) - gathers <= most
@@ -471,12 +575,23 @@ class TestFusedRuns:
 
 def is_gather(step):
     # a gather is one int32 array of its (forward, backward) index maps; a
-    # matrix step is the tuple of its runs
+    # matrix step is the tuple of its runs and how many of their qubits join
     if isinstance(step, np.ndarray):
         assert step.dtype == np.int32 and step.shape[0] == 2
         return True
-    assert isinstance(step, tuple)
+    runs, joins = step
+    assert isinstance(runs, tuple) and 0 <= joins <= len(runs)
     return False
+
+
+def runs_of(steps):
+    """The runs of each matrix step of ``steps``, in order."""
+    return [step[0] for step in steps if not is_gather(step)]
+
+
+def registers(steps):
+    """The register's size after each matrix step of ``steps``."""
+    return list(itertools.accumulate(step[1] for step in steps if not is_gather(step)))
 
 
 def applied(states, n, ops):
@@ -507,27 +622,34 @@ def is_block(step):
     # a matrix step holds one run or two
     if is_gather(step):
         return False
-    assert len(step) in (1, 2)
-    return len(step) == 2
+    assert len(step[0]) in (1, 2)
+    return len(step[0]) == 2
 
 
 def assert_replay_reproduces_circuit(steps, layout, bound):
-    """Replaying the gathers, and each step's runs gate by gate on bits n-1
-    and n-2, reproduces the circuit, its qubits placed by the final layout."""
-    n = bound.num_qubits
-    assert sorted(layout) == sorted(layout.values()) == list(range(n))
-    state = np.zeros((1, 1 << n), dtype=complex)
-    state[0, 0] = 1.0
+    """Replaying the steps on a register that starts empty reproduces the
+    circuit: each gather, and each matrix step's runs gate by gate on the
+    top bits a-1 and a-2 of the register after its joining qubits' bits are
+    added above it in |0>. The register's qubits are placed by the final
+    layout, and every other qubit is |0>."""
+    a = 0
+    state = np.ones((1, 1), dtype=complex)
     for step in steps:
         if is_gather(step):
-            state = state[:, element_maps(step, n)[0]]
+            state = state[:, element_maps(step, a)[0]]
             continue
-        for run, bit in zip(step, (n - 1, n - 2)):
+        runs, joins = step
+        state = np.concatenate([state, np.zeros((1, state.size * ((1 << joins) - 1)))], axis=1)
+        a += joins
+        for run, bit in zip(runs, (a - 1, a - 2)):
             for g in run:
                 assert g.qubits == run[0].qubits
-                state = apply_kind(state, n, g.kind, (bit,), None if g.param is None else g.param.angle)
-    placed = [sum(((i >> q) & 1) << layout[q] for q in range(n)) for i in range(1 << n)]
-    np.testing.assert_allclose(state[0, placed], simulate(bound), rtol=0, atol=1e-12)
+                state = apply_kind(state, a, g.kind, (bit,), None if g.param is None else g.param.angle)
+    assert sorted(layout.values()) == list(range(a))
+    placed = [sum(((i >> bit) & 1) << q for q, bit in layout.items()) for i in range(1 << a)]
+    full = np.zeros(1 << bound.num_qubits, dtype=complex)
+    full[placed] = state[0]
+    np.testing.assert_allclose(full, simulate(bound), rtol=0, atol=1e-12)
 
 
 class TestGradVariance:
@@ -631,7 +753,7 @@ def sweep_buffers(circuit, thetas, cost_qubit):
     of each of its ``_sweep_block`` calls."""
     with mock.patch.object(grad, "_sweep_block", wraps=grad._sweep_block) as spy:
         grads = _gradients_batched(circuit, thetas, cost_qubit)
-    return grads, [(call.args[3], call.args[6]) for call in spy.call_args_list]
+    return grads, [(call.args[2], call.args[5]) for call in spy.call_args_list]
 
 
 def held_step_matrix_bytes(circuit, thetas, cost_qubit):
@@ -735,7 +857,7 @@ class TestPlan:
         if planes == 1:
             for step in steps:
                 if not is_gather(step):
-                    assert not grad._step_matrices(step, thetas, 2)[0].imag.any()
+                    assert not grad._step_matrices(step[0], thetas, 2)[0].imag.any()
         assert_equals_literal_shift_rule(circuit, thetas, cost_qubit)
 
     def test_the_plan_builds_no_gate(self, monkeypatch):
@@ -758,9 +880,8 @@ class TestPlan:
         thetas = sample_thetas(5, 6, 2)
         _, steps, _, planes = grad._plan(circuit, 0)
         assert planes == 2
-        matrix_steps = [s for s in steps if not is_gather(s)]
-        assert (sx, sx) in [run for s in matrix_steps for run in s]
-        assert not any(grad._step_matrices(s, thetas, 2)[0].imag.any() for s in matrix_steps)
+        assert (sx, sx) in [run for runs in runs_of(steps) for run in runs]
+        assert not any(grad._step_matrices(runs, thetas, 2)[0].imag.any() for runs in runs_of(steps))
         assert_equals_literal_shift_rule(circuit, thetas, 0)
 
 
