@@ -70,9 +70,12 @@ place as psi negated where the cost qubit's bit is 1, and forms
 a step's real product Lambda Psi^T, one dgemm, whose diagonal blocks sum
 to Re G and whose upper-right minus lower-left block is Im G, G[r, a, b]
 being the transition matrix, the sum over the other qubits of
-conj(lambda_a) psi_b. Each wire's 2x2 G is read off the step's with no
+conj(lambda_a) psi_b. Each wire's 2x2 G is taken off the step's with no
 permutation: a lone run's is the whole G, and a two-run step's 4x4 G is
-summed over the other wire's bit. Occurrence k of a run contributes
+summed over the other wire's bit. A row block writes its rows of it into
+the call's read-off store, one (B, 2, 2) entry per wire that has an
+occurrence; after the last block, each occurrence is read off the whole
+batch once: occurrence k of a run contributes
 coeff * Im sum_ab (W P_k W^dagger)_ab G_ab, W being the product of the
 run's gates after k. The transpose of the step's block, which is U^dagger's,
 then un-applies the step from psi and lambda in one dgemm. For a step
@@ -83,9 +86,10 @@ complex U (its real part on one plane) and read-offs are then built once
 per call for the whole batch, and a row block builds the real blocks of
 its rows when it uses them. A call allocates two flat float64 state
 buffers, each 2 x (largest block's rows) x planes x 2**n, sized by the
-cone. A row block views the front of both as (2, rows, planes, 2**a) for
-the register at hand, and every gather and matmul writes into the one it
-did not read, so the sweep allocates no state.
+cone, and the read-off store, B x (read-off wires) x 4 entries. A row
+block views the front of both buffers as (2, rows, planes, 2**a) for the
+register at hand, and every gather and matmul writes into the one it did
+not read, so the sweep allocates no state.
 Fusion and BLAS round differently from a gate-by-gate sweep (within
 ~1e-14 relative on GradVar); rows never mix and gathers are exact, so
 the results are the same bits at any block size, down to one row.
@@ -539,11 +543,11 @@ def _sweep_block(
     planes: int,
     block: slice,
     cost_bit: int,
-    grads: np.ndarray,
+    store: np.ndarray,
     buffers: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """Forward/backward sweep of the rows ``block`` of the batch; adds their
-    gradients into ``grads``, the block's rows of the gradient array.
+    """Forward/backward sweep of the rows ``block`` of the batch; writes
+    their rows of each read-off wire's 2x2 transition matrix into ``store``.
 
     ``built`` pairs each step with its matrices, built once for the whole
     batch (None for a gather); the sweep takes the block's rows of them and
@@ -552,15 +556,16 @@ def _sweep_block(
     pass un-applies each step from the stacked buffer [psi; lambda] by the
     real block of U^dagger, which shrinks the register back, lambda starting
     in place as psi negated where the cost qubit's final bit ``cost_bit`` is
-    1 (Z_cost psi, exactly), and reads off a step's occurrences before
-    un-applying it, each from the 2x2 transition matrix of its own wire.
+    1 (Z_cost psi, exactly). Before un-applying a step with occurrences it
+    forms the step's G and writes each such wire's 2x2 G into the block's
+    rows of the next (W, B, 2, 2) ``store`` entry, wires in backward order.
 
     ``buffers`` are the call's two flat float64 state buffers, viewed here
     as (2, rows, planes, 2**a) for a register of a bits: each step reads one
     and writes the other, so the sweep allocates no state. The forward pass
     uses their psi halves.
     """
-    rows = grads.shape[0]
+    rows = block.stop - block.start
 
     def view(buffer: np.ndarray, a: int) -> np.ndarray:
         return buffer[: 2 * rows * planes << a].reshape(2, rows, planes, -1)
@@ -585,6 +590,7 @@ def _sweep_block(
     ones = state[1].reshape(rows, planes, -1, 2, 1 << cost_bit)[..., 1, :].swapaxes(-1, -2)
     np.negative(ones, out=ones, order="C")
 
+    wires = iter(store)
     for step, matrices in reversed(built):
         if matrices is None:
             _move(view(cur, a), step[1], view(spare, a))
@@ -596,13 +602,8 @@ def _sweep_block(
             buf = view(cur, a).reshape(2, rows, planes * u.shape[-1], -1)
             transition = _transition(buf[1] @ buf[0].swapaxes(-1, -2), planes)
             for wire, occurrences in enumerate(read_offs):
-                if not occurrences:
-                    continue
-                wire_transition = _wire_transition(transition, len(read_offs), wire)
-                for symbol, coeff, p in occurrences:
-                    # two sums of two terms each add in one order whatever the rows;
-                    # one sum over both axes adds a one-row block in another order
-                    grads[:, symbol] += coeff * (_rows(p, block) * wire_transition).sum(axis=-1).sum(axis=-1).imag
+                if occurrences:
+                    next(wires)[block] = _wire_transition(transition, len(read_offs), wire)
         # the transpose of U's block, U^dagger's, un-applies the step from
         # psi and lambda at once. It stays a transposed view: at n = 2 dgemv
         # rounds a contiguous copy otherwise, and the one-plane cones' pinned
@@ -622,7 +623,11 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     least ``_BLOCK_BYTES`` of two-plane cone state each (the whole batch if
     it is smaller), swept one block at a time through two float64 state
     buffers allocated once here, each 2 x (largest block's rows) x planes x
-    2**n, n the cone's qubits, which the register never exceeds.
+    2**n, n the cone's qubits, which the register never exceeds. Each block
+    writes its rows of every read-off wire's 2x2 transition matrix into one
+    (W, B, 2, 2) store, float64 on one plane and complex on two; after the
+    last block, the occurrences are read off the whole batch at once, in
+    the sweep's backward order.
     """
     n, steps, cost_bit, planes = _plan(circuit, cost_qubit)
     batch = thetas.shape[0]
@@ -635,10 +640,17 @@ def _gradients_batched(circuit: Circuit, thetas: np.ndarray, cost_qubit: int) ->
     built = [
         (step, None if isinstance(step, np.ndarray) else _step_matrices(step[0], thetas, planes)) for step in steps
     ]
+    wires = [occurrences for _, matrices in reversed(built) if matrices for occurrences in matrices[1] if occurrences]
+    store = np.empty((len(wires), batch, 2, 2), np.float64 if planes == 1 else np.complex128)
     most = max(stop - start for start, stop in zip(bounds, bounds[1:]))
     buffers = (np.empty(2 * most * planes << n), np.empty(2 * most * planes << n))
     for start, stop in zip(bounds, bounds[1:]):
-        _sweep_block(built, planes, slice(start, stop), cost_bit, grads[start:stop], buffers)
+        _sweep_block(built, planes, slice(start, stop), cost_bit, store, buffers)
+    for transition, occurrences in zip(store, wires):
+        for symbol, coeff, p in occurrences:
+            # two sums of two terms each add in one order whatever the rows;
+            # one sum over both axes adds a one-row block in another order
+            grads[:, symbol] += coeff * (p * transition).sum(axis=-1).sum(axis=-1).imag
     return grads
 
 

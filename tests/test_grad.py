@@ -802,6 +802,18 @@ class TestStateBuffers:
         held = held_step_matrix_bytes(circuit, sample_thetas(42, 200, circuit.num_symbols), t.cost_qubit)
         assert held <= 6.83 * 2**20
 
+    def test_the_read_off_store_holds_one_transition_per_wire_and_row(self):
+        # each read-off wire keeps its complex 2x2 transition matrix for every
+        # row until the last row block: 181 wires x 200 rows x 64 B, 2.21 MiB
+        t = transpile(build_ttn(10, 10), make_heavy_hex(5, 11))
+        circuit = reparameterize(t, ReparamMode.ALL_ANGLES)
+        with mock.patch.object(grad, "_sweep_block", wraps=grad._sweep_block) as spy:
+            _gradients_batched(circuit, sample_thetas(42, 200, circuit.num_symbols), t.cost_qubit)
+        assert len({id(call.args[4]) for call in spy.call_args_list}) == 1
+        store = spy.call_args_list[0].args[4]
+        assert store.shape == (181, 200, 2, 2) and store.dtype == np.complex128
+        assert store.nbytes <= 2.25 * 2**20
+
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         circuits(4, REAL_KINDS, 24),
