@@ -42,7 +42,7 @@ rounding per entry. A run with no partner is a step alone. Routing puts
 its SWAPs beside one held wire at a time, so pairs halve the lone steps
 of compiled circuits, and the gathers in front of them.
 The state holds only the register: the cone's qubits that have left
-|0>, on bits 0..a-1 in the order they joined, every other qubit being
+|0>, on bits 0..a-1, each joining on a new top bit, every other qubit being
 exactly |0> (as Haner & Steiger, arXiv:1704.01127, keep only the live
 qubits on local bits). It starts as one amplitude and grows to at most
 the cone's 2**n. A step acts on the top bit of the register's amplitude
@@ -64,7 +64,10 @@ the SWAPs that bring a step's qubits to the top bits. A gather is one
 int32 array of both its index maps over chunks of 2**c amplitudes, c the
 lowest bit any of its operations reads or writes, at most 2: np.take
 moves 32-byte chunks fastest; the maps are composed here, not in the
-reference simulator.
+reference simulator. So each gather also parks finished qubits low: a
+qubit on bit 0 or 1 that has a gate ahead trades bits with one at bit 2
+or above whose gates have all passed, and later gathers that act on the
+live qubit move whole chunks.
 The backward pass stacks [psi; lambda] in one buffer, lambda starting in
 place as psi negated where the cost qubit's bit is 1, and forms
 a step's real product Lambda Psi^T, one dgemm, whose diagonal blocks sum
@@ -113,13 +116,13 @@ from .transpiler import TranspiledCircuit
 # smaller batch is one block). A block holds under twice this, so each of
 # the two stacked [state; costate] buffers stays within a 2 MiB per-core
 # L2. On a 2-vCPU Xeon with 2 MiB L2 per core, the six n = 12, B = 200
-# GradVar calls of perfbench's gradvar_n12 (step matrices built once per
-# call), best of three in each of eight rounds that interleave the sizes,
-# took a median 0.73 s (range 0.62-0.85 s) with 512 KiB blocks, 0.74 s
-# (0.56-0.85 s) with 256 KiB, 0.69 s (0.61-0.83 s) with 1 MiB and 0.84 s
-# (0.73-0.94 s) with 2 MiB: no size wins beyond the shared host's noise,
-# and larger blocks hold larger buffers. Before fusion, 0.5-1 MiB blocks
-# were best by ~10 % and unblocked sweeps were ~50 % slower.
+# GradVar calls of perfbench's gradvar_n12 (fused runs, the register,
+# occurrences read off once per call), timed in one process in 15 rounds
+# that interleave the sizes, three times over, took at least 166, 156 and
+# 146 ms with 512 KiB blocks, 173, 173 and 160 ms with 256 KiB and 176,
+# 181 and 166 ms with 1 MiB (medians 188/167/165, 248/179/177 and
+# 212/185/176 ms). 512 KiB was fastest in each, by 5-10 %. Before fusion,
+# 0.5-1 MiB blocks were best by ~10 % and unblocked sweeps were ~50 % slower.
 _BLOCK_BYTES = 1 << 19
 
 # Most low bits a gather moves together: np.take copies chunks of 2**2
@@ -269,8 +272,8 @@ def _gather_maps(n: int, ops: Sequence[tuple[GateKind, tuple[int, int]]]) -> np.
 def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[int, int]]:
     """The gates as sweep steps on the register, and the qubit -> bit layout
     of the register they end in. The register holds the qubits that have
-    left |0>, on bits 0..a-1 in the order they joined; it starts empty, the
-    state one amplitude. A step is a gather, the (2, 2**(a-c)) int32 array of
+    left |0>, on bits 0..a-1, each joining on a new top bit; it starts
+    empty, the state one amplitude. A step is a gather, the (2, 2**(a-c)) int32 array of
     its forward and backward chunk maps, or a matrix step (runs, joins): its
     one or two runs of single-qubit gates on the top bits of the register
     after it, a-1 and then a-2, and how many of their qubits join the
@@ -285,7 +288,11 @@ def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[
     above them. Every qubit outside the register is |0>: a CX whose control
     is one is dropped, a CX onto one first joins it by an identity step (a
     run of no gates), and a SWAP with one is a relabel. Every other CX and
-    SWAP joins the pending gather on its current bits."""
+    SWAP joins the pending gather on its current bits. A gather that a step
+    needs first parks finished qubits below ``_CHUNK_BITS``: each qubit on
+    those bits that has a gate ahead (one of the step's own included)
+    SWAPs bits with a qubit above them that is not held and whose last gate
+    has passed, lowest bits first."""
     steps: list[np.ndarray | tuple] = []
     layout: dict[int, int] = {}
     pending: list[tuple[GateKind, tuple[int, int]]] = []
@@ -297,6 +304,8 @@ def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[
     run_end: dict[int, int | None] = {}
     follows: list[int | None] = [None] * len(gates)
     next_gate: dict[int, int] = {}
+    # last[q]: the index of the last gate on q
+    last: dict[int, int] = {}
     for i in reversed(range(len(gates))):
         g = gates[i]
         if g.kind not in TWO_QUBIT_KINDS:
@@ -304,12 +313,28 @@ def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[
             follows[i] = j if j == len(gates) or gates[j].kind in TWO_QUBIT_KINDS else None
         for q in g.qubits:
             next_gate[q] = i
+            last.setdefault(q, i)
 
-    def put(qubits: tuple[int, ...], runs: tuple[tuple[Gate, ...], ...]) -> None:
-        # qubits, top bit first, lists those that join before those that stay
+    def put(qubits: tuple[int, ...], runs: tuple[tuple[Gate, ...], ...], now: int) -> None:
+        # qubits, top bit first, lists those that join before those that stay;
+        # gate ``now`` is the next one to be read
         top = len(layout)
-        staying = [r for r in qubits if r in layout]
-        for r, bit in zip(staying, (top - 1, top - 2)):
+        staying = list(zip((r for r in qubits if r in layout), (top - 1, top - 2)))
+        if pending or any(layout[r] != bit for r, bit in staying):
+            # the step needs a gather: in it, each qubit below _CHUNK_BITS that
+            # has a gate ahead trades bits with one above whose gates have all
+            # passed, so that later gathers move whole chunks
+            at = {b: x for x, b in layout.items()}
+
+            def finished(bit: int) -> bool:
+                x = at[bit]
+                return last[x] < now and x not in held and x not in qubits
+
+            live = [b for b in range(min(_CHUNK_BITS, top)) if not finished(b)]
+            for low, high in zip(live, filter(finished, range(_CHUNK_BITS, top))):
+                pending.append((GateKind.SWAP, (low, high)))
+                layout[at[low]], layout[at[high]] = high, low
+        for r, bit in staying:
             if layout[r] != bit:
                 pending.append((GateKind.SWAP, (layout[r], bit)))
                 other = next(x for x, b in layout.items() if b == bit)
@@ -322,7 +347,7 @@ def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[
             layout[r] = len(layout)
         steps.append((runs, joins))
 
-    def flush(q: int) -> None:
+    def flush(q: int, now: int) -> None:
         qubits = (q,)
         partners = [p for p in held if p != q and run_end[p] is not None]
         if partners:
@@ -334,7 +359,7 @@ def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[
                 qubits = (p, q)
             else:
                 qubits = (q, p)
-        put(qubits, tuple(tuple(held.pop(r)) for r in qubits))
+        put(qubits, tuple(tuple(held.pop(r)) for r in qubits), now)
 
     for i, g in enumerate(gates):
         if g.kind not in TWO_QUBIT_KINDS:
@@ -343,7 +368,7 @@ def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[
             continue
         for q in g.qubits:
             if q in held:
-                flush(q)
+                flush(q, i)
         a, b = g.qubits
         if g.kind is GateKind.SWAP and not (a in layout and b in layout):
             # the |0> side takes the other side's bit, if it has one
@@ -356,10 +381,10 @@ def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[
             if a not in layout:
                 continue
             if b not in layout:
-                put((b,), ((),))
+                put((b,), ((),), i)
         pending.append((g.kind, (layout[a], layout[b])))
     while held:
-        flush(next(iter(held)))
+        flush(next(iter(held)), len(gates))
     if pending:
         steps.append(_gather_maps(len(layout), pending))
     return steps, layout

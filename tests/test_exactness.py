@@ -6,13 +6,14 @@ backward light cone, its state held on a register of the cone qubits that
 have left |0>, which a step grows by reading only the |0> columns of its
 U. A CX or SWAP that meets a |0> qubit is dropped, joins it or relabels
 it; every other is a gather, which moves chunks of up to four
-amplitudes. A run that a two-qubit gate or the end of the circuit
-flushes takes a second complete run into its step, a 4x4 U_hi kron U_lo
-(the run on the gate's other wire whenever one is held); a run left
-without one is a 2x2 on the top bit. Each step is applied by one
-dgemm on float64 planes, and every occurrence is read off the 2x2
-transition matrix of its own wire. Every exact rewrite of the engine
-must reproduce them, and must give the same bits at any block size.
+amplitudes and parks finished qubits on the register's low bits. A run
+that a two-qubit gate or the end of the circuit flushes takes a second
+complete run into its step, a 4x4 U_hi kron U_lo (the run on the gate's
+other wire whenever one is held); a run left without one is a 2x2 on the
+top bit. Each step is applied by one dgemm on float64 planes, and every
+occurrence is read off the 2x2 transition matrix of its own wire, once
+per call for the whole batch. Every exact rewrite of the engine must
+reproduce them, and must give the same bits at any block size.
 Each grad_var stays within 1e-14 relative of every engine version the
 pins replaced, which ``HISTORY`` records.
 
@@ -72,25 +73,26 @@ def stats_digest(stats) -> str:
 # default block size; n=4 runs in one. Every logical ttn row is a real cone.
 FROZEN = {
     ("efficient_su2", 10, 1): {
-        "logical": ("0x1.b125e98b23736p-7", "0d4865db467c10f9d83512bac2fd4059f0a560a058a5b47a8095f0196a0dfda6"),
+        "logical": ("0x1.b125e98b23735p-7", "6f11c04b88ef99f63128d5cd8fafd6f92ce3346007e7cfdfcf8978320a38b493"),
         "all-angles": ("0x1.b129b3f0adefap-7", "2fc7d676f764722dfb9543176bc4effa7e3c60c9aeb134cf6f2a9f0e73bda60a"),
-        "symbol-derived": ("0x1.b125e98b23736p-7", "361e439b9da666246fde487a7572a09f889dbdaaa4172b823829cf5a13dd9223"),
+        "symbol-derived": ("0x1.b125e98b23736p-7", "2709c9b3a867fc5ab271200522661d60e5a89deef9cac3cf7803f940ba8b0bf2"),
     },
     ("ttn", 10, 1): {
-        "logical": ("0x1.73a5165790127p-5", "3a5699ee5592650efd2ae7a71a6df34547efc3277b40ccf5ddbcee528edb3f4c"),
-        "all-angles": ("0x1.ddf1e661e2c22p-8", "6e5d3c4e15d07783bf0ab483f5844d735e257e6c6832b316c4e00a1c246d19fd"),
-        "symbol-derived": ("0x1.73a5165790123p-5", "75cfabbfa0a06d49865b7348234b820919a649c0c59bb2b6f8370efb372e731d"),
+        "logical": ("0x1.73a5165790127p-5", "cc417686c47f5fb036f057ff4d0399229f90ab05ae3e93e21d962427c7e4e0d2"),
+        "all-angles": ("0x1.ddf1e661e2c22p-8", "891b5255b5d754876eadb2c54c87fb88bf227d3525a8d99b4ef7b767385511dd"),
+        "symbol-derived": ("0x1.73a5165790123p-5", "c2bc3efac14b82e2d2296818ba8ae88c19cf9a116b82642590bed18224744152"),
     },
     ("ttn", 4, 2): {
-        "logical": ("0x1.ca4c30ab555bdp-4", "5c4013fd72fb01e8828cb917ab0ce8d29092d0f615da34cb57385bc211220619"),
-        "all-angles": ("0x1.3e7de162a7caap-5", "f871a8dc4bbb3f0bc4aba5687c874eb8767b4dd0be57d610524c599190d26d24"),
-        "symbol-derived": ("0x1.ca4c30ab555b8p-4", "dae5e8168cd3f33e7c173173cbf5ca91a72d4a7a358f8945fc47ddca0e207663"),
+        "logical": ("0x1.ca4c30ab555bdp-4", "a561eb23b0a3211cdf85fc318084a7d3fd88775b67719b532a6012f96578e889"),
+        "all-angles": ("0x1.3e7de162a7caap-5", "1ac38eba4ae7c12a4d1a4ac19af46bbddf953620bc62c91f035bcfc431850eb2"),
+        "symbol-derived": ("0x1.ca4c30ab555b8p-4", "b4753a9d7a37004bbcc8f89eff0939ec24f8570d6ce251da7351b3d2b9c71a36"),
     },
 }
 
 # The last line of tests/stock_bits.py under the same kernel: the sha256 of
-# all 279 stock arms' bits, which CI checks. A re-pin updates it with FROZEN.
-STOCK_BITS = "279 arms, sha256 7eedf78c64e16c587f7597da93c047992e1f48269de276f70ddecaed5a68d150"
+# all 279 stock arms' bits, which CI checks. A re-pin updates it with FROZEN
+# and with test_seeded_layout_cell_within_rounding_of_gate_by_gate's values.
+STOCK_BITS = "279 arms, sha256 a8a5f5606ddd39002ddebc23d56c34e1b557255b59c0137a8366e14fe960c15d"
 
 PINNED_KERNEL = "Haswell"
 
@@ -327,6 +329,28 @@ HISTORY = {
             },
         },
     ),
+    "unparked": (
+        "grad_var.hex() of the cells above as the sweep computed them when the first "
+        "qubits to join the register stayed on its low bits, before its gathers "
+        "parked finished qubits there (under the Haswell kernel).",
+        {
+            ("efficient_su2", 10, 1): {
+                "logical": "0x1.b125e98b23736p-7",
+                "all-angles": "0x1.b129b3f0adefap-7",
+                "symbol-derived": "0x1.b125e98b23736p-7",
+            },
+            ("ttn", 10, 1): {
+                "logical": "0x1.73a5165790127p-5",
+                "all-angles": "0x1.ddf1e661e2c22p-8",
+                "symbol-derived": "0x1.73a5165790123p-5",
+            },
+            ("ttn", 4, 2): {
+                "logical": "0x1.ca4c30ab555bdp-4",
+                "all-angles": "0x1.3e7de162a7caap-5",
+                "symbol-derived": "0x1.ca4c30ab555b8p-4",
+            },
+        },
+    ),
 }
 
 
@@ -345,10 +369,11 @@ def test_seeded_layout_cell_within_rounding_of_gate_by_gate():
     # tests/test_cli.py's gradvar tests read it
     t = transpile(build_ansatz("ttn", 4, 1), make_line(8), layout_seed=3)
     grad_var = grad_variance(reparameterize(t, ReparamMode.SYMBOL_DERIVED), 20, 42, 0).grad_var
-    # the bits follow the dgemm kernel: ...853 under OpenBLAS's Haswell,
-    # Zen and SkylakeX kernels, ...850 under Sandybridge (the whole-cone
-    # sweep read ...856 under SkylakeX and ...853 under the other three, the
-    # complex128 sweep ...853 under all four)
+    # the bits follow the dgemm kernel, and this set is the third record of
+    # them beside FROZEN and STOCK_BITS: ...853 under OpenBLAS's Haswell,
+    # Zen and SkylakeX kernels, ...850 under Sandybridge, with parked qubits
+    # as without them (the whole-cone sweep read ...856 under SkylakeX and
+    # ...853 under the other three, the complex128 sweep ...853 under all four)
     assert grad_var in (0.1600764457060885, 0.16007644570608853)
     # the gate-by-gate sweep, before single-qubit runs were fused, gave
     gate_by_gate = 0.16007644570608856
@@ -472,6 +497,29 @@ def test_cost_bit_three_examples_keep_their_plan(case, planes):
     assert (n, register, cost_bit, got_planes) == (5, 5, 3, planes)
 
 
+# A finished qubit parked on bit 0: RX on qubit 2 joins it on bit 2 and
+# CX(2, 1) is its last gate, while qubit 1 sits on bit 0 with CX(1, 0)
+# ahead. The gather before RY on qubit 0 trades bits 0 and 2, so the
+# last gather, CX(1, 0), moves two-amplitude chunks.
+PARKED_QUBIT = (
+    Circuit(3, (
+        Gate(GateKind.RY, (1,), Affine(0, 1, 0.3)), Gate(GateKind.RY, (0,), Affine(1, -1, 1.1)),
+        Gate(GateKind.CX, (1, 0)), Gate(GateKind.RX, (2,), Affine(2, 1, 0.4)), Gate(GateKind.CX, (2, 1)),
+        Gate(GateKind.RY, (0,), Affine(0, 1, 2.0)), Gate(GateKind.CX, (1, 0)),
+        Gate(GateKind.RX, (0,), Affine(2, -1, 0.7)),
+    ), 3),
+    0, 5, 23,
+)
+
+
+def test_parked_qubit_example_keeps_its_plan():
+    circuit, cost_qubit, _, _ = PARKED_QUBIT
+    _, steps, cost_bit, _ = grad._plan(circuit, cost_qubit)
+    gathers = [step for step in steps if isinstance(step, np.ndarray)]
+    # chunks of one amplitude at a = 2 and 3 (the trade itself), then of two
+    assert [g.shape[1] for g in gathers] == [4, 8, 4] and cost_bit == 2
+
+
 @PROPERTY_SETTINGS
 @given(circuits())
 @example(FIXED_RUNS)
@@ -479,6 +527,7 @@ def test_cost_bit_three_examples_keep_their_plan(case, planes):
 @example(GATELESS_PAIRS)
 @example(COST_BIT_THREE_TWO_PLANES)
 @example(COST_BIT_THREE_ONE_PLANE)
+@example(PARKED_QUBIT)
 def test_batched_equals_literal_shift_rule(case):
     circuit, cost_qubit, batch, seed = case
     assert_equals_literal_shift_rule(circuit, grad.sample_thetas(seed, batch, circuit.num_symbols), cost_qubit)

@@ -925,6 +925,24 @@ class TestChunkedGathers:
             grad._move(states, maps[direction], out)
             assert np.array_equal(out, applied(states.reshape(6, -1), n, order).reshape(states.shape))
 
+    def test_few_gathers_of_gradvar_n12_move_single_amplitudes(self):
+        # of the planes * 2**a amplitudes that the gathers of gradvar_n12's six
+        # arms move, 13 % go one at a time: each gather parks the qubits below
+        # the chunk bits that have gates ahead on the bits of finished ones.
+        # Left on bits 0 and 1, the first qubits to join made it 38 %
+        moved = single = 0
+        for family in ("ttn", "real_amplitudes"):
+            for _, circuit, cost_qubit in cell_arms(family, 12, 1, make_line(12)):
+                _, steps, _, planes = grad._plan(circuit, cost_qubit)
+                a = 0
+                for step in steps:
+                    if is_gather(step):
+                        moved += planes << a
+                        single += planes << a if step.shape[1] == 1 << a else 0
+                    else:
+                        a += step[1]
+        assert single <= 0.15 * moved
+
     # the CX's control on bit 0 (a two-qubit cone) or bit 1, its target on
     # the bit above; the chunks must not span the control
     @pytest.mark.parametrize(
