@@ -270,29 +270,29 @@ def _gather_maps(n: int, ops: Sequence[tuple[GateKind, tuple[int, int]]]) -> np.
 
 
 def _sweep_steps(gates: Sequence[Gate]) -> tuple[list[np.ndarray | tuple], dict[int, int]]:
-    """The gates as sweep steps on the register, and the qubit -> bit layout
-    of the register they end in. The register holds the qubits that have
-    left |0>, on bits 0..a-1, each joining on a new top bit; it starts
-    empty, the state one amplitude. A step is a gather, the (2, 2**(a-c)) int32 array of
-    its forward and backward chunk maps, or a matrix step (runs, joins): its
-    one or two runs of single-qubit gates on the top bits of the register
-    after it, a-1 and then a-2, and how many of their qubits join the
-    register there. Each maximal run on one wire is held back until a
+    """The gates as sweep steps on the register, and the qubit -> bit layout of
+    the register they end in. The register holds the qubits that have left
+    |0>, on bits 0..a-1, each joining on a new top bit; it starts empty, the
+    state one amplitude. A step is a gather, the (2, 2**(a-c)) int32 array
+    of its forward and backward chunk maps, or a matrix step (runs, joins):
+    its one or two runs of single-qubit gates on the top bits of the
+    register after it, a-1 and then a-2, and how many of their qubits join
+    the register there. Each maximal run on one wire is held back until a
     two-qubit gate touches that wire or the circuit ends, and then flushed
-    by one rule: it takes a second held run into its step if one is
-    complete (no single-qubit gate follows it on its wire, so no run is
-    split), the one whose next two-qubit gate comes first. That is the run
-    on the other wire of the flushing CX or SWAP whenever one is held.
-    Before a step whose register qubits are not on the top bits, SWAPs that
-    bring them there join the gather (or open one); its other qubits join
-    above them. Every qubit outside the register is |0>: a CX whose control
-    is one is dropped, a CX onto one first joins it by an identity step (a
-    run of no gates), and a SWAP with one is a relabel. Every other CX and
-    SWAP joins the pending gather on its current bits. A gather that a step
-    needs first parks finished qubits below ``_CHUNK_BITS``: each qubit on
-    those bits that has a gate ahead (one of the step's own included)
-    SWAPs bits with a qubit above them that is not held and whose last gate
-    has passed, lowest bits first."""
+    by one rule: it takes a second held run into its step if one is complete
+    (no single-qubit gate follows it on its wire, so no run is split), the
+    one whose next two-qubit gate comes first. That is the run on the other
+    wire of the flushing CX or SWAP whenever one is held. Before a step
+    whose register qubits are not on the top bits, SWAPs that bring them
+    there join the gather (or open one); its other qubits join above them.
+    Every qubit outside the register is |0>: a CX whose control is one is
+    dropped, a CX onto one first joins it by an identity step (a run of no
+    gates), and a SWAP with one is a relabel. Every other CX and SWAP joins
+    the pending gather on its current bits. A gather that a step needs first
+    parks finished qubits below ``_CHUNK_BITS``: each qubit on those bits
+    that has a gate ahead (one of the step's own included) SWAPs bits with a
+    qubit above them that is not held and whose last gate has passed, lowest
+    bits first."""
     steps: list[np.ndarray | tuple] = []
     layout: dict[int, int] = {}
     pending: list[tuple[GateKind, tuple[int, int]]] = []
